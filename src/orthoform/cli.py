@@ -28,7 +28,7 @@ from typing import Optional, TextIO
 
 from .blocks import decompose_blocks
 from .form import FormValidationError, HermitianForm, check_declared_consistency, detect_s_sigma, random_form
-from .gs import Decomposition, JBlock, ScalarBlock, decompose_gs
+from .gs import Decomposition, ScalarBlock, decompose_gs
 from .matrix import Matrix
 from .postprocess import maximize_j_blocks, sort_blocks_canonical
 from .rings import Ring, ring_from_spec
@@ -329,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--count-ops", action="store_true", help="include operation counters")
     dec.add_argument("--verify", action="store_true", help="re-check the result independently")
     dec.add_argument("--json", action="store_true", help="machine readable output")
-    dec.add_argument("--seed", type=int, default=0, help="reserved; decomposition is deterministic")
     dec.set_defaults(func=_cmd_decompose)
 
     gen = sub.add_parser("gen", help="generate a random form file")

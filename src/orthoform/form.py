@@ -15,11 +15,11 @@ invariant; standalone use should keep the default full window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
-from .matrix import Matrix, ShapeError, matmul, row_axpy
-from .rings import PrimeField, QuadraticField, RationalQuaternions, Ring
+from .matrix import Matrix, ShapeError, col_axpy, eliminate, matmul, row_axpy
+from .rings import QuadraticField, RationalQuaternions, Ring
 
 
 @dataclass
@@ -143,14 +143,19 @@ class TransformLog:
         return lines
 
 
-def is_hermitian(matrix: Matrix, s: int) -> bool:
-    """True iff matrix = s * sigma_transpose(matrix) entrywise."""
+def _first_asymmetry(matrix: Matrix, s: int) -> Optional[tuple[int, int]]:
+    """Row-major first (i, j) with matrix[i][j] != s * sigma(matrix[j][i]), or None."""
     ring = matrix.ring
     for i in range(matrix.nrows):
         for j in range(matrix.ncols):
             if matrix.rows[i][j] != ring.apply_sign(s, ring.sigma(matrix.rows[j][i])):
-                return False
-    return True
+                return (i, j)
+    return None
+
+
+def is_hermitian(matrix: Matrix, s: int) -> bool:
+    """True iff matrix = s * sigma_transpose(matrix) entrywise."""
+    return _first_asymmetry(matrix, s) is None
 
 
 class FormValidationError(ValueError):
@@ -186,11 +191,9 @@ class HermitianForm:
         self.log = log if log is not None else TransformLog(self.dim)
         self.counters = counters if counters is not None else OpCounters()
         if validate:
-            for i in range(self.dim):
-                for j in range(self.dim):
-                    mirrored = ring.apply_sign(s, ring.sigma(matrix.rows[j][i]))
-                    if matrix.rows[i][j] != mirrored:
-                        raise FormValidationError(i, j)
+            bad = _first_asymmetry(matrix, s)
+            if bad is not None:
+                raise FormValidationError(*bad)
 
     @classmethod
     def from_rows(cls, ring: Ring, rows: list[list], s: int, validate: bool = True) -> "HermitianForm":
@@ -271,11 +274,7 @@ class HermitianForm:
         self.log.append(Transvect(target, source, lam))
         rows = self.m.rows
         row_axpy(ring, rows[target], rows[source], lam, lo, hi)
-        sl = ring.sigma(lam)
-        for r in range(lo, hi):
-            v = rows[r][source]
-            if v != ring.zero:
-                rows[r][target] = ring.add(rows[r][target], ring.mul(v, sl))
+        col_axpy(ring, rows, target, source, ring.sigma(lam), lo, hi)
         width = hi - lo
         self.counters.multiplications += 2 * width
         self.counters.additions += 2 * width
@@ -310,48 +309,21 @@ class HermitianForm:
         pivinv = self._pivot_inverse(pivot)
         c = self.counters
         width = hi - lo
+        targets = [k for k in range(lo, hi) if k != i and k != j]
+        pairs = eliminate(ring, rows, i, j, targets, pivinv, lo, hi)
+        self.log.ops.extend(Transvect(k, i, lam) for k, lam in pairs)
+        c.equality_tests += len(targets)
+        c.multiplications += len(pairs) * (1 + width)
+        c.additions += len(pairs) * width
         if i == j:
-            for k in range(lo, hi):
-                if k == i:
-                    continue
-                c.equality_tests += 1
-                f = rows[k][j]
-                if f == ring.zero:
-                    continue
-                lam = ring.neg(ring.mul(f, pivinv))
-                c.multiplications += 1
-                self.log.append(Transvect(k, i, lam))
-                row_axpy(ring, rows[k], rows[i], lam, lo, hi)
-                c.multiplications += width
-                c.additions += width
-            for k in range(lo, hi):
-                if k != i:
-                    rows[i][k] = ring.zero
+            for k in targets:
+                rows[i][k] = ring.zero
             return
-        cleared = []
-        for k in range(lo, hi):
-            if k == i or k == j:
-                continue
-            c.equality_tests += 1
-            f = rows[k][j]
-            if f == ring.zero:
-                continue
-            lam = ring.neg(ring.mul(f, pivinv))
-            c.multiplications += 1
-            self.log.append(Transvect(k, i, lam))
-            row_axpy(ring, rows[k], rows[i], lam, lo, hi)
-            c.multiplications += width
-            c.additions += width
-            cleared.append((k, lam))
-        for k, lam in cleared:
-            sl = ring.sigma(lam)
-            c.sigma_applications += 1
-            for r in range(lo, hi):
-                v = rows[r][i]
-                if v != ring.zero:
-                    rows[r][k] = ring.add(rows[r][k], ring.mul(v, sl))
-            c.multiplications += width
-            c.additions += width
+        for k, lam in pairs:
+            col_axpy(ring, rows, k, i, ring.sigma(lam), lo, hi)
+        c.sigma_applications += len(pairs)
+        c.multiplications += len(pairs) * width
+        c.additions += len(pairs) * width
 
     def block_congruence(
         self,

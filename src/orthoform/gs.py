@@ -10,7 +10,7 @@ the radical zeros at the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 from .form import HermitianForm, OpCounters, TransformLog

@@ -6,6 +6,10 @@ inversion.  Everything is exact; the only numerics here is an integer numpy
 fast path for prime fields, which computes the same classical product
 bit-for-bit.
 
+Every elimination, here and in ``form``, clears rows through ``eliminate``
+(one pivot's row pass on ``row_axpy``) and updates columns through
+``col_axpy``; ``right_column_reduce`` is the sigma-mirror of ``left_row_reduce``.
+
 All routines optionally accept a counters object (duck-typed, with
 ``additions`` / ``multiplications`` / ``inversions`` / ``equality_tests`` /
 ``sigma_applications`` attributes) and add the ring-operation counts of the
@@ -54,16 +58,30 @@ def row_axpy(ring: Ring, dst: list, src: list, lam, lo: int, hi: int) -> None:
                 dst[idx] = add(dst[idx], mul(lam, s))
 
 
-def row_axpy_right(ring: Ring, dst: list, src: list, lam, lo: int, hi: int) -> None:
-    """In place: dst[c] += src[c] * lam for c in [lo, hi).  lam multiplies from the right."""
-    if ring.is_commutative:
-        row_axpy(ring, dst, src, lam, lo, hi)
-        return
+def col_axpy(ring: Ring, rows: list, dst: int, src: int, lam, lo: int, hi: int) -> None:
+    """In place: rows[r][dst] += rows[r][src] * lam for r in [lo, hi).  lam multiplies from the right."""
     add, mul, zero = ring.add, ring.mul, ring.zero
-    for idx in range(lo, hi):
-        s = src[idx]
-        if s != zero:
-            dst[idx] = add(dst[idx], mul(s, lam))
+    for row in rows[lo:hi]:
+        v = row[src]
+        if v != zero:
+            row[dst] = add(row[dst], mul(v, lam))
+
+
+def eliminate(ring: Ring, rows: list, src: int, col: int, targets, pivinv, lo: int, hi: int) -> list:
+    """Row k += lam * row src over [lo, hi) for each target k with rows[k][col] nonzero.
+
+    lam = -rows[k][col] * pivinv, pivinv being the inverse of rows[src][col].
+    Returns the (k, lam) pairs in target order, for callers to replay and count.
+    """
+    zero = ring.zero
+    pairs = []
+    for k in targets:
+        f = rows[k][col]
+        if f != zero:
+            lam = ring.neg(ring.mul(f, pivinv))
+            row_axpy(ring, rows[k], rows[src], lam, lo, hi)
+            pairs.append((k, lam))
+    return pairs
 
 
 class Matrix:
@@ -306,21 +324,14 @@ def left_row_reduce(m: Matrix, counters=None) -> tuple[Matrix, int]:
             work[r], work[pivot] = work[pivot], work[r]
             acc.rows[r], acc.rows[pivot] = acc.rows[pivot], acc.rows[r]
         pivinv = ring.inv(work[r][c])
+        pairs = eliminate(ring, work, r, c, range(r + 1, n), pivinv, c, cols)
+        for k, lam in pairs:
+            row_axpy(ring, acc.rows[k], acc.rows[r], lam, 0, n)
         if counters is not None:
             counters.inversions += 1
-        for k in range(r + 1, n):
-            f = work[k][c]
-            if counters is not None:
-                counters.equality_tests += 1
-            if f == zero:
-                continue
-            lam = ring.neg(ring.mul(f, pivinv))
-            row_axpy(ring, work[k], work[r], lam, c, cols)
-            row_axpy(ring, acc.rows[k], acc.rows[r], lam, 0, n)
-            work[k][c] = zero
-            if counters is not None:
-                counters.multiplications += 1 + (cols - c) + n
-                counters.additions += (cols - c) + n
+            counters.equality_tests += n - r - 1
+            counters.multiplications += len(pairs) * (1 + (cols - c) + n)
+            counters.additions += len(pairs) * ((cols - c) + n)
         r += 1
     return acc, r
 
@@ -328,55 +339,11 @@ def left_row_reduce(m: Matrix, counters=None) -> tuple[Matrix, int]:
 def right_column_reduce(m: Matrix, counters=None) -> tuple[Matrix, int]:
     """Find invertible A with m*A = [C | 0], C of full column rank.
 
-    Mirror image of ``left_row_reduce``: pivots scan rows top to bottom and,
-    within a row, the smallest-index unused column; column operations add a
-    right multiple of the pivot column.
+    The sigma-mirror of ``left_row_reduce``: sigma is an anti-automorphism,
+    so it picks the same pivots and right multipliers at the same counted cost.
     """
-    ring = m.ring
-    nrows, n = m.nrows, m.ncols
-    work = [row[:] for row in m.rows]
-    acc = Matrix.identity(ring, n)
-    zero = ring.zero
-    r = 0
-    for i in range(nrows):
-        if r == n:
-            break
-        pivot = None
-        for k in range(r, n):
-            if counters is not None:
-                counters.equality_tests += 1
-            if work[i][k] != zero:
-                pivot = k
-                break
-        if pivot is None:
-            continue
-        if pivot != r:
-            for row in work:
-                row[r], row[pivot] = row[pivot], row[r]
-            for row in acc.rows:
-                row[r], row[pivot] = row[pivot], row[r]
-        pivinv = ring.inv(work[i][r])
-        if counters is not None:
-            counters.inversions += 1
-        for k in range(r + 1, n):
-            f = work[i][k]
-            if counters is not None:
-                counters.equality_tests += 1
-            if f == zero:
-                continue
-            lam = ring.neg(ring.mul(pivinv, f))
-            for row in work[i:]:
-                if row[r] != zero:
-                    row[k] = ring.add(row[k], ring.mul(row[r], lam))
-            for row in acc.rows:
-                if row[r] != zero:
-                    row[k] = ring.add(row[k], ring.mul(row[r], lam))
-            work[i][k] = zero
-            if counters is not None:
-                counters.multiplications += 1 + (nrows - i) + n
-                counters.additions += (nrows - i) + n
-        r += 1
-    return acc, r
+    acc, r = left_row_reduce(m.sigma_transpose(), counters)
+    return acc.sigma_transpose(), r
 
 
 def invert(m: Matrix, counters=None) -> Matrix:
@@ -414,17 +381,11 @@ def invert(m: Matrix, counters=None) -> Matrix:
                 counters.multiplications += 2 * n
             work[c] = [ring.mul(pivinv, v) for v in work[c]]
             acc.rows[c] = [ring.mul(pivinv, v) for v in acc.rows[c]]
-        for k in range(n):
-            if k == c:
-                continue
-            f = work[k][c]
-            if f == zero:
-                continue
-            lam = ring.neg(f)
-            row_axpy(ring, work[k], work[c], lam, c, n)
+        targets = [k for k in range(n) if k != c]
+        pairs = eliminate(ring, work, c, c, targets, one, c, n)
+        for k, lam in pairs:
             row_axpy(ring, acc.rows[k], acc.rows[c], lam, 0, n)
-            work[k][c] = zero
-            if counters is not None:
-                counters.multiplications += (n - c) + n
-                counters.additions += (n - c) + n
+        if counters is not None:
+            counters.multiplications += len(pairs) * ((n - c) + n)
+            counters.additions += len(pairs) * ((n - c) + n)
     return acc

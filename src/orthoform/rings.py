@@ -24,18 +24,22 @@ from fractions import Fraction
 from typing import Optional
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981  # Miller-Rabin on these bases is exact below it
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    """Deterministic Miller-Rabin; raises ValueError at or above _MR_LIMIT."""
+    if n >= _MR_LIMIT:
+        raise ValueError(f"modulus {n} is too large: primality is decided only below {_MR_LIMIT}")
+    if n < 2 or any(n % b == 0 for b in _MR_BASES):
+        return n in _MR_BASES
+    r = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> r
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x != 1 and all(pow(x, 1 << i, n) != n - 1 for i in range(r)):
             return False
-        f += 2
     return True
 
 

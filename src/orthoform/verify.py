@@ -17,7 +17,7 @@ import numpy as np
 from .form import OpCounters
 from .gs import Decomposition, JBlock, ScalarBlock
 from .matrix import Matrix, SingularMatrixError, invert, left_row_reduce, matmul
-from .rings import PrimeField, Ring, _legendre
+from .rings import PrimeField, _legendre
 
 
 @dataclass

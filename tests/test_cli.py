@@ -143,6 +143,7 @@ def test_gen_rank_and_out_file(tmp_path, capsys):
         ("ring gfp 7\nsigma frobenius\ndim 1\n1\n", "involution"),
         ("ring gfp 7\ns +1\ndim 2\n0 1\n2 0\n", "symmetry law"),
         ("ring gfp 7\nbogus 3\ndim 1\n1\n", "unknown directive"),
+        ("ring gfp 4000000000000000000000027\ndim 1\n1\n", "too large"),
     ],
 )
 def test_bad_inputs_exit_2(tmp_path, capsys, content, fragment):

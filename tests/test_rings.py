@@ -8,6 +8,7 @@ unit relations) rather than to the implementation's own output.
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -35,6 +36,25 @@ def test_prime_field_rejects_composite_modulus():
         PrimeField(6)
     with pytest.raises(ValueError):
         PrimeField(1)
+
+
+def test_large_prime_modulus_is_decided_quickly():
+    start = time.perf_counter()
+    ring = PrimeField(1000000000000000003)
+    assert time.perf_counter() - start < 0.5
+    assert ring.mul(ring.inv(12345), 12345) == 1
+    with pytest.raises(ValueError, match="not prime"):
+        PrimeField(10**18)
+    # strong pseudoprimes to several small bases are still caught
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        with pytest.raises(ValueError, match="not prime"):
+            PrimeField(n)
+
+
+def test_modulus_beyond_the_primality_bound_is_rejected():
+    for ring_type in (PrimeField, QuadraticField):
+        with pytest.raises(ValueError, match="too large"):
+            ring_type(4000000000000000000000027)
 
 
 def test_quadratic_field_rejects_char_two_and_bad_involution():
