@@ -293,12 +293,14 @@ def block_isotropic(form: HermitianForm, f: int, lo: int = 0, hi: Optional[int] 
     return run.blocks
 
 
-def decompose_blocks(form: HermitianForm, strassen_cutoff: int = 64) -> Decomposition:
+def decompose_blocks(form: HermitianForm, strassen_cutoff: int = 0) -> Decomposition:
     """Decompose by block congruences; mutates `form` into the direct sum.
 
-    strassen_cutoff = 0 keeps every product classical; any value >= 2 switches
-    products above that size to Strassen's scheme.  The decomposition itself
-    is identical either way.
+    strassen_cutoff = 0 (the default) keeps every product classical; any value
+    >= 2 switches products above that size to Strassen's scheme.  The
+    decomposition itself is identical either way; only the counters differ.
+    Classical is the default because over GF(p) and GF(p^2) the classical
+    product runs in numpy, while Strassen's additions run in Python.
     """
     if strassen_cutoff < 0 or strassen_cutoff == 1:
         raise ValueError(f"strassen cutoff must be 0 (classical) or >= 2, got {strassen_cutoff}")

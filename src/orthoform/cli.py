@@ -320,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument(
         "--strassen-cutoff",
         type=int,
-        default=64,
+        default=0,
         metavar="N",
         help="block algorithm only; 0 means classical products throughout",
     )

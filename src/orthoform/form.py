@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
-from .matrix import Matrix, ShapeError, col_axpy, eliminate, matmul, row_axpy
+from .matrix import Matrix, ShapeError, _augmented, col_axpy, eliminate, matmul, row_axpy
 from .rings import QuadraticField, RationalQuaternions, Ring
 
 
@@ -106,24 +106,42 @@ class TransformLog:
         return TransformLog(self.dim, self.ops[start:stop])
 
     def materialize(self, ring: Ring, counters=None) -> Matrix:
-        """Product of the elementary matrices in application order (first op innermost)."""
-        acc = Matrix.identity(ring, self.dim)
-        for op in self.ops:
+        """Product of the elementary matrices in application order (first op innermost).
+
+        Each run of consecutive transvections from one source into distinct
+        other rows (one pivot of ``clear_row_column``) is applied as one update.
+        """
+        d = self.dim
+        acc = _augmented(Matrix.zeros(ring, d, 0), d * d, terms=d)  # [ | I]: the identity
+        ops = self.ops
+        i = 0
+        while i < len(ops):
+            op = ops[i]
+            i += 1
             if isinstance(op, Scale):
-                acc.rows[op.index] = [ring.mul(op.value, v) for v in acc.rows[op.index]]
+                acc.scale(op.index, op.value)
             elif isinstance(op, Swap):
-                r = acc.rows
-                r[op.i], r[op.j] = r[op.j], r[op.i]
+                acc.swap(op.i, op.j)
             elif isinstance(op, Transvect):
-                row_axpy(ring, acc.rows[op.target], acc.rows[op.source], op.value, 0, self.dim)
+                targets, lams = [op.target], [op.value]
+                seen = {op.source, op.target}
+                while (
+                    op.target != op.source
+                    and i < len(ops)
+                    and isinstance(ops[i], Transvect)
+                    and ops[i].source == op.source
+                    and ops[i].target not in seen
+                ):
+                    seen.add(ops[i].target)
+                    targets.append(ops[i].target)
+                    lams.append(ops[i].value)
+                    i += 1
+                acc.add_multiples(op.source, targets, lams)
             elif isinstance(op, BlockLeft):
-                q = op.block.nrows
-                span = Matrix(ring, acc.rows[op.offset : op.offset + q], validate=False)
-                out = matmul(op.block, span, counters=counters)
-                acc.rows[op.offset : op.offset + q] = out.rows
+                acc.left_multiply(op.offset, op.block, counters)
             else:
                 raise TypeError(f"unknown log op {op!r}")
-        return acc
+        return Matrix(ring, acc.transform(), validate=False)
 
     def slp_lines(self, ring: Ring) -> list[str]:
         """Line-oriented rendering, one elementary operation per line, 0-based indices."""

@@ -2,13 +2,20 @@
 
 Provides the classical and Strassen products, the sigma-transpose, one-sided
 eliminations that return their transform as an invertible witness matrix, and
-inversion.  Everything is exact; the only numerics here is an integer numpy
-fast path for prime fields, which computes the same classical product
-bit-for-bit.
+inversion.  Everything is exact.
 
-Every elimination, here and in ``form``, clears rows through ``eliminate``
-(one pivot's row pass on ``row_axpy``) and updates columns through
-``col_axpy``; ``right_column_reduce`` is the sigma-mirror of ``left_row_reduce``.
+``left_row_reduce``, ``invert`` and ``TransformLog.materialize`` work on one
+stacked ``[work | identity]`` row store with two implementations.  The generic
+loop (``_ListRows``) clears rows through ``eliminate``, one pivot's row pass on
+``row_axpy``; it runs over every ring and is the reference.  The int64 numpy
+kernel (``_PlaneRows``) does each pivot as one rank-1 update reduced mod p; it
+runs over GF(p) and GF(p^2) (two planes, a and b of a + b*x) when the job has
+at least ``_KERNEL_MIN_ENTRIES`` entries and passes the overflow guard
+``_int64_ok``: terms * (1 + c) * (p - 1)**2 + p < 2**62, with c the non-residue
+of GF(p^2) and 0 over GF(p).  The classical product uses the same guard and
+the same packing.  Both stores choose the same pivots and return the same
+transforms and counts.  ``right_column_reduce`` is the sigma-mirror of
+``left_row_reduce``; the column passes in ``form`` go through ``col_axpy``.
 
 All routines optionally accept a counters object (duck-typed, with
 ``additions`` / ``multiplications`` / ``inversions`` / ``equality_tests`` /
@@ -82,6 +89,63 @@ def eliminate(ring: Ring, rows: list, src: int, col: int, targets, pivinv, lo: i
             row_axpy(ring, rows[k], rows[src], lam, lo, hi)
             pairs.append((k, lam))
     return pairs
+
+
+# Jobs with fewer entries than this stay on the generic loop, where one
+# pivot's Python row pass costs less than the kernel's numpy calls (measured
+# crossover on square inputs: about 12x12 over GF(101), 16x16 over GF(9),
+# 20x20 to 24x24 over GF(2); materializing a log crosses over a little later).
+_KERNEL_MIN_ENTRIES = 576
+
+
+def _int64_ok(ring: Ring, terms: int) -> bool:
+    """True when ``ring`` is GF(p) or GF(p^2) and a sum of ``terms`` products of
+    residues plus one residue stays below 2**62 in int64 planes, that is
+    terms * (1 + c) * (p - 1)**2 + p < 2**62 with c the non-residue of GF(p^2)
+    (0 over GF(p))."""
+    if isinstance(ring, PrimeField):
+        c = 0
+    elif isinstance(ring, QuadraticField):
+        c = ring.nonresidue
+    else:
+        return False
+    return terms * (1 + c) * (ring.p - 1) ** 2 + ring.p < 2**62
+
+
+def _planes(ring: Ring) -> int:
+    return 1 if isinstance(ring, PrimeField) else 2
+
+
+def _pack(ring: Ring, rows: list) -> np.ndarray:
+    """Nonempty rows as int64 planes of shape (planes, n, m): the residues over
+    GF(p), the a and the b of a + b*x over GF(p^2)."""
+    a = np.array(rows, dtype=np.int64)
+    return a[None] if isinstance(ring, PrimeField) else a.transpose(2, 0, 1)
+
+
+def _pack_scalar(ring: Ring, x) -> np.ndarray:
+    """One scalar as planes of shape (planes, 1), broadcasting against a row."""
+    return np.array(x if isinstance(ring, QuadraticField) else (x,), dtype=np.int64)[:, None]
+
+
+def _unpack(ring: Ring, planes: np.ndarray) -> list:
+    if len(planes) == 1:
+        return planes[0].tolist()
+    return [list(zip(r0, r1)) for r0, r1 in zip(planes[0].tolist(), planes[1].tolist())]
+
+
+def _plane_product(ring: Ring, x: np.ndarray, y: np.ndarray, op=np.multiply) -> np.ndarray:
+    """The ring product of two plane arrays under ``op`` (entrywise or matmul), not reduced."""
+    if len(x) == 1:
+        return op(x, y)
+    c = ring.nonresidue
+    return np.stack((op(x[0], y[0]) + c * op(x[1], y[1]), op(x[0], y[1]) + op(x[1], y[0])))
+
+
+def _count_product(counters, n: int, k: int, m: int) -> None:
+    if counters is not None and k > 0:
+        counters.multiplications += n * m * k
+        counters.additions += n * m * (k - 1)
 
 
 class Matrix:
@@ -164,25 +228,12 @@ def matmul_classical(left: Matrix, right: Matrix, counters=None) -> Matrix:
     _check_pair(left, right)
     ring = left.ring
     n, k, m = left.nrows, left.ncols, right.ncols
-    if counters is not None and k > 0:
-        counters.multiplications += n * m * k
-        counters.additions += n * m * (k - 1)
+    _count_product(counters, n, k, m)
     if n == 0 or m == 0 or k == 0:
         return Matrix.zeros(ring, n, m)
-    if isinstance(ring, PrimeField) and k * (ring.p - 1) ** 2 < 2**62:
-        a = np.array(left.rows, dtype=np.int64)
-        b = np.array(right.rows, dtype=np.int64)
-        return Matrix(ring, ((a @ b) % ring.p).tolist(), validate=False)
-    if isinstance(ring, QuadraticField) and k * (ring.p - 1) ** 2 * (1 + ring.nonresidue) < 2**62:
-        p, nr = ring.p, ring.nonresidue
-        a0 = np.array([[v[0] for v in row] for row in left.rows], dtype=np.int64)
-        a1 = np.array([[v[1] for v in row] for row in left.rows], dtype=np.int64)
-        b0 = np.array([[v[0] for v in row] for row in right.rows], dtype=np.int64)
-        b1 = np.array([[v[1] for v in row] for row in right.rows], dtype=np.int64)
-        c0 = ((a0 @ b0 + nr * (a1 @ b1)) % p).tolist()
-        c1 = ((a0 @ b1 + a1 @ b0) % p).tolist()
-        rows = [list(zip(r0, r1)) for r0, r1 in zip(c0, c1)]
-        return Matrix(ring, rows, validate=False)
+    if _int64_ok(ring, k):
+        prod = _plane_product(ring, _pack(ring, left.rows), _pack(ring, right.rows), np.matmul)
+        return Matrix(ring, _unpack(ring, prod % ring.p), validate=False)
     add, mul, zero = ring.add, ring.mul, ring.zero
     cols = list(zip(*right.rows))
     out = []
@@ -292,6 +343,139 @@ def matmul(left: Matrix, right: Matrix, cutoff: Optional[int] = None, counters=N
     return matmul_strassen(left, right, cutoff, counters)
 
 
+class _ListRows:
+    """Rows [work | identity] as Python lists: the generic loop, valid over every ring."""
+
+    def __init__(self, ring: Ring, rows: list, cols: int):
+        self.ring = ring
+        self.rows = rows
+        self.cols = cols
+
+    def nonzero_from(self, col: int, start: int) -> Optional[int]:
+        zero = self.ring.zero
+        for k in range(start, len(self.rows)):
+            if self.rows[k][col] != zero:
+                return k
+        return None
+
+    def entry(self, r: int, c: int):
+        return self.rows[r][c]
+
+    def swap(self, i: int, j: int) -> None:
+        self.rows[i], self.rows[j] = self.rows[j], self.rows[i]
+
+    def scale(self, r: int, lam) -> None:
+        mul = self.ring.mul
+        self.rows[r] = [mul(lam, v) for v in self.rows[r]]
+
+    def eliminate(self, src: int, col: int, first: int, pivinv) -> int:
+        rows = self.rows
+        targets = [k for k in range(first, len(rows)) if k != src]
+        return len(eliminate(self.ring, rows, src, col, targets, pivinv, col, len(rows[src])))
+
+    def add_multiples(self, src: int, targets: list, lams: list) -> None:
+        rows, width = self.rows, len(self.rows[src])
+        for k, lam in zip(targets, lams):
+            row_axpy(self.ring, rows[k], rows[src], lam, 0, width)
+
+    def left_multiply(self, offset: int, block: Matrix, counters=None) -> None:
+        q = block.nrows
+        span = Matrix(self.ring, self.rows[offset : offset + q], validate=False)
+        self.rows[offset : offset + q] = matmul_classical(block, span, counters).rows
+
+    def transform(self) -> list:
+        return [row[self.cols :] for row in self.rows]
+
+
+class _PlaneRows:
+    """Rows [work | identity] as an int64 plane array: the kernel over GF(p) and GF(p^2).
+
+    Each pivot is one rank-1 update of the target rows, reduced mod p; the
+    overflow guard of ``_int64_ok`` keeps every intermediate below 2**62.
+    A row swap also swaps the two identity columns (``perm`` records where
+    each column went).  When pivots are taken in row order, as
+    ``left_row_reduce`` and ``invert`` do, the identity part of pivot row
+    ``src`` is then zero right of column ``src``, so ``eliminate`` skips those
+    columns; ``transform`` puts the columns back in place.
+    """
+
+    def __init__(self, ring: Ring, planes: np.ndarray, cols: int):
+        self.ring = ring
+        self.p = ring.p
+        self.w = planes
+        self.cols = cols
+        self.perm = list(range(planes.shape[1]))
+
+    def nonzero_from(self, col: int, start: int) -> Optional[int]:
+        hit = self.w[:, start:, col].any(axis=0)
+        k = int(hit.argmax())
+        return start + k if hit[k] else None
+
+    def entry(self, r: int, c: int):
+        v = self.w[:, r, c].tolist()
+        return v[0] if len(v) == 1 else tuple(v)
+
+    def swap(self, i: int, j: int) -> None:
+        w, c = self.w, self.cols
+        w[:, [i, j]] = w[:, [j, i]]
+        w[:, :, [c + i, c + j]] = w[:, :, [c + j, c + i]]
+        self.perm[i], self.perm[j] = self.perm[j], self.perm[i]
+
+    def scale(self, r: int, lam) -> None:
+        self.w[:, r] = _plane_product(self.ring, _pack_scalar(self.ring, lam), self.w[:, r]) % self.p
+
+    def eliminate(self, src: int, col: int, first: int, pivinv) -> int:
+        w, p = self.w, self.p
+        lam = -_plane_product(self.ring, w[:, first:, col], _pack_scalar(self.ring, pivinv)) % p
+        if first <= src:
+            lam[:, src - first] = 0
+        pairs = int(np.count_nonzero(lam.any(axis=0)))
+        if pairs:
+            hi = self.cols + src + 1
+            block = w[:, first:, col:hi]
+            block += _plane_product(self.ring, lam[:, :, None], w[:, src, None, col:hi])
+            block %= p
+        return pairs
+
+    def add_multiples(self, src: int, targets: list, lams: list) -> None:
+        w = self.w
+        lam = _pack(self.ring, [lams])[:, 0]
+        w[:, targets] = (w[:, targets] + _plane_product(self.ring, lam[:, :, None], w[:, src, None, :])) % self.p
+
+    def left_multiply(self, offset: int, block: Matrix, counters=None) -> None:
+        q = block.nrows
+        _count_product(counters, q, q, self.w.shape[2])
+        span = self.w[:, offset : offset + q]
+        self.w[:, offset : offset + q] = _plane_product(self.ring, _pack(self.ring, block.rows), span, np.matmul) % self.p
+
+    def transform(self) -> list:
+        out = np.empty_like(self.w[:, :, self.cols :])
+        out[:, :, self.perm] = self.w[:, :, self.cols :]
+        return _unpack(self.ring, out)
+
+
+def _augmented(m: Matrix, entries: int, terms: int = 1):
+    """[m | I] as rows to eliminate on, for a job of ``entries`` entries whose
+    products sum at most ``terms`` terms.  Takes the int64 kernel when the ring
+    passes ``_int64_ok`` and the job has at least ``_KERNEL_MIN_ENTRIES``
+    entries; the generic loop otherwise, and always over Q and the quaternions.
+    """
+    ring, n = m.ring, m.nrows
+    if entries >= _KERNEL_MIN_ENTRIES and _int64_ok(ring, terms):
+        planes = np.zeros((_planes(ring), n, m.ncols + n), dtype=np.int64)
+        if m.ncols:
+            planes[:, :, : m.ncols] = _pack(ring, m.rows)
+        planes[0, :, m.ncols :] = np.eye(n, dtype=np.int64)
+        return _PlaneRows(ring, planes, m.ncols)
+    one, zero = ring.one, ring.zero
+    rows = []
+    for i, row in enumerate(m.rows):
+        unit = [zero] * n
+        unit[i] = one
+        rows.append(row + unit)
+    return _ListRows(ring, rows, m.ncols)
+
+
 def left_row_reduce(m: Matrix, counters=None) -> tuple[Matrix, int]:
     """Find invertible A with A*m = [top; 0], the top ``rank`` rows independent.
 
@@ -304,36 +488,26 @@ def left_row_reduce(m: Matrix, counters=None) -> tuple[Matrix, int]:
     """
     ring = m.ring
     n, cols = m.nrows, m.ncols
-    work = [row[:] for row in m.rows]
-    acc = Matrix.identity(ring, n)
-    zero = ring.zero
+    rows = _augmented(m, n * cols)
     r = 0
     for c in range(cols):
         if r == n:
             break
-        pivot = None
-        for k in range(r, n):
-            if counters is not None:
-                counters.equality_tests += 1
-            if work[k][c] != zero:
-                pivot = k
-                break
+        pivot = rows.nonzero_from(c, r)
+        if counters is not None:
+            counters.equality_tests += n - r if pivot is None else pivot - r + 1
         if pivot is None:
             continue
         if pivot != r:
-            work[r], work[pivot] = work[pivot], work[r]
-            acc.rows[r], acc.rows[pivot] = acc.rows[pivot], acc.rows[r]
-        pivinv = ring.inv(work[r][c])
-        pairs = eliminate(ring, work, r, c, range(r + 1, n), pivinv, c, cols)
-        for k, lam in pairs:
-            row_axpy(ring, acc.rows[k], acc.rows[r], lam, 0, n)
+            rows.swap(r, pivot)
+        pairs = rows.eliminate(r, c, r + 1, ring.inv(rows.entry(r, c)))
         if counters is not None:
             counters.inversions += 1
             counters.equality_tests += n - r - 1
-            counters.multiplications += len(pairs) * (1 + (cols - c) + n)
-            counters.additions += len(pairs) * ((cols - c) + n)
+            counters.multiplications += pairs * (1 + (cols - c) + n)
+            counters.additions += pairs * ((cols - c) + n)
         r += 1
-    return acc, r
+    return Matrix(ring, rows.transform(), validate=False), r
 
 
 def right_column_reduce(m: Matrix, counters=None) -> tuple[Matrix, int]:
@@ -357,35 +531,24 @@ def invert(m: Matrix, counters=None) -> Matrix:
         raise ShapeError(f"cannot invert {m.shape}")
     ring = m.ring
     n = m.nrows
-    work = [row[:] for row in m.rows]
-    acc = Matrix.identity(ring, n)
-    zero, one = ring.zero, ring.one
+    one = ring.one
+    rows = _augmented(m, n * n)
     for c in range(n):
-        pivot = None
-        for k in range(c, n):
-            if counters is not None:
-                counters.equality_tests += 1
-            if work[k][c] != zero:
-                pivot = k
-                break
+        pivot = rows.nonzero_from(c, c)
+        if counters is not None:
+            counters.equality_tests += n - c if pivot is None else pivot - c + 1
         if pivot is None:
             raise SingularMatrixError(f"matrix of shape {m.shape} is singular")
         if pivot != c:
-            work[c], work[pivot] = work[pivot], work[c]
-            acc.rows[c], acc.rows[pivot] = acc.rows[pivot], acc.rows[c]
-        piv = work[c][c]
+            rows.swap(c, pivot)
+        piv = rows.entry(c, c)
         if piv != one:
-            pivinv = ring.inv(piv)
             if counters is not None:
                 counters.inversions += 1
                 counters.multiplications += 2 * n
-            work[c] = [ring.mul(pivinv, v) for v in work[c]]
-            acc.rows[c] = [ring.mul(pivinv, v) for v in acc.rows[c]]
-        targets = [k for k in range(n) if k != c]
-        pairs = eliminate(ring, work, c, c, targets, one, c, n)
-        for k, lam in pairs:
-            row_axpy(ring, acc.rows[k], acc.rows[c], lam, 0, n)
+            rows.scale(c, ring.inv(piv))
+        pairs = rows.eliminate(c, c, 0, one)
         if counters is not None:
-            counters.multiplications += len(pairs) * ((n - c) + n)
-            counters.additions += len(pairs) * ((n - c) + n)
-    return acc
+            counters.multiplications += pairs * ((n - c) + n)
+            counters.additions += pairs * ((n - c) + n)
+    return Matrix(ring, rows.transform(), validate=False)

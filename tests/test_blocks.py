@@ -273,3 +273,33 @@ def _golden_digest(ring, s, d, rank, seed):
 @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
 def test_golden_logs_and_counters(case):
     assert _golden_digest(*GOLDEN_CASES[case]) == GOLDEN_DIGESTS[case]
+
+
+GF1009 = PrimeField(1009)
+
+# (ring, s) at d=48: the blocks, counters and materialized transforms of both
+# decomposers, recorded from the generic elimination loop.
+TRANSFORM_CASES = {
+    "gf1009+": (GF1009, 1, 801),
+    "gf1009-": (GF1009, -1, 802),
+    "gf9+": (GF9, 1, 803),
+    "gf9-": (GF9, -1, 804),
+}
+
+TRANSFORM_DIGESTS = {
+    "gf1009+": "90658a70f7b27496400f94952d832068f7e9b8f6604689c6923100b5f17ba417",
+    "gf1009-": "0f55a2ec1245068c1f42877a5cb330be122f5a6a4b933010dc084dbf156b3a6a",
+    "gf9+": "0d683c65e771b27195641ddd4c0cd7758fc88bd5e684281c01f79ef0411a6676",
+    "gf9-": "399a4a9baeebf7aa1f32d6daf50c1c09db25e8402ac4f7384dbf7a7c96edf1ec",
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRANSFORM_CASES))
+def test_kernel_sized_transforms_are_pinned(case):
+    ring, s, seed = TRANSFORM_CASES[case]
+    form = random_form(ring, s, 48, random.Random(seed))
+    twin = HermitianForm(ring, snapshot(form.m), s, validate=False)
+    parts = []
+    for dec in (decompose_gs(form), decompose_blocks(twin)):
+        parts.append((repr(dec.blocks), dec.counters.as_dict(), dec.log.materialize(ring).rows))
+    assert hashlib.sha256(repr(parts).encode()).hexdigest() == TRANSFORM_DIGESTS[case]

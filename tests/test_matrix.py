@@ -8,14 +8,19 @@ import random
 import pytest
 
 from orthoform import (
+    BlockLeft,
     Matrix,
     OpCounters,
     PrimeField,
     QuadraticField,
     RationalField,
     RationalQuaternions,
+    Scale,
     ShapeError,
     SingularMatrixError,
+    Swap,
+    TransformLog,
+    Transvect,
     invert,
     left_row_reduce,
     matmul,
@@ -251,3 +256,147 @@ def _elimination_digest(ring):
 @pytest.mark.parametrize("ring", [GF7, PrimeField(2), GF9, RationalField(), HH], ids=repr)
 def test_elimination_results_are_pinned(ring):
     assert _elimination_digest(ring) == ELIMINATION_DIGESTS[repr(ring)]
+
+
+# Digests recorded from the generic elimination loop on inputs large enough
+# for the int64 kernel, so the kernel must reproduce transforms, ranks and
+# every counter of the loop it replaces.
+KERNEL_DIGESTS = {
+    "GF(2)": "e8a005f53c3ecccb3a1ef9f3dd073d6b049553431a757d553cac56ac43f1b9a5",
+    "GF(101)": "23d7037af9c55ee3cae5a38379abc7b0c8c575c9dfc92e04fa0014e4fe080874",
+    "GF(1009)": "c9ee73371b986e77840ff18dcce33a80f880fa0d4937970db2401e30c53b43f3",
+    "GF(3^2)": "46d909278b6ea77a7e559e74120dc906f97cf4d1c48050837516a61556d7f5c4",
+}
+
+
+def _kernel_inputs(ring, rng):
+    while True:
+        square = random_matrix(ring, 40, 40, rng)
+        if left_row_reduce(square)[1] == 40:
+            break
+    return [
+        square,
+        random_matrix(ring, 48, 32, rng),
+        random_matrix(ring, 32, 48, rng),
+        _low_rank_matrix(ring, 48, 48, 20, rng),
+    ]
+
+
+@pytest.mark.parametrize(
+    "ring", [PrimeField(2), PrimeField(101), PrimeField(1009), GF9], ids=repr
+)
+def test_kernel_sized_eliminations_are_pinned(ring):
+    out = []
+    for mtx in _kernel_inputs(ring, random.Random(701)):
+        for reduce in (left_row_reduce, right_column_reduce):
+            counters = OpCounters()
+            a, rank = reduce(mtx, counters)
+            out.append((a.rows, rank, counters.as_dict()))
+        if mtx.nrows == mtx.ncols:
+            counters = OpCounters()
+            try:
+                out.append((invert(mtx, counters).rows, counters.as_dict()))
+            except SingularMatrixError:
+                out.append(("singular", counters.as_dict()))
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == KERNEL_DIGESTS[repr(ring)]
+
+
+def test_kernel_sized_singular_matrix_raises():
+    ring = PrimeField(101)
+    with pytest.raises(SingularMatrixError):
+        invert(_low_rank_matrix(ring, 40, 40, 39, random.Random(702)))
+
+
+GF25 = QuadraticField(5, "frobenius")
+
+
+def _both_paths(monkeypatch, run):
+    """run() on the generic loop, then on the int64 kernel at every size."""
+    from orthoform import matrix
+
+    monkeypatch.setattr(matrix, "_KERNEL_MIN_ENTRIES", 10**9)
+    generic = run()
+    monkeypatch.setattr(matrix, "_KERNEL_MIN_ENTRIES", 0)
+    return generic, run()
+
+
+@pytest.mark.parametrize(
+    "ring", [PrimeField(2), PrimeField(3), PrimeField(101), GF9, GF25], ids=repr
+)
+def test_kernel_matches_the_generic_loop(ring, monkeypatch):
+    rng = random.Random(703)
+    cases = []
+    for _ in range(30):
+        n, m = rng.randrange(1, 13), rng.randrange(1, 13)
+        if rng.random() < 0.5:
+            cases.append(random_matrix(ring, n, m, rng))
+        else:
+            cases.append(_low_rank_matrix(ring, n, m, rng.randrange(1, min(n, m) + 1), rng))
+
+    def run():
+        out = []
+        for mtx in cases:
+            for reduce in (left_row_reduce, right_column_reduce):
+                counters = OpCounters()
+                a, rank = reduce(mtx, counters)
+                out.append((a.rows, rank, counters.as_dict()))
+            if mtx.nrows == mtx.ncols:
+                counters = OpCounters()
+                try:
+                    out.append((invert(mtx, counters).rows, counters.as_dict()))
+                except SingularMatrixError:
+                    out.append(("singular", counters.as_dict()))
+        return out
+
+    generic, kernel = _both_paths(monkeypatch, run)
+    assert kernel == generic
+
+
+@pytest.mark.parametrize("ring", [PrimeField(101), GF9], ids=repr)
+def test_kernel_materialize_matches_the_generic_loop(ring, monkeypatch):
+    # runs of transvections from one source, repeated targets inside a run,
+    # a self-transvection, scales, swaps and pasted blocks
+    rng = random.Random(704)
+    d = 9
+    log = TransformLog(d)
+    for _ in range(120):
+        kind = rng.randrange(6)
+        if kind < 3:
+            src = rng.randrange(d)
+            for _ in range(rng.randrange(1, 5)):
+                log.append(Transvect(rng.randrange(d), src, ring.random(rng)))
+        elif kind == 3:
+            log.append(Scale(rng.randrange(d), ring.random(rng)))
+        elif kind == 4:
+            log.append(Swap(rng.randrange(d), rng.randrange(d)))
+        else:
+            q = rng.randrange(1, 4)
+            log.append(BlockLeft(random_matrix(ring, q, q, rng), rng.randrange(d - q + 1)))
+
+    def run():
+        counters = OpCounters()
+        return log.materialize(ring, counters).rows, counters.as_dict()
+
+    generic, kernel = _both_paths(monkeypatch, run)
+    assert kernel == generic
+
+
+@pytest.mark.parametrize("p", [2147483647, 1000000000000000003])
+def test_overflow_guard_edges(p):
+    # 2^31 - 1 is the largest prime whose rank-1 update fits the int64 guard;
+    # the 19-digit prime must fall back to the generic loop, exactly
+    from orthoform.matrix import _int64_ok
+
+    ring = PrimeField(p)
+    assert _int64_ok(ring, 1) == (p < 2**31)
+    rng = random.Random(705)
+    mtx = _low_rank_matrix(ring, 32, 32, 20, rng)
+    a, rank = left_row_reduce(mtx)
+    assert rank == 20
+    reduced = matmul_classical(a, mtx)
+    assert all(v == 0 for row in reduced.rows[rank:] for v in row)
+    while True:
+        square = random_matrix(ring, 32, 32, rng)
+        if left_row_reduce(square)[1] == 32:
+            break
+    assert matmul_classical(invert(square), square) == Matrix.identity(ring, 32)

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from orthoform import (
+    BlockLeft,
     HermitianForm,
     Matrix,
     OpCounters,
@@ -62,6 +63,16 @@ def test_tampered_log_fails_congruence_but_not_invertibility():
     dec.log.append(Swap(0, 1))
     report = check_decomposition(original, 1, dec)
     assert report.transform_invertible
+    assert not report.congruence_matches
+
+
+@pytest.mark.parametrize("d", [4, 30])
+def test_singular_log_fails_invertibility(d):
+    # a zero block left-multiplied into the log makes the transform singular
+    original, dec = fresh_decomposition(d=d, seed=75)
+    dec.log.append(BlockLeft(Matrix.zeros(GF7, 1, 1), 0))
+    report = check_decomposition(original, 1, dec)
+    assert not report.transform_invertible
     assert not report.congruence_matches
 
 
