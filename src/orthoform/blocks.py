@@ -1,13 +1,13 @@
 """Divide-and-conquer orthogonal decomposition built on block congruences.
 
-The driver first splits off the radical (once, globally), then recurses on a
-nonsingular window: the leading half is radical-detected, its nonsingular
-part is handled recursively, and the complement, which carries a full-row-rank
-off-diagonal block X, is turned into hyperbolic pairs by column-reducing X,
-normalizing the cross block to an identity, and sweeping the remaining
-coupling away with block transvections.  All heavy lifting is matrix
-multiplication, so the Strassen threshold fans through every step; results
-are identical for every threshold because the products are exact.
+Every reduction is one split step: row-reduce the leading block of a window
+and apply that as a congruence, leaving it [[core, 0], [0, 0]].  The split of
+the whole matrix sends the radical to the tail; on the nonsingular window the
+split of the leading half gives a core handled recursively and a complement,
+carrying a full-row-rank off-diagonal block X, that becomes hyperbolic pairs
+(column-reduce X, normalize the cross block to an identity, sweep the rest of
+the coupling away with block transvections).  Besides the split the heavy
+lifting is matrix products, exact for every Strassen threshold.
 
 A window [lo, hi) is always zero outside itself, which makes windowed block
 congruences global congruences.  Each displayed intermediate shape is
@@ -58,22 +58,36 @@ def _sign_scaled(m: Matrix, sign: int) -> Matrix:
     return Matrix(m.ring, [[neg(v) for v in row] for row in m.rows], validate=False)
 
 
+def _split(form: HermitianForm, lo: int, h: int, hi: int, cutoff: int) -> int:
+    """Congruate the leading h x h block of the window [lo, hi) to [[core, 0], [0, 0]].
+
+    Row-reduces that block to find an invertible A with A*block of full row
+    rank on top, applies A as a congruence over the window and returns the
+    rank k of the block; the core is its nonsingular leading k x k part.
+    """
+    a, k = left_row_reduce(form.m.submatrix(lo, lo + h, lo, lo + h), form.counters)
+    if a != Matrix.identity(form.ring, h):
+        form.block_congruence(lo, a, lo, hi, cutoff)
+    _require_zero(form, lo + k, lo + h, lo, lo + h, "split")
+    _require_zero(form, lo, lo + h, lo + k, lo + h, "split")
+    return k
+
+
 def detect_radical(form: HermitianForm, cutoff: int = 0) -> int:
     """Congruate the radical to the tail; returns its dimension.
 
-    Row-reduces the whole matrix to find an invertible A with A*B of full row
-    rank on top, then applies A as a congruence, leaving
-    [[core, 0], [0, 0]] with the core nonsingular in the leading window.
+    The split of the whole matrix: afterwards it is [[core, 0], [0, 0]] with
+    the core nonsingular in the leading window.
     """
-    d = form.dim
-    if d == 0:
-        return 0
-    a, rank = left_row_reduce(form.m, form.counters)
-    if a != Matrix.identity(form.ring, d):
-        form.block_congruence(0, a, 0, d, cutoff)
-    _require_zero(form, rank, d, 0, d, "radical split")
-    _require_zero(form, 0, rank, rank, d, "radical split")
-    return d - rank
+    return form.dim - _split(form, 0, form.dim, form.dim, cutoff)
+
+
+def _log_block_transvect(form: HermitianForm, t_lo: int, s_lo: int, coeff: Matrix, lo: int, hi: int) -> None:
+    """Log rows [t_lo, ...) += coeff * rows [s_lo, ...) as one BlockLeft over [lo, hi)."""
+    embed = Matrix.identity(form.ring, hi - lo)
+    for a, row in enumerate(coeff.rows):
+        embed.rows[t_lo - lo + a][s_lo - lo : s_lo - lo + coeff.ncols] = row
+    form.log.append(BlockLeft(embed, lo))
 
 
 class _BlockRun:
@@ -83,50 +97,31 @@ class _BlockRun:
         self.s = form.s
         self.cutoff = cutoff
         self.blocks: list = []
-        self.depth = 0
         self.max_depth = 0
         self.iso_pairs = 0
 
-    def _enter(self) -> None:
-        self.depth += 1
-        if self.depth > self.max_depth:
-            self.max_depth = self.depth
-
-    def aniso(self, lo: int, hi: int) -> None:
-        """Decompose the nonsingular window [lo, hi)."""
-        self._enter()
-        try:
-            self._aniso_body(lo, hi)
-        finally:
-            self.depth -= 1
-
-    def _aniso_body(self, lo: int, hi: int) -> None:
+    def aniso(self, lo: int, hi: int, depth: int = 1) -> None:
+        """Decompose the nonsingular window [lo, hi), a node at recursion `depth`."""
+        self.max_depth = max(self.max_depth, depth)
         form = self.form
-        rows = form.m.rows
         m = hi - lo
         if m == 0:
             return
         if m == 1:
-            self.blocks.append(ScalarBlock(rows[lo][lo]))
+            self.blocks.append(ScalarBlock(form.m.rows[lo][lo]))
             return
         h = (m + 1) // 2
-        sub = form.submatrix(lo, lo + h, lo, lo + h)
-        a1, k = left_row_reduce(sub, form.counters)
-        if a1 != Matrix.identity(self.ring, h):
-            form.block_congruence(lo, a1, lo, hi, self.cutoff)
-        _require_zero(form, lo + k, lo + h, lo, lo + h, "half split")
-        _require_zero(form, lo, lo + h, lo + k, lo + h, "half split")
+        k = _split(form, lo, h, hi, self.cutoff)
         if k == 0:
             if m != 2 * h:
                 raise InvariantViolation(
                     "zero leading half in an odd window: the input was singular"
                 )
-            self.iso(lo, hi, h)
+            self.iso(lo, hi, h, depth + 1)
             return
-        coupling = form.submatrix(lo, lo + k, lo + h, hi)
+        coupling = form.m.submatrix(lo, lo + k, lo + h, hi)
         if not coupling.is_zero():
-            core = form.submatrix(lo, lo + k, lo, lo + k)
-            core_inv = invert(core, form.counters)
+            core_inv = invert(form.m.submatrix(lo, lo + k, lo, lo + k), form.counters)
             y = _sign_scaled(
                 matmul(coupling.sigma_transpose(form.counters), core_inv, self.cutoff, form.counters),
                 -self.s,
@@ -134,34 +129,28 @@ class _BlockRun:
             self._block_transvect(lo + h, lo, y, lo, hi)
         _require_zero(form, lo + h, hi, lo, lo + k, "coupling sweep")
         _require_zero(form, lo, lo + k, lo + h, hi, "coupling sweep")
-        self.aniso(lo, lo + k)
+        self.aniso(lo, lo + k, depth + 1)
         f = h - k
         if f == 0:
-            self.aniso(lo + h, hi)
+            self.aniso(lo + h, hi, depth + 1)
         else:
-            self.iso(lo + k, hi, f)
+            self.iso(lo + k, hi, f, depth + 1)
 
     def _block_transvect(self, t_lo: int, s_lo: int, coeff: Matrix, lo: int, hi: int) -> None:
         """Rows [t_lo, ...) += coeff * rows [s_lo, ...), then the mirrored columns."""
         form = self.form
         rows = form.m.rows
-        ring = self.ring
+        add = self.ring.add
         nt, ns = coeff.nrows, coeff.ncols
-        add = ring.add
         width = hi - lo
-        embed = Matrix.identity(ring, width)
-        for a in range(nt):
-            row = embed.rows[t_lo - lo + a]
-            row[s_lo - lo : s_lo - lo + ns] = coeff.rows[a]
-        form.log.append(BlockLeft(embed, lo))
-        src = form.submatrix(s_lo, s_lo + ns, lo, hi)
-        delta = matmul(coeff, src, self.cutoff, form.counters)
+        _log_block_transvect(form, t_lo, s_lo, coeff, lo, hi)
+        delta = matmul(coeff, form.m.submatrix(s_lo, s_lo + ns, lo, hi), self.cutoff, form.counters)
         for a in range(nt):
             target = rows[t_lo + a]
             for c in range(lo, hi):
                 target[c] = add(target[c], delta.rows[a][c - lo])
         form.counters.additions += nt * width
-        src_cols = form.submatrix(lo, hi, s_lo, s_lo + ns)
+        src_cols = form.m.submatrix(lo, hi, s_lo, s_lo + ns)
         delta = matmul(src_cols, coeff.sigma_transpose(form.counters), self.cutoff, form.counters)
         for r in range(lo, hi):
             target = rows[r]
@@ -169,68 +158,45 @@ class _BlockRun:
                 target[t_lo + a] = add(target[t_lo + a], delta.rows[r - lo][a])
         form.counters.additions += nt * width
 
-    def iso(self, lo: int, hi: int, f: int) -> None:
-        """Pair off [lo, lo+2f) hyperbolically; here B[lo:lo+f, lo:lo+f] = 0 and
-        the block X right of it has full row rank f."""
-        self._enter()
-        try:
-            self._iso_body(lo, hi, f)
-        finally:
-            self.depth -= 1
-
-    def _iso_body(self, lo: int, hi: int, f: int) -> None:
+    def iso(self, lo: int, hi: int, f: int, depth: int = 1) -> None:
+        """Pair off [lo, lo+2f) hyperbolically, a node at recursion `depth`; here
+        B[lo:lo+f, lo:lo+f] = 0 and the block X right of it has full row rank f."""
+        self.max_depth = max(self.max_depth, depth)
         form = self.form
         ring = self.ring
         rows = form.m.rows
         m = hi - lo
         if f < 1 or m < 2 * f:
             raise InvariantViolation(f"hyperbolic window [{lo},{hi}) cannot hold {f} pairs")
-        x = form.submatrix(lo, lo + f, lo + f, hi)
+        x = form.m.submatrix(lo, lo + f, lo + f, hi)
         a, xrank = right_column_reduce(x, form.counters)
         if xrank != f:
             raise InvariantViolation("coupling block X lost full row rank")
         xa = matmul(x, a, self.cutoff, form.counters)
-        lead = xa.submatrix(0, f, 0, f)
         if not xa.submatrix(0, f, f, m - f).is_zero():
             raise InvariantViolation("column reduction left residue right of the lead block")
-        lead_inv = invert(lead, form.counters)
+        lead_inv = invert(xa.submatrix(0, f, 0, f), form.counters)
         form.block_congruence(lo, lead_inv, lo, hi, self.cutoff)
         form.block_congruence(lo + f, a.sigma_transpose(form.counters), lo, hi, self.cutoff)
         _require_zero(form, lo, lo + f, lo, lo + f, "hyperbolic normalization")
         _require_identity(form, lo, lo + f, f, "hyperbolic normalization")
         _require_zero(form, lo, lo + f, lo + 2 * f, hi, "hyperbolic normalization")
-        if hi > lo + 2 * f:
-            tail = form.submatrix(lo + f, lo + 2 * f, lo + 2 * f, hi)
-            if not tail.is_zero():
-                coeff = _sign_scaled(tail.sigma_transpose(form.counters), -self.s)
-                width = m
-                embed = Matrix.identity(ring, width)
-                for a_ in range(hi - (lo + 2 * f)):
-                    row = embed.rows[2 * f + a_]
-                    row[0:f] = coeff.rows[a_]
-                form.log.append(BlockLeft(embed, lo))
-                zero = ring.zero
-                for r in range(lo + f, lo + 2 * f):
-                    for c in range(lo + 2 * f, hi):
-                        rows[r][c] = zero
-                        rows[c][r] = zero
+        tail = form.m.submatrix(lo + f, lo + 2 * f, lo + 2 * f, hi)
+        if not tail.is_zero():
+            coeff = _sign_scaled(tail.sigma_transpose(form.counters), -self.s)
+            _log_block_transvect(form, lo + 2 * f, lo, coeff, lo, hi)
+            zero = ring.zero
+            for r in range(lo + f, lo + 2 * f):
+                for c in range(lo + 2 * f, hi):
+                    rows[r][c] = zero
+                    rows[c][r] = zero
         _require_zero(form, lo + f, lo + 2 * f, lo + 2 * f, hi, "tail decoupling")
         _require_zero(form, lo + 2 * f, hi, lo + f, lo + 2 * f, "tail decoupling")
-        z = form.submatrix(lo + f, lo + 2 * f, lo + f, lo + 2 * f)
-        upper = Matrix.zeros(ring, f, f)
-        has_upper = False
+        corner = Matrix.identity(ring, 2 * f)
         for i in range(f):
-            for j in range(i + 1, f):
-                v = z.rows[i][j]
-                if v != ring.zero:
-                    upper.rows[i][j] = v
-                    has_upper = True
-        if has_upper:
-            corner = Matrix.identity(ring, 2 * f)
-            neg = ring.neg
-            for i in range(f):
-                for j in range(i + 1, f):
-                    corner.rows[f + i][j] = neg(upper.rows[i][j])
+            above = rows[lo + f + i][lo + f + i + 1 : lo + 2 * f]
+            corner.rows[f + i][i + 1 : f] = [ring.neg(v) for v in above]
+        if not corner.submatrix(f, 2 * f, 0, f).is_zero():
             form.block_congruence(lo, corner, lo, lo + 2 * f, self.cutoff)
         for i in range(f):
             for j in range(f):
@@ -256,18 +222,18 @@ class _BlockRun:
         for i in range(f):
             self.blocks.extend(standardize_at(form, lo + 2 * i))
         if hi > lo + 2 * f:
-            self.aniso(lo + 2 * f, hi)
+            self.aniso(lo + 2 * f, hi, depth + 1)
 
 
 def block_anisotropic(form: HermitianForm, lo: int = 0, hi: Optional[int] = None, cutoff: int = 0) -> list:
     """Decompose a nonsingular window; returns the blocks emitted.
 
     Raises:
-        ValueError: if the window is singular (detect the radical first).
+        ValueError: if the window is out of range or singular (detect the
+            radical first).
     """
-    if hi is None:
-        hi = form.dim
-    _, rank = left_row_reduce(form.submatrix(lo, hi, lo, hi))
+    lo, hi = form._window(lo, hi)
+    _, rank = left_row_reduce(form.m.submatrix(lo, hi, lo, hi))
     if rank != hi - lo:
         raise ValueError(f"window [{lo},{hi}) is singular; split off the radical first")
     run = _BlockRun(form, cutoff)
@@ -279,13 +245,15 @@ def block_isotropic(form: HermitianForm, f: int, lo: int = 0, hi: Optional[int] 
     """Pair off a window whose leading f x f block is zero; returns the blocks.
 
     Raises:
-        ValueError: if the leading block is not zero or X is not of full row rank.
+        ValueError: if the window is out of range or cannot hold f >= 1 pairs,
+            if the leading block is not zero or X is not of full row rank.
     """
-    if hi is None:
-        hi = form.dim
+    lo, hi = form._window(lo, hi)
+    if not (1 <= f and lo + 2 * f <= hi):
+        raise ValueError(f"window [{lo},{hi}) cannot hold {f} hyperbolic pairs")
     if not _region_is_zero(form, lo, lo + f, lo, lo + f):
         raise ValueError(f"leading {f} x {f} block of window [{lo},{hi}) is not zero")
-    _, xrank = right_column_reduce(form.submatrix(lo, lo + f, lo + f, hi))
+    _, xrank = right_column_reduce(form.m.submatrix(lo, lo + f, lo + f, hi))
     if xrank != f:
         raise ValueError("coupling block X must have full row rank")
     run = _BlockRun(form, cutoff)

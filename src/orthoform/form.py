@@ -364,25 +364,14 @@ class HermitianForm:
             raise ValueError("block does not fit the active window")
         self.log.append(BlockLeft(block.copy(), lo))
         rows = self.m.rows
-        span = Matrix(
-            self.ring,
-            [rows[r][active_lo:active_hi] for r in range(lo, lo + q)],
-            validate=False,
-        )
+        span = self.m.submatrix(lo, lo + q, active_lo, active_hi)
         out = matmul(block, span, cutoff, self.counters)
         for idx, r in enumerate(range(lo, lo + q)):
             rows[r][active_lo:active_hi] = out.rows[idx]
-        colblock = Matrix(
-            self.ring,
-            [[rows[r][cc] for cc in range(lo, lo + q)] for r in range(active_lo, active_hi)],
-            validate=False,
-        )
+        colblock = self.m.submatrix(active_lo, active_hi, lo, lo + q)
         out = matmul(colblock, block.sigma_transpose(self.counters), cutoff, self.counters)
         for idx, r in enumerate(range(active_lo, active_hi)):
             rows[r][lo : lo + q] = out.rows[idx]
-
-    def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> Matrix:
-        return Matrix(self.ring, [row[c0:c1] for row in self.m.rows[r0:r1]], validate=False)
 
 
 @dataclass(frozen=True)

@@ -205,12 +205,13 @@ class Matrix:
         return all(v == z for row in self.rows for v in row)
 
     def sigma_transpose(self, counters=None) -> "Matrix":
-        """Entrywise involution followed by transpose."""
-        sigma = self.ring.sigma
-        out = [
-            [sigma(self.rows[i][j]) for i in range(self.nrows)]
-            for j in range(self.ncols)
-        ]
+        """Entrywise involution followed by transpose; counts one sigma per entry."""
+        if not self.rows:
+            out = [[] for _ in range(self.ncols)]
+        elif self.ring.involution == "identity":
+            out = [list(col) for col in zip(*self.rows)]
+        else:
+            out = [list(map(self.ring.sigma, col)) for col in zip(*self.rows)]
         if counters is not None:
             counters.sigma_applications += self.nrows * self.ncols
         return Matrix(self.ring, out, validate=False)

@@ -196,6 +196,17 @@ def test_wrapper_guards():
     form = HermitianForm.from_rows(GF7, [[0, 0, 0], [0, 0, 0], [0, 0, 1]], 1)
     with pytest.raises(ValueError):
         block_isotropic(form, 2)
+    # windows and pair counts that do not fit the form
+    zero = HermitianForm.from_rows(GF7, [[0, 0], [0, 0]], 1)
+    for f, lo, hi in [(3, 0, None), (2, 1, 2), (0, 0, None)]:
+        with pytest.raises(ValueError, match="cannot hold"):
+            block_isotropic(zero, f, lo, hi)
+    form = HermitianForm.from_rows(GF7, [[1, 0], [0, 3]], 1)
+    for lo, hi in [(0, 5), (-1, 2)]:
+        with pytest.raises(ValueError, match="out of range"):
+            block_anisotropic(form, lo, hi)
+        with pytest.raises(ValueError, match="out of range"):
+            block_isotropic(form, 1, lo, hi)
     with pytest.raises(ValueError):
         decompose_blocks(HermitianForm.from_rows(GF7, [[1]], 1), strassen_cutoff=1)
     with pytest.raises(ValueError):
@@ -239,6 +250,9 @@ GOLDEN_CASES = {
     "h+full": (HH, 1, 6, None, 614),
     "h+deficient": (HH, 1, 6, 4, 615),
     "h-deficient": (HH, -1, 6, 3, 616),
+    # the isotropic step's nonzero-tail decoupling, then also its pair corner
+    "gf101-tail": (GF101, -1, 6, None, 0),
+    "gf3-corner": (PrimeField(3), -1, 13, 12, 2),
 }
 
 GOLDEN_DIGESTS = {
@@ -246,8 +260,10 @@ GOLDEN_DIGESTS = {
     "gf101+full": "8d0af1b416c3b3daba4e9cc8d377343b9a955accacbbeeaa10957b52f75c0682",
     "gf101-deficient": "f4870a9c8a3711513d8ce7003b0a4da9ce67a62b7fabed72f0190a1bed99dae4",
     "gf101-full": "32f46337e40e663f7418047239a6276a20eb9d9093161fe7a7ccdffcb7b569f0",
+    "gf101-tail": "8fe1ebb27f380ebc6f5afe34f3c56ff83e9bd76e8f336868019d0a72457d6ebb",
     "gf2-deficient": "b6dcb01e48e036af3c949d0ec3fb4ea6846999cf47584a6b73fdfdf2983ea40f",
     "gf2-full": "afe1c35e7387c3eaf08a8a0210c04e2956602cc9d822f7039721ae619ab7cff1",
+    "gf3-corner": "97689da63db13e2cd191f06438655c273842bcc390d8cab5c5068b3a97aa0f08",
     "gf9+deficient": "26c691e2cbd8708914af367d9238eba6b8a7a03e660c19bf8134e396f11c85cb",
     "gf9+full": "8fc757d31b4234880a124f4d3506f704cea33dda3c21704f9590814a388fae27",
     "gf9-full": "9518c0508d589f8b111d5ab011b40abee13369d6659c486c76279a16397215b0",
@@ -273,6 +289,35 @@ def _golden_digest(ring, s, d, rank, seed):
 @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
 def test_golden_logs_and_counters(case):
     assert _golden_digest(*GOLDEN_CASES[case]) == GOLDEN_DIGESTS[case]
+
+
+# (recursion_depth, isotropic_steps) of decompose_blocks on each golden form
+GOLDEN_SHAPES = {
+    "gf101+deficient": (5, 0),
+    "gf101+full": (5, 0),
+    "gf101-deficient": (4, 4),
+    "gf101-full": (6, 7),
+    "gf101-tail": (4, 3),
+    "gf2-deficient": (4, 0),
+    "gf2-full": (5, 0),
+    "gf3-corner": (5, 6),
+    "gf9+deficient": (4, 0),
+    "gf9+full": (5, 1),
+    "gf9-full": (5, 0),
+    "h+deficient": (3, 0),
+    "h+full": (4, 0),
+    "h-deficient": (3, 0),
+    "q+deficient": (4, 0),
+    "q+full": (4, 0),
+    "q-deficient": (2, 2),
+    "q-full": (4, 4),
+}
+
+
+def test_golden_recursion_shapes():
+    for case, (ring, s, d, rank, seed) in sorted(GOLDEN_CASES.items()):
+        dec = decompose_blocks(random_form(ring, s, d, random.Random(seed), rank=rank))
+        assert (dec.recursion_depth, dec.isotropic_steps) == GOLDEN_SHAPES[case], case
 
 
 GF1009 = PrimeField(1009)

@@ -206,6 +206,14 @@ def test_sigma_transpose():
     counters = OpCounters()
     m.sigma_transpose(counters)
     assert counters.sigma_applications == 4
+    # the identity involution only moves entries, but is counted per entry
+    t = Matrix(GF7, [[1, 2, 3], [4, 5, 6]]).sigma_transpose(counters)
+    assert t.rows == [[1, 4], [2, 5], [3, 6]]
+    assert counters.sigma_applications == 10
+    for ring in (GF7, GF9):
+        empty = Matrix(ring, [])
+        empty.ncols = 3  # a 0x3 matrix: the constructor reads the width off the rows
+        assert empty.sigma_transpose().shape == (3, 0)
 
 
 def test_submatrix_and_is_zero():
