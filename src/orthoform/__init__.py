@@ -20,6 +20,7 @@ from .matrix import (
     matmul,
     matmul_classical,
     matmul_strassen,
+    rank,
     right_column_reduce,
 )
 from .form import (

@@ -21,7 +21,7 @@ from typing import Optional
 
 from .form import BlockLeft, HermitianForm
 from .gs import Decomposition, ScalarBlock, standardize_at
-from .matrix import Matrix, invert, left_row_reduce, matmul, right_column_reduce
+from .matrix import Matrix, invert, left_row_reduce, matmul, rank, right_column_reduce
 
 
 class InvariantViolation(RuntimeError):
@@ -233,8 +233,7 @@ def block_anisotropic(form: HermitianForm, lo: int = 0, hi: Optional[int] = None
             radical first).
     """
     lo, hi = form._window(lo, hi)
-    _, rank = left_row_reduce(form.m.submatrix(lo, hi, lo, hi))
-    if rank != hi - lo:
+    if rank(form.m.submatrix(lo, hi, lo, hi)) != hi - lo:
         raise ValueError(f"window [{lo},{hi}) is singular; split off the radical first")
     run = _BlockRun(form, cutoff)
     run.aniso(lo, hi)
@@ -253,8 +252,7 @@ def block_isotropic(form: HermitianForm, f: int, lo: int = 0, hi: Optional[int] 
         raise ValueError(f"window [{lo},{hi}) cannot hold {f} hyperbolic pairs")
     if not _region_is_zero(form, lo, lo + f, lo, lo + f):
         raise ValueError(f"leading {f} x {f} block of window [{lo},{hi}) is not zero")
-    _, xrank = right_column_reduce(form.m.submatrix(lo, lo + f, lo + f, hi))
-    if xrank != f:
+    if rank(form.m.submatrix(lo, lo + f, lo + f, hi)) != f:
         raise ValueError("coupling block X must have full row rank")
     run = _BlockRun(form, cutoff)
     run.iso(lo, hi, f)

@@ -1,0 +1,162 @@
+"""The int64 numpy kernel over GF(p) and GF(p^2).
+
+``matrix`` imports this module only once its guard has chosen the kernel
+(``_int64_ok``, and ``_KERNEL_MIN_ENTRIES`` for eliminations), so runs over
+Q, the quaternions, large moduli and small eliminations never load numpy.
+Entries are packed as int64 planes of shape (planes, n, m): the residues over
+GF(p), the a and the b of a + b*x over GF(p^2).  Products are summed in int64
+and reduced mod p afterwards; the caller's guard keeps every sum below 2**62.
+``verify.brute_force_congruence`` runs its enumeration here as well.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+import numpy as np
+
+from .matrix import Matrix, _count_product
+from .rings import PrimeField, QuadraticField, Ring
+
+
+def _pack(ring: Ring, rows: list) -> np.ndarray:
+    """Nonempty rows as int64 planes of shape (planes, n, m)."""
+    a = np.array(rows, dtype=np.int64)
+    return a[None] if isinstance(ring, PrimeField) else a.transpose(2, 0, 1)
+
+
+def _pack_scalar(ring: Ring, x) -> np.ndarray:
+    """One scalar as planes of shape (planes, 1), broadcasting against a row."""
+    return np.array(x if isinstance(ring, QuadraticField) else (x,), dtype=np.int64)[:, None]
+
+
+def _unpack(ring: Ring, planes: np.ndarray) -> list:
+    if len(planes) == 1:
+        return planes[0].tolist()
+    return [list(zip(r0, r1)) for r0, r1 in zip(planes[0].tolist(), planes[1].tolist())]
+
+
+def _plane_product(ring: Ring, x: np.ndarray, y: np.ndarray, op=np.multiply) -> np.ndarray:
+    """The ring product of two plane arrays under ``op`` (entrywise or matmul), not reduced."""
+    if len(x) == 1:
+        return op(x, y)
+    c = ring.nonresidue
+    return np.stack((op(x[0], y[0]) + c * op(x[1], y[1]), op(x[0], y[1]) + op(x[1], y[0])))
+
+
+def matmul(ring: Ring, left: list, right: list) -> list:
+    """Rows of the product of two nonempty row lists, reduced mod p."""
+    prod = _plane_product(ring, _pack(ring, left), _pack(ring, right), np.matmul)
+    return _unpack(ring, prod % ring.p)
+
+
+class PlaneRows:
+    """Rows [work | identity] (or [work] alone) as an int64 plane array.
+
+    Each pivot is one rank-1 update of the target rows, reduced mod p.  A row
+    swap also swaps the two identity columns (``perm`` records where each
+    column went).  When pivots are taken in row order, as ``left_row_reduce``
+    and ``invert`` do, the identity part of pivot row ``src`` is then zero
+    right of column ``src``, so ``eliminate`` skips those columns;
+    ``transform`` puts the columns back in place.
+    """
+
+    def __init__(self, m: Matrix, identity: bool):
+        ring, n = m.ring, m.nrows
+        self.ring = ring
+        self.p = ring.p
+        self.cols = m.ncols
+        self.identity = identity
+        planes = 1 if isinstance(ring, PrimeField) else 2
+        self.w = np.zeros((planes, n, m.ncols + (n if identity else 0)), dtype=np.int64)
+        if m.ncols:
+            self.w[:, :, : m.ncols] = _pack(ring, m.rows)
+        if identity:
+            self.w[0, :, m.ncols :] = np.eye(n, dtype=np.int64)
+        self.perm = list(range(n))
+
+    def nonzero_from(self, col: int, start: int) -> Optional[int]:
+        hit = self.w[:, start:, col].any(axis=0)
+        k = int(hit.argmax())
+        return start + k if hit[k] else None
+
+    def entry(self, r: int, c: int):
+        v = self.w[:, r, c].tolist()
+        return v[0] if len(v) == 1 else tuple(v)
+
+    def swap(self, i: int, j: int) -> None:
+        w, c = self.w, self.cols
+        w[:, [i, j]] = w[:, [j, i]]
+        if self.identity:
+            w[:, :, [c + i, c + j]] = w[:, :, [c + j, c + i]]
+            self.perm[i], self.perm[j] = self.perm[j], self.perm[i]
+
+    def scale(self, r: int, lam) -> None:
+        self.w[:, r] = _plane_product(self.ring, _pack_scalar(self.ring, lam), self.w[:, r]) % self.p
+
+    def eliminate(self, src: int, col: int, first: int, pivinv) -> int:
+        w, p = self.w, self.p
+        lam = -_plane_product(self.ring, w[:, first:, col], _pack_scalar(self.ring, pivinv)) % p
+        if first <= src:
+            lam[:, src - first] = 0
+        pairs = int(np.count_nonzero(lam.any(axis=0)))
+        if pairs:
+            hi = self.cols + src + 1 if self.identity else self.cols
+            block = w[:, first:, col:hi]
+            block += _plane_product(self.ring, lam[:, :, None], w[:, src, None, col:hi])
+            block %= p
+        return pairs
+
+    def add_multiples(self, src: int, targets: list, lams: list) -> None:
+        w = self.w
+        lam = _pack(self.ring, [lams])[:, 0]
+        w[:, targets] = (w[:, targets] + _plane_product(self.ring, lam[:, :, None], w[:, src, None, :])) % self.p
+
+    def left_multiply(self, offset: int, block: Matrix, counters=None) -> None:
+        q = block.nrows
+        _count_product(counters, q, q, self.w.shape[2])
+        span = self.w[:, offset : offset + q]
+        self.w[:, offset : offset + q] = _plane_product(self.ring, _pack(self.ring, block.rows), span, np.matmul) % self.p
+
+    def transform(self) -> list:
+        out = np.empty_like(self.w[:, :, self.cols :])
+        out[:, :, self.perm] = self.w[:, :, self.cols :]
+        return _unpack(self.ring, out)
+
+
+_GL_DET_CHUNK = 1 << 20
+
+
+def _det_mod(mats: np.ndarray, p: int, d: int) -> np.ndarray:
+    if d == 1:
+        return mats[:, 0, 0] % p
+    if d == 2:
+        return (mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]) % p
+    a, b, c = mats[:, 0, 0], mats[:, 0, 1], mats[:, 0, 2]
+    d0, e, f = mats[:, 1, 0], mats[:, 1, 1], mats[:, 1, 2]
+    g, h, i = mats[:, 2, 0], mats[:, 2, 1], mats[:, 2, 2]
+    return (a * (e * i - f * h) - b * (d0 * i - f * g) + c * (d0 * h - e * g)) % p
+
+
+def congruent_by_enumeration(b1: Matrix, b2: Matrix) -> bool:
+    """True when A * b1 * A^t = b2 for some invertible A over GF(p), found by
+    enumerating every d x d matrix in chunks (d <= 3 and small p)."""
+    p, d = b1.ring.p, b1.nrows
+    m1 = np.array(b1.rows, dtype=np.int64)
+    m2 = np.array(b2.rows, dtype=np.int64)
+    total = p ** (d * d)
+    powers = p ** np.arange(d * d, dtype=np.int64)
+    for start in range(0, total, _GL_DET_CHUNK):
+        stop = min(start + _GL_DET_CHUNK, total)
+        codes = np.arange(start, stop, dtype=np.int64)
+        digits = (codes[:, None] // powers[None, :]) % p
+        mats = digits.reshape(-1, d, d)
+        mask = _det_mod(mats, p, d) != 0
+        if not mask.any():
+            continue
+        cands = mats[mask]
+        prod = (cands @ m1) % p
+        prod = (prod @ cands.transpose(0, 2, 1)) % p
+        if (prod == m2).all(axis=(1, 2)).any():
+            return True
+    return False

@@ -5,16 +5,18 @@ eliminations that return their transform as an invertible witness matrix, and
 inversion.  Everything is exact.
 
 ``left_row_reduce``, ``invert`` and ``TransformLog.materialize`` work on one
-stacked ``[work | identity]`` row store with two implementations.  The generic
-loop (``_ListRows``) clears rows through ``eliminate``, one pivot's row pass on
-``row_axpy``; it runs over every ring and is the reference.  The int64 numpy
-kernel (``_PlaneRows``) does each pivot as one rank-1 update reduced mod p; it
-runs over GF(p) and GF(p^2) (two planes, a and b of a + b*x) when the job has
-at least ``_KERNEL_MIN_ENTRIES`` entries and passes the overflow guard
-``_int64_ok``: terms * (1 + c) * (p - 1)**2 + p < 2**62, with c the non-residue
-of GF(p^2) and 0 over GF(p).  The classical product uses the same guard and
-the same packing.  Both stores choose the same pivots and return the same
-transforms and counts.  ``right_column_reduce`` is the sigma-mirror of
+stacked ``[work | identity]`` row store, and ``rank`` on the ``[work]`` half
+alone, with two implementations.  The generic loop (``_ListRows``) clears rows
+through ``eliminate``, one pivot's row pass on ``row_axpy``; it runs over every
+ring and is the reference.  The int64 numpy kernel (``kernel.PlaneRows``) does
+each pivot as one rank-1 update reduced mod p; it runs over GF(p) and GF(p^2)
+(two planes, a and b of a + b*x) when the job has at least
+``_KERNEL_MIN_ENTRIES`` entries and passes the overflow guard ``_int64_ok``:
+terms * (1 + c) * (p - 1)**2 + p < 2**62, with c the non-residue of GF(p^2)
+and 0 over GF(p).  The classical product uses the same guard and the same
+packing.  Both stores choose the same pivots and return the same transforms
+and counts.  ``kernel`` (and with it numpy) is imported only once a guard has
+chosen it.  ``right_column_reduce`` is the sigma-mirror of
 ``left_row_reduce``; the column passes in ``form`` go through ``col_axpy``.
 
 All routines optionally accept a counters object (duck-typed, with
@@ -26,8 +28,6 @@ classical cost model to it.
 from __future__ import annotations
 
 from typing import Optional
-
-import numpy as np
 
 from .rings import PrimeField, QuadraticField, Ring
 
@@ -112,36 +112,6 @@ def _int64_ok(ring: Ring, terms: int) -> bool:
     return terms * (1 + c) * (ring.p - 1) ** 2 + ring.p < 2**62
 
 
-def _planes(ring: Ring) -> int:
-    return 1 if isinstance(ring, PrimeField) else 2
-
-
-def _pack(ring: Ring, rows: list) -> np.ndarray:
-    """Nonempty rows as int64 planes of shape (planes, n, m): the residues over
-    GF(p), the a and the b of a + b*x over GF(p^2)."""
-    a = np.array(rows, dtype=np.int64)
-    return a[None] if isinstance(ring, PrimeField) else a.transpose(2, 0, 1)
-
-
-def _pack_scalar(ring: Ring, x) -> np.ndarray:
-    """One scalar as planes of shape (planes, 1), broadcasting against a row."""
-    return np.array(x if isinstance(ring, QuadraticField) else (x,), dtype=np.int64)[:, None]
-
-
-def _unpack(ring: Ring, planes: np.ndarray) -> list:
-    if len(planes) == 1:
-        return planes[0].tolist()
-    return [list(zip(r0, r1)) for r0, r1 in zip(planes[0].tolist(), planes[1].tolist())]
-
-
-def _plane_product(ring: Ring, x: np.ndarray, y: np.ndarray, op=np.multiply) -> np.ndarray:
-    """The ring product of two plane arrays under ``op`` (entrywise or matmul), not reduced."""
-    if len(x) == 1:
-        return op(x, y)
-    c = ring.nonresidue
-    return np.stack((op(x[0], y[0]) + c * op(x[1], y[1]), op(x[0], y[1]) + op(x[1], y[0])))
-
-
 def _count_product(counters, n: int, k: int, m: int) -> None:
     if counters is not None and k > 0:
         counters.multiplications += n * m * k
@@ -153,11 +123,12 @@ class Matrix:
 
     __slots__ = ("ring", "nrows", "ncols", "rows")
 
-    def __init__(self, ring: Ring, rows: list[list], validate: bool = True):
+    def __init__(self, ring: Ring, rows: list[list], validate: bool = True, ncols: int = 0):
+        """``ncols`` is the width of a matrix with no rows; otherwise the rows set it."""
         self.ring = ring
         self.rows = rows
         self.nrows = len(rows)
-        self.ncols = len(rows[0]) if rows else 0
+        self.ncols = len(rows[0]) if rows else ncols
         if validate:
             for row in rows:
                 if len(row) != self.ncols:
@@ -167,7 +138,7 @@ class Matrix:
     @classmethod
     def zeros(cls, ring: Ring, nrows: int, ncols: int) -> "Matrix":
         z = ring.zero
-        return cls(ring, [[z] * ncols for _ in range(nrows)], validate=False)
+        return cls(ring, [[z] * ncols for _ in range(nrows)], validate=False, ncols=ncols)
 
     @classmethod
     def identity(cls, ring: Ring, n: int) -> "Matrix":
@@ -182,12 +153,13 @@ class Matrix:
         return (self.nrows, self.ncols)
 
     def copy(self) -> "Matrix":
-        return Matrix(self.ring, [row[:] for row in self.rows], validate=False)
+        return Matrix(self.ring, [row[:] for row in self.rows], validate=False, ncols=self.ncols)
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Matrix)
             and self.ring == other.ring
+            and self.shape == other.shape
             and self.rows == other.rows
         )
 
@@ -198,7 +170,8 @@ class Matrix:
         return f"Matrix({self.ring!r}, {self.nrows}x{self.ncols}: {body})"
 
     def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "Matrix":
-        return Matrix(self.ring, [row[c0:c1] for row in self.rows[r0:r1]], validate=False)
+        rows = [row[c0:c1] for row in self.rows[r0:r1]]
+        return Matrix(self.ring, rows, validate=False, ncols=len(range(self.ncols)[c0:c1]))
 
     def is_zero(self) -> bool:
         z = self.ring.zero
@@ -214,7 +187,7 @@ class Matrix:
             out = [list(map(self.ring.sigma, col)) for col in zip(*self.rows)]
         if counters is not None:
             counters.sigma_applications += self.nrows * self.ncols
-        return Matrix(self.ring, out, validate=False)
+        return Matrix(self.ring, out, validate=False, ncols=self.nrows)
 
 
 def _check_pair(left: Matrix, right: Matrix) -> None:
@@ -233,8 +206,9 @@ def matmul_classical(left: Matrix, right: Matrix, counters=None) -> Matrix:
     if n == 0 or m == 0 or k == 0:
         return Matrix.zeros(ring, n, m)
     if _int64_ok(ring, k):
-        prod = _plane_product(ring, _pack(ring, left.rows), _pack(ring, right.rows), np.matmul)
-        return Matrix(ring, _unpack(ring, prod % ring.p), validate=False)
+        from . import kernel
+
+        return Matrix(ring, kernel.matmul(ring, left.rows, right.rows), validate=False)
     add, mul, zero = ring.add, ring.mul, ring.zero
     cols = list(zip(*right.rows))
     out = []
@@ -388,86 +362,20 @@ class _ListRows:
         return [row[self.cols :] for row in self.rows]
 
 
-class _PlaneRows:
-    """Rows [work | identity] as an int64 plane array: the kernel over GF(p) and GF(p^2).
-
-    Each pivot is one rank-1 update of the target rows, reduced mod p; the
-    overflow guard of ``_int64_ok`` keeps every intermediate below 2**62.
-    A row swap also swaps the two identity columns (``perm`` records where
-    each column went).  When pivots are taken in row order, as
-    ``left_row_reduce`` and ``invert`` do, the identity part of pivot row
-    ``src`` is then zero right of column ``src``, so ``eliminate`` skips those
-    columns; ``transform`` puts the columns back in place.
-    """
-
-    def __init__(self, ring: Ring, planes: np.ndarray, cols: int):
-        self.ring = ring
-        self.p = ring.p
-        self.w = planes
-        self.cols = cols
-        self.perm = list(range(planes.shape[1]))
-
-    def nonzero_from(self, col: int, start: int) -> Optional[int]:
-        hit = self.w[:, start:, col].any(axis=0)
-        k = int(hit.argmax())
-        return start + k if hit[k] else None
-
-    def entry(self, r: int, c: int):
-        v = self.w[:, r, c].tolist()
-        return v[0] if len(v) == 1 else tuple(v)
-
-    def swap(self, i: int, j: int) -> None:
-        w, c = self.w, self.cols
-        w[:, [i, j]] = w[:, [j, i]]
-        w[:, :, [c + i, c + j]] = w[:, :, [c + j, c + i]]
-        self.perm[i], self.perm[j] = self.perm[j], self.perm[i]
-
-    def scale(self, r: int, lam) -> None:
-        self.w[:, r] = _plane_product(self.ring, _pack_scalar(self.ring, lam), self.w[:, r]) % self.p
-
-    def eliminate(self, src: int, col: int, first: int, pivinv) -> int:
-        w, p = self.w, self.p
-        lam = -_plane_product(self.ring, w[:, first:, col], _pack_scalar(self.ring, pivinv)) % p
-        if first <= src:
-            lam[:, src - first] = 0
-        pairs = int(np.count_nonzero(lam.any(axis=0)))
-        if pairs:
-            hi = self.cols + src + 1
-            block = w[:, first:, col:hi]
-            block += _plane_product(self.ring, lam[:, :, None], w[:, src, None, col:hi])
-            block %= p
-        return pairs
-
-    def add_multiples(self, src: int, targets: list, lams: list) -> None:
-        w = self.w
-        lam = _pack(self.ring, [lams])[:, 0]
-        w[:, targets] = (w[:, targets] + _plane_product(self.ring, lam[:, :, None], w[:, src, None, :])) % self.p
-
-    def left_multiply(self, offset: int, block: Matrix, counters=None) -> None:
-        q = block.nrows
-        _count_product(counters, q, q, self.w.shape[2])
-        span = self.w[:, offset : offset + q]
-        self.w[:, offset : offset + q] = _plane_product(self.ring, _pack(self.ring, block.rows), span, np.matmul) % self.p
-
-    def transform(self) -> list:
-        out = np.empty_like(self.w[:, :, self.cols :])
-        out[:, :, self.perm] = self.w[:, :, self.cols :]
-        return _unpack(self.ring, out)
-
-
-def _augmented(m: Matrix, entries: int, terms: int = 1):
-    """[m | I] as rows to eliminate on, for a job of ``entries`` entries whose
-    products sum at most ``terms`` terms.  Takes the int64 kernel when the ring
-    passes ``_int64_ok`` and the job has at least ``_KERNEL_MIN_ENTRIES``
-    entries; the generic loop otherwise, and always over Q and the quaternions.
+def _augmented(m: Matrix, entries: int, terms: int = 1, identity: bool = True):
+    """[m | I] (or a copy of m alone, without ``identity``) as rows to eliminate
+    on, for a job of ``entries`` entries whose products sum at most ``terms``
+    terms.  Takes the int64 kernel when the ring passes ``_int64_ok`` and the
+    job has at least ``_KERNEL_MIN_ENTRIES`` entries; the generic loop
+    otherwise, and always over Q and the quaternions.
     """
     ring, n = m.ring, m.nrows
     if entries >= _KERNEL_MIN_ENTRIES and _int64_ok(ring, terms):
-        planes = np.zeros((_planes(ring), n, m.ncols + n), dtype=np.int64)
-        if m.ncols:
-            planes[:, :, : m.ncols] = _pack(ring, m.rows)
-        planes[0, :, m.ncols :] = np.eye(n, dtype=np.int64)
-        return _PlaneRows(ring, planes, m.ncols)
+        from . import kernel
+
+        return kernel.PlaneRows(m, identity)
+    if not identity:
+        return _ListRows(ring, [row[:] for row in m.rows], m.ncols)
     one, zero = ring.one, ring.zero
     rows = []
     for i, row in enumerate(m.rows):
@@ -487,9 +395,23 @@ def left_row_reduce(m: Matrix, counters=None) -> tuple[Matrix, int]:
     Returns:
         (A, rank) where A is nrows x nrows and invertible.
     """
+    rows, r = _row_echelon(m, True, counters)
+    return Matrix(m.ring, rows.transform(), validate=False), r
+
+
+def rank(m: Matrix, counters=None) -> int:
+    """The rank of m: the pivot loop of ``left_row_reduce`` on m alone, so no
+    transform is built and no identity half is carried."""
+    return _row_echelon(m, False, counters)[1]
+
+
+def _row_echelon(m: Matrix, identity: bool, counters) -> tuple:
+    """(row store, rank) after the pivot loop of ``left_row_reduce`` on
+    [m | I], or on m alone without ``identity``."""
     ring = m.ring
     n, cols = m.nrows, m.ncols
-    rows = _augmented(m, n * cols)
+    rows = _augmented(m, n * cols, identity=identity)
+    width = n if identity else 0
     r = 0
     for c in range(cols):
         if r == n:
@@ -505,10 +427,10 @@ def left_row_reduce(m: Matrix, counters=None) -> tuple[Matrix, int]:
         if counters is not None:
             counters.inversions += 1
             counters.equality_tests += n - r - 1
-            counters.multiplications += pairs * (1 + (cols - c) + n)
-            counters.additions += pairs * ((cols - c) + n)
+            counters.multiplications += pairs * (1 + (cols - c) + width)
+            counters.additions += pairs * ((cols - c) + width)
         r += 1
-    return Matrix(ring, rows.transform(), validate=False), r
+    return rows, r
 
 
 def right_column_reduce(m: Matrix, counters=None) -> tuple[Matrix, int]:

@@ -12,11 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from .form import OpCounters
 from .gs import Decomposition, JBlock, ScalarBlock
-from .matrix import Matrix, left_row_reduce, matmul
+from .matrix import Matrix, matmul, rank
 from .rings import PrimeField, _legendre
 
 
@@ -57,7 +55,7 @@ def check_decomposition(original: Matrix, s: int, dec: Decomposition) -> CheckRe
             report.details.append("0-dimensional form with nonempty blocks")
         return report
     transform = dec.log.materialize(ring)
-    if left_row_reduce(transform)[1] != d:
+    if rank(transform) != d:
         report.transform_invertible = False
         report.details.append("materialized transform is singular")
     sizes = sum(b.size for b in dec.blocks)
@@ -82,12 +80,12 @@ def check_decomposition(original: Matrix, s: int, dec: Decomposition) -> CheckRe
     zero_blocks = sum(
         1 for b in dec.blocks if isinstance(b, ScalarBlock) and b.value == ring.zero
     )
-    _, rank = left_row_reduce(original)
-    if not (dec.radical_dim == zero_blocks == d - rank):
+    corank = d - rank(original)
+    if not (dec.radical_dim == zero_blocks == corank):
         report.radical_matches = False
         report.details.append(
             f"radical_dim {dec.radical_dim}, zero blocks {zero_blocks}, "
-            f"dim minus rank {d - rank} disagree"
+            f"dim minus rank {corank} disagree"
         )
     return report
 
@@ -132,20 +130,6 @@ def invariants_of(dec: Decomposition) -> InvariantSummary:
     )
 
 
-_GL_DET_CHUNK = 1 << 20
-
-
-def _det_mod(mats: np.ndarray, p: int, d: int) -> np.ndarray:
-    if d == 1:
-        return mats[:, 0, 0] % p
-    if d == 2:
-        return (mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]) % p
-    a, b, c = mats[:, 0, 0], mats[:, 0, 1], mats[:, 0, 2]
-    d0, e, f = mats[:, 1, 0], mats[:, 1, 1], mats[:, 1, 2]
-    g, h, i = mats[:, 2, 0], mats[:, 2, 1], mats[:, 2, 2]
-    return (a * (e * i - f * h) - b * (d0 * i - f * g) + c * (d0 * h - e * g)) % p
-
-
 def brute_force_congruence(b1: Matrix, b2: Matrix, s: int) -> bool:
     """Exhaustive congruence test over small prime fields.
 
@@ -165,27 +149,11 @@ def brute_force_congruence(b1: Matrix, b2: Matrix, s: int) -> bool:
         raise ValueError("brute force congruence is limited to d <= 3")
     if d == 0:
         return True
-    if left_row_reduce(b1)[1] != left_row_reduce(b2)[1]:
+    if rank(b1) != rank(b2):
         return False
-    p = ring.p
-    m1 = np.array(b1.rows, dtype=np.int64)
-    m2 = np.array(b2.rows, dtype=np.int64)
-    total = p ** (d * d)
-    powers = p ** np.arange(d * d, dtype=np.int64)
-    for start in range(0, total, _GL_DET_CHUNK):
-        stop = min(start + _GL_DET_CHUNK, total)
-        codes = np.arange(start, stop, dtype=np.int64)
-        digits = (codes[:, None] // powers[None, :]) % p
-        mats = digits.reshape(-1, d, d)
-        mask = _det_mod(mats, p, d) != 0
-        if not mask.any():
-            continue
-        cands = mats[mask]
-        prod = (cands @ m1) % p
-        prod = (prod @ cands.transpose(0, 2, 1)) % p
-        if (prod == m2).all(axis=(1, 2)).any():
-            return True
-    return False
+    from .kernel import congruent_by_enumeration
+
+    return congruent_by_enumeration(b1, b2)
 
 
 @dataclass

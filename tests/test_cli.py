@@ -227,3 +227,47 @@ def test_console_script_subprocess(tmp_path):
     assert dec.returncode == 0
     doc = json.loads(dec.stdout)
     assert all(doc["verification"].values())
+
+
+# Runs the CLI in a fresh interpreter, then reports on stderr whether numpy
+# was loaded: only the int64 kernel may load it.
+_NUMPY_PROBE = """\
+import sys
+from orthoform.cli import main
+code = main(sys.argv[1:])
+print("numpy loaded:", "numpy" in sys.modules, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_import_leaves_numpy_unloaded():
+    probe = subprocess.run(
+        [sys.executable, "-c", "import sys, orthoform, orthoform.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "ring, dim, loaded",
+    [
+        ("rational", 8, False),
+        ("quaternion", 8, False),
+        ("gfp:1000000000000000003", 8, False),  # p >= 2^31 fails the overflow guard
+        ("gfp:1009", 32, True),  # 32x32 eliminations run on the kernel
+    ],
+)
+def test_numpy_loads_only_when_the_kernel_runs(tmp_path, capsys, ring, dim, loaded):
+    path = tmp_path / "form.txt"
+    assert run(["gen", "--ring", ring, "--dim", str(dim), "--seed", "3", "--out", str(path)], capsys)[0] == 0
+    dec = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, "decompose", "--input", str(path),
+         "--verify", "--json", "--emit-transform", "slp"],
+        capture_output=True,
+        text=True,
+    )
+    assert dec.returncode == 0, dec.stderr
+    assert all(json.loads(dec.stdout)["verification"].values())
+    assert dec.stderr.splitlines()[-1] == f"numpy loaded: {loaded}"

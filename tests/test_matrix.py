@@ -28,6 +28,7 @@ from orthoform import (
     matmul_strassen,
     right_column_reduce,
 )
+from orthoform import matrix
 
 GF7 = PrimeField(7)
 GF9 = QuadraticField(3, "frobenius")
@@ -211,9 +212,20 @@ def test_sigma_transpose():
     assert t.rows == [[1, 4], [2, 5], [3, 6]]
     assert counters.sigma_applications == 10
     for ring in (GF7, GF9):
-        empty = Matrix(ring, [])
-        empty.ncols = 3  # a 0x3 matrix: the constructor reads the width off the rows
-        assert empty.sigma_transpose().shape == (3, 0)
+        assert Matrix.zeros(ring, 0, 3).sigma_transpose().shape == (3, 0)
+        assert Matrix.zeros(ring, 3, 0).sigma_transpose().shape == (0, 3)
+
+
+@pytest.mark.parametrize("ring", [GF7, GF9, HH], ids=repr)
+def test_matrix_with_no_rows_keeps_its_width(ring):
+    empty = Matrix.zeros(ring, 0, 3)
+    assert empty.shape == (0, 3)
+    assert empty.copy().shape == (0, 3)
+    assert empty != Matrix.zeros(ring, 0, 2)
+    assert Matrix.zeros(ring, 2, 3).submatrix(1, 1, 0, 2).shape == (0, 2)
+    product = matmul(Matrix.zeros(ring, 0, 2), Matrix.zeros(ring, 2, 3))
+    assert product.shape == (0, 3)
+    assert matmul(Matrix.zeros(ring, 3, 0), Matrix.zeros(ring, 0, 2)) == Matrix.zeros(ring, 3, 2)
 
 
 def test_submatrix_and_is_zero():
@@ -320,8 +332,6 @@ GF25 = QuadraticField(5, "frobenius")
 
 def _both_paths(monkeypatch, run):
     """run() on the generic loop, then on the int64 kernel at every size."""
-    from orthoform import matrix
-
     monkeypatch.setattr(matrix, "_KERNEL_MIN_ENTRIES", 10**9)
     generic = run()
     monkeypatch.setattr(matrix, "_KERNEL_MIN_ENTRIES", 0)
@@ -346,8 +356,11 @@ def test_kernel_matches_the_generic_loop(ring, monkeypatch):
         for mtx in cases:
             for reduce in (left_row_reduce, right_column_reduce):
                 counters = OpCounters()
-                a, rank = reduce(mtx, counters)
-                out.append((a.rows, rank, counters.as_dict()))
+                a, r = reduce(mtx, counters)
+                out.append((a.rows, r, counters.as_dict()))
+            counters = OpCounters()
+            out.append((matrix.rank(mtx, counters), counters.as_dict()))
+            assert out[-1][0] == out[-3][1]
             if mtx.nrows == mtx.ncols:
                 counters = OpCounters()
                 try:
