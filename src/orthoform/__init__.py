@@ -25,14 +25,15 @@ from .matrix import (
 )
 from .form import (
     BlockLeft,
+    BlockTransvect,
     Detection,
+    Eliminate,
     FormValidationError,
     HermitianForm,
     OpCounters,
     Scale,
     Swap,
     TransformLog,
-    Transvect,
     check_declared_consistency,
     detect_s_sigma,
     is_hermitian,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .form import BlockLeft, HermitianForm
+from .form import BlockTransvect, HermitianForm
 from .gs import Decomposition, ScalarBlock, standardize_at
 from .matrix import Matrix, invert, left_row_reduce, matmul, rank, right_column_reduce
 
@@ -82,14 +82,6 @@ def detect_radical(form: HermitianForm, cutoff: int = 0) -> int:
     return form.dim - _split(form, 0, form.dim, form.dim, cutoff)
 
 
-def _log_block_transvect(form: HermitianForm, t_lo: int, s_lo: int, coeff: Matrix, lo: int, hi: int) -> None:
-    """Log rows [t_lo, ...) += coeff * rows [s_lo, ...) as one BlockLeft over [lo, hi)."""
-    embed = Matrix.identity(form.ring, hi - lo)
-    for a, row in enumerate(coeff.rows):
-        embed.rows[t_lo - lo + a][s_lo - lo : s_lo - lo + coeff.ncols] = row
-    form.log.append(BlockLeft(embed, lo))
-
-
 class _BlockRun:
     def __init__(self, form: HermitianForm, cutoff: int):
         self.form = form
@@ -141,22 +133,16 @@ class _BlockRun:
         form = self.form
         rows = form.m.rows
         add = self.ring.add
-        nt, ns = coeff.nrows, coeff.ncols
-        width = hi - lo
-        _log_block_transvect(form, t_lo, s_lo, coeff, lo, hi)
-        delta = matmul(coeff, form.m.submatrix(s_lo, s_lo + ns, lo, hi), self.cutoff, form.counters)
-        for a in range(nt):
-            target = rows[t_lo + a]
-            for c in range(lo, hi):
-                target[c] = add(target[c], delta.rows[a][c - lo])
-        form.counters.additions += nt * width
-        src_cols = form.m.submatrix(lo, hi, s_lo, s_lo + ns)
+        t_hi, s_hi = t_lo + coeff.nrows, s_lo + coeff.ncols
+        form.log.append(BlockTransvect(t_lo, s_lo, coeff))
+        delta = matmul(coeff, form.m.submatrix(s_lo, s_hi, lo, hi), self.cutoff, form.counters)
+        for row, drow in zip(rows[t_lo:t_hi], delta.rows):
+            row[lo:hi] = map(add, row[lo:hi], drow)
+        src_cols = form.m.submatrix(lo, hi, s_lo, s_hi)
         delta = matmul(src_cols, coeff.sigma_transpose(form.counters), self.cutoff, form.counters)
-        for r in range(lo, hi):
-            target = rows[r]
-            for a in range(nt):
-                target[t_lo + a] = add(target[t_lo + a], delta.rows[r - lo][a])
-        form.counters.additions += nt * width
+        for row, drow in zip(rows[lo:hi], delta.rows):
+            row[t_lo:t_hi] = map(add, row[t_lo:t_hi], drow)
+        form.counters.additions += 2 * coeff.nrows * (hi - lo)
 
     def iso(self, lo: int, hi: int, f: int, depth: int = 1) -> None:
         """Pair off [lo, lo+2f) hyperbolically, a node at recursion `depth`; here
@@ -184,7 +170,7 @@ class _BlockRun:
         tail = form.m.submatrix(lo + f, lo + 2 * f, lo + 2 * f, hi)
         if not tail.is_zero():
             coeff = _sign_scaled(tail.sigma_transpose(form.counters), -self.s)
-            _log_block_transvect(form, lo + 2 * f, lo, coeff, lo, hi)
+            form.log.append(BlockTransvect(lo + 2 * f, lo, coeff))
             zero = ring.zero
             for r in range(lo + f, lo + 2 * f):
                 for c in range(lo + 2 * f, hi):

@@ -58,12 +58,16 @@ class Swap:
 
 
 @dataclass(frozen=True)
-class Transvect:
-    """Left-multiplication by I + value*E[target, source]: row target += value * row source."""
+class Eliminate:
+    """One pivot: row targets[a] += coeffs[a] * row source, the targets distinct and not the source."""
 
-    target: int
     source: int
-    value: object
+    targets: tuple
+    coeffs: tuple
+
+    def __post_init__(self):
+        if not 0 < len(set(self.targets) - {self.source}) == len(self.targets) == len(self.coeffs):
+            raise ValueError("an elimination needs distinct targets, not its source, one coefficient each")
 
 
 @dataclass(frozen=True)
@@ -74,7 +78,29 @@ class BlockLeft:
     offset: int
 
 
-LogOp = Union[Scale, Swap, Transvect, BlockLeft]
+@dataclass(frozen=True)
+class BlockTransvect:
+    """Rows [target, target+n) += coeff * rows [source, source+k) for an n x k coeff; the ranges are disjoint."""
+
+    target: int
+    source: int
+    coeff: Matrix
+
+    def __post_init__(self):
+        if self.target < self.source + self.coeff.ncols and self.source < self.target + self.coeff.nrows:
+            raise ValueError("block transvection target and source rows overlap")
+
+    def embedded(self) -> BlockLeft:
+        """The same operation as a BlockLeft over the smallest window holding both ranges."""
+        n, k = self.coeff.shape
+        lo = min(self.target, self.source)
+        block = Matrix.identity(self.coeff.ring, max(self.target + n, self.source + k) - lo)
+        for a, row in enumerate(self.coeff.rows):
+            block.rows[self.target - lo + a][self.source - lo : self.source - lo + k] = row
+        return BlockLeft(block, lo)
+
+
+LogOp = Union[Scale, Swap, Eliminate, BlockLeft, BlockTransvect]
 
 
 class TransformLog:
@@ -105,58 +131,40 @@ class TransformLog:
     def subrange(self, start: int, stop: int) -> "TransformLog":
         return TransformLog(self.dim, self.ops[start:stop])
 
-    def materialize(self, ring: Ring, counters=None) -> Matrix:
-        """Product of the elementary matrices in application order (first op innermost).
-
-        Each run of consecutive transvections from one source into distinct
-        other rows (one pivot of ``clear_row_column``) is applied as one update.
-        """
+    def materialize(self, ring: Ring) -> Matrix:
+        """Product of the elementary matrices in application order (first op innermost)."""
         d = self.dim
         acc = _augmented(Matrix.zeros(ring, d, 0), d * d, terms=d)  # [ | I]: the identity
-        ops = self.ops
-        i = 0
-        while i < len(ops):
-            op = ops[i]
-            i += 1
+        for op in self.ops:
             if isinstance(op, Scale):
                 acc.scale(op.index, op.value)
             elif isinstance(op, Swap):
                 acc.swap(op.i, op.j)
-            elif isinstance(op, Transvect):
-                targets, lams = [op.target], [op.value]
-                seen = {op.source, op.target}
-                while (
-                    op.target != op.source
-                    and i < len(ops)
-                    and isinstance(ops[i], Transvect)
-                    and ops[i].source == op.source
-                    and ops[i].target not in seen
-                ):
-                    seen.add(ops[i].target)
-                    targets.append(ops[i].target)
-                    lams.append(ops[i].value)
-                    i += 1
-                acc.add_multiples(op.source, targets, lams)
+            elif isinstance(op, Eliminate):
+                acc.add_multiples([op.source], list(op.targets), [op.coeffs])
+            elif isinstance(op, BlockTransvect):
+                n, k = op.coeff.shape
+                acc.add_multiples(slice(op.source, op.source + k), slice(op.target, op.target + n), list(zip(*op.coeff.rows)))
             elif isinstance(op, BlockLeft):
-                acc.left_multiply(op.offset, op.block, counters)
+                acc.left_multiply(op.offset, op.block)
             else:
                 raise TypeError(f"unknown log op {op!r}")
         return Matrix(ring, acc.transform(), validate=False)
 
     def slp_lines(self, ring: Ring) -> list[str]:
-        """Line-oriented rendering, one elementary operation per line, 0-based indices."""
+        """Line-oriented rendering, one elementary matrix per line, 0-based indices."""
         lines = []
         for op in self.ops:
+            if isinstance(op, BlockTransvect):
+                op = op.embedded()
             if isinstance(op, Scale):
                 lines.append(f"scale {op.index} {ring.format(op.value)}")
             elif isinstance(op, Swap):
                 lines.append(f"swap {op.i} {op.j}")
-            elif isinstance(op, Transvect):
-                lines.append(f"transvect {op.target} {op.source} {ring.format(op.value)}")
+            elif isinstance(op, Eliminate):
+                lines.extend(f"transvect {k} {op.source} {ring.format(v)}" for k, v in zip(op.targets, op.coeffs))
             else:
-                entries = " ".join(
-                    ring.format(v) for row in op.block.rows for v in row
-                )
+                entries = " ".join(ring.format(v) for row in op.block.rows for v in row)
                 lines.append(f"blockleft {op.offset} {op.block.nrows} {entries}")
         return lines
 
@@ -281,15 +289,13 @@ class HermitianForm:
 
         Row target += lam * row source, then column target += column source *
         sigma(lam), in that order; the second step uses the updated entries,
-        which is exactly the two-sided product.
+        which is exactly the two-sided product; target must differ from source.
         """
-        if target == source:
-            raise ValueError("transvection target must differ from source")
         ring = self.ring
         if lam == ring.zero:
             return
         lo, hi = self._window(lo, hi)
-        self.log.append(Transvect(target, source, lam))
+        self.log.append(Eliminate(source, (target,), (lam,)))
         rows = self.m.rows
         row_axpy(ring, rows[target], rows[source], lam, lo, hi)
         col_axpy(ring, rows, target, source, ring.sigma(lam), lo, hi)
@@ -311,12 +317,12 @@ class HermitianForm:
 
         For each k in the window other than i and j with B[k][j] nonzero, the
         transvection I + lam_k*E[k, i] with lam_k = -B[k][j]*B[i][j]^{-1} is
-        applied.  When i = j the combined column half of those transvections
-        lands entirely in row i and is an exact zeroing, so it is written as
-        an assignment; the diagonal entry B[i][i] stays.  When i != j the full
-        column pass runs (the pivot pair (i,j)/(j,i) stays, and if B[i][i] is
-        nonzero the cleared entries spill into row-column i, which the caller
-        is expected to clear next).
+        applied, and logged as one Eliminate.  When i = j the combined column
+        half of those transvections lands entirely in row i and is an exact
+        zeroing, so it is written as an assignment; the diagonal entry B[i][i]
+        stays.  When i != j the full column pass runs (the pivot pair
+        (i,j)/(j,i) stays, and if B[i][i] is nonzero the cleared entries spill
+        into row-column i, which the caller is expected to clear next).
         """
         ring = self.ring
         rows = self.m.rows
@@ -329,7 +335,8 @@ class HermitianForm:
         width = hi - lo
         targets = [k for k in range(lo, hi) if k != i and k != j]
         pairs = eliminate(ring, rows, i, j, targets, pivinv, lo, hi)
-        self.log.ops.extend(Transvect(k, i, lam) for k, lam in pairs)
+        if pairs:
+            self.log.append(Eliminate(i, *zip(*pairs)))
         c.equality_tests += len(targets)
         c.multiplications += len(pairs) * (1 + width)
         c.additions += len(pairs) * width

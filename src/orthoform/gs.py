@@ -67,9 +67,6 @@ class Decomposition:
             raise ValueError(f"blocks cover {pos} positions, form has {self.dim}")
         return Matrix(ring, rows, validate=False)
 
-    def block_sizes(self) -> list[int]:
-        return [b.size for b in self.blocks]
-
 
 def standardize_at(form: HermitianForm, pos: int) -> list:
     """Finish the 2x2 corner [[0, 1], [s, alpha]] sitting at [pos, pos+2).

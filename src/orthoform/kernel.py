@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .matrix import Matrix, _count_product
+from .matrix import Matrix
 from .rings import PrimeField, QuadraticField, Ring
 
 
@@ -107,14 +107,14 @@ class PlaneRows:
             block %= p
         return pairs
 
-    def add_multiples(self, src: int, targets: list, lams: list) -> None:
-        w = self.w
-        lam = _pack(self.ring, [lams])[:, 0]
-        w[:, targets] = (w[:, targets] + _plane_product(self.ring, lam[:, :, None], w[:, src, None, :])) % self.p
+    def add_multiples(self, sources, targets, lams: list) -> None:
+        ring, w = self.ring, self.w
+        lam = _pack(ring, lams).transpose(0, 2, 1)  # (planes, targets, sources)
+        op = np.multiply if lam.shape[2] == 1 else np.matmul  # one source: a broadcast outer product
+        w[:, targets] = (w[:, targets] + _plane_product(ring, lam, w[:, sources], op)) % self.p
 
-    def left_multiply(self, offset: int, block: Matrix, counters=None) -> None:
+    def left_multiply(self, offset: int, block: Matrix) -> None:
         q = block.nrows
-        _count_product(counters, q, q, self.w.shape[2])
         span = self.w[:, offset : offset + q]
         self.w[:, offset : offset + q] = _plane_product(self.ring, _pack(self.ring, block.rows), span, np.matmul) % self.p
 

@@ -318,6 +318,10 @@ def matmul(left: Matrix, right: Matrix, cutoff: Optional[int] = None, counters=N
     return matmul_strassen(left, right, cutoff, counters)
 
 
+def _pick(rows: list, index) -> list:
+    return rows[index] if isinstance(index, slice) else [rows[i] for i in index]
+
+
 class _ListRows:
     """Rows [work | identity] as Python lists: the generic loop, valid over every ring."""
 
@@ -348,15 +352,17 @@ class _ListRows:
         targets = [k for k in range(first, len(rows)) if k != src]
         return len(eliminate(self.ring, rows, src, col, targets, pivinv, col, len(rows[src])))
 
-    def add_multiples(self, src: int, targets: list, lams: list) -> None:
-        rows, width = self.rows, len(self.rows[src])
-        for k, lam in zip(targets, lams):
-            row_axpy(self.ring, rows[k], rows[src], lam, 0, width)
+    def add_multiples(self, sources, targets, lams: list) -> None:
+        """Row targets[a] += lams[b][a] * row sources[b]; disjoint lists or slices of rows."""
+        dsts, width = _pick(self.rows, targets), len(self.rows[0])
+        for src, row_lams in zip(_pick(self.rows, sources), lams):
+            for dst, lam in zip(dsts, row_lams):
+                row_axpy(self.ring, dst, src, lam, 0, width)
 
-    def left_multiply(self, offset: int, block: Matrix, counters=None) -> None:
+    def left_multiply(self, offset: int, block: Matrix) -> None:
         q = block.nrows
         span = Matrix(self.ring, self.rows[offset : offset + q], validate=False)
-        self.rows[offset : offset + q] = matmul_classical(block, span, counters).rows
+        self.rows[offset : offset + q] = matmul_classical(block, span).rows
 
     def transform(self) -> list:
         return [row[self.cols :] for row in self.rows]

@@ -291,6 +291,150 @@ def test_golden_logs_and_counters(case):
     assert _golden_digest(*GOLDEN_CASES[case]) == GOLDEN_DIGESTS[case]
 
 
+GOLDEN_FIELDS = ("blocks", "transform", "slp", "counters")
+
+# Per decomposer and per field of GOLDEN_FIELDS, the first 16 hex digits of
+# the sha256 of each golden form's output: a change to one field (say the SLP
+# rendering) shows which field moved and leaves the other pins standing.
+GOLDEN_FIELD_DIGESTS = {
+    ("gf101+deficient", "gs"): (
+        "9014928b774e5c47", "a2c9e8b90dec9d45", "c0a135eac70cd183", "9404bc29593b4612",
+    ),
+    ("gf101+deficient", "blocks"): (
+        "79b340f41496794f", "45e897f38420714d", "5b01cfed4062473b", "52cf36f3baf1d6f4",
+    ),
+    ("gf101+full", "gs"): (
+        "26849095620d1f58", "23fcbdba3751c115", "687f438fb5c37625", "f8c95829b6d71242",
+    ),
+    ("gf101+full", "blocks"): (
+        "26849095620d1f58", "23fcbdba3751c115", "48f8b4d9ac77fef6", "c7be00adc99864f6",
+    ),
+    ("gf101-deficient", "gs"): (
+        "e4125d09d60b5f7f", "60b41f7fde97277a", "15b6248d94485c02", "48b5b401886e71a7",
+    ),
+    ("gf101-deficient", "blocks"): (
+        "e4125d09d60b5f7f", "f22d85a67e2d2b95", "45bf431d42241ca1", "c4b4ed024a267be4",
+    ),
+    ("gf101-full", "gs"): (
+        "8f23abf5eb1a6e35", "a930547916936dab", "3e143815f5ad2631", "5dfbd827674a2fff",
+    ),
+    ("gf101-full", "blocks"): (
+        "8f23abf5eb1a6e35", "cf5a4887ec9e947a", "6763f3dddf7493c6", "ef841c69084fdc98",
+    ),
+    ("gf101-tail", "gs"): (
+        "3054029728d7a823", "f576c35e582d1c9b", "47acae8b82d49a6d", "90bcf36caf427a5f",
+    ),
+    ("gf101-tail", "blocks"): (
+        "3054029728d7a823", "07fa73c85149ecf7", "10471ea123a9437c", "0263bd52ac650f21",
+    ),
+    ("gf2-deficient", "gs"): (
+        "2bfbff0d76722ec4", "93ee6a4547e5c611", "53930b6ade3cc97e", "60be334b346100ed",
+    ),
+    ("gf2-deficient", "blocks"): (
+        "2bfbff0d76722ec4", "eb8b939796ff6087", "b4c85433250f087e", "f118b4312e5847eb",
+    ),
+    ("gf2-full", "gs"): (
+        "53e1cf0776d6c71d", "2c3b97e200887bf3", "746682c2fcc7b9e7", "580e3d3270b852fe",
+    ),
+    ("gf2-full", "blocks"): (
+        "53e1cf0776d6c71d", "0b9123899f3ce921", "50a8b6f512319262", "806d32d22bd2d1e7",
+    ),
+    ("gf3-corner", "gs"): (
+        "71756ca2e634179d", "d543163b1e9f7125", "4a301c2155b46189", "807cf2327fa6f9d9",
+    ),
+    ("gf3-corner", "blocks"): (
+        "71756ca2e634179d", "079f9fb5c3521858", "b1bc33bf39e1872f", "ec4b65bce8124b1d",
+    ),
+    ("gf9+deficient", "gs"): (
+        "afc9dbe15078faf5", "49312ede0b453e0b", "cc2acd2522ed6cc4", "21960ea3d9b32b0b",
+    ),
+    ("gf9+deficient", "blocks"): (
+        "d8e7f63f99dcd4e3", "5778f15b4c2b1983", "dd79e2ca087db1b3", "9b2ba8c4106e34b9",
+    ),
+    ("gf9+full", "gs"): (
+        "31bda5f8ac055f41", "2967e386e6ff96ed", "5400fcb655bd7388", "d15c43fe7f061f49",
+    ),
+    ("gf9+full", "blocks"): (
+        "ed5a6873f6f6357e", "09f389e39f71431f", "9106d2fc53a951a2", "95a9371e250b3442",
+    ),
+    ("gf9-full", "gs"): (
+        "a1325ed6c6f3a97d", "cd2373a50e19c690", "61bea0e7374d44cf", "64d8ea249970180c",
+    ),
+    ("gf9-full", "blocks"): (
+        "a8eb4a9ae736b826", "6bebb24cb1e3ceae", "c7c5595a2820d654", "5e0203707e5a97f3",
+    ),
+    ("h+deficient", "gs"): (
+        "fa4efd8a12b15b1d", "cada9683740cdee2", "b7c1d68d30efc286", "c66b769feb348bb1",
+    ),
+    ("h+deficient", "blocks"): (
+        "fa4efd8a12b15b1d", "3fa3c2276a3de59f", "f79ce1c67e5fb50e", "4475dd435e7bd56f",
+    ),
+    ("h+full", "gs"): (
+        "c3f0e3e4ff5a3854", "9ecb421e917ec920", "46b52d1ee9f3cd2b", "a0d4b75da842899a",
+    ),
+    ("h+full", "blocks"): (
+        "7680cca503e5b986", "ae6c11929c716b9f", "bcd569003cb5f5ec", "b231f230df001d7c",
+    ),
+    ("h-deficient", "gs"): (
+        "453306cf1d4ee0b7", "6327a008b740f72f", "b959b32bbcbfb70b", "9c9f85546c8d0dec",
+    ),
+    ("h-deficient", "blocks"): (
+        "453306cf1d4ee0b7", "563e230907b7aa18", "5c828ec56f0c1bb9", "0352802a2cabd1f1",
+    ),
+    ("q+deficient", "gs"): (
+        "5b0ba4f713f80b49", "aaad8374d89361a0", "8a456083b68175c1", "f70ae99a468849a9",
+    ),
+    ("q+deficient", "blocks"): (
+        "5b0ba4f713f80b49", "39a776fe9e2d3389", "5f223b46fceb3c92", "795cba9f124d8975",
+    ),
+    ("q+full", "gs"): (
+        "307ef5333463e12d", "ee0f49b55b1b0921", "4b85b13347b2b92a", "308d150651ae0639",
+    ),
+    ("q+full", "blocks"): (
+        "307ef5333463e12d", "ee0f49b55b1b0921", "7e5dff241165b74b", "9b8457b7d4f03a78",
+    ),
+    ("q-deficient", "gs"): (
+        "45e47a46df6d9c0c", "58209b98561dda61", "10e9ea94da0c5358", "9a67e6a9a363dffd",
+    ),
+    ("q-deficient", "blocks"): (
+        "45e47a46df6d9c0c", "8e5a83d1fac6a652", "3f272b02d4fe6edc", "299fae1b6cf2efb5",
+    ),
+    ("q-full", "gs"): (
+        "eaf76d04d224374a", "63cae35c87027c08", "06b4719c12ebb283", "26978520b7c7e190",
+    ),
+    ("q-full", "blocks"): (
+        "eaf76d04d224374a", "446dab9d7875f71c", "6593f32aa8b0d18c", "46a4695588198cd4",
+    ),
+}
+
+
+def _golden_field_digests(ring, s, d, rank, seed):
+    form = random_form(ring, s, d, random.Random(seed), rank=rank)
+    twin = HermitianForm(ring, snapshot(form.m), s, validate=False)
+    out = {}
+    for name, dec in (("gs", decompose_gs(form)), ("blocks", decompose_blocks(twin))):
+        fields = (
+            repr(dec.blocks),
+            dec.log.materialize(ring).rows,
+            dec.log.slp_lines(ring),
+            dec.counters.as_dict(),
+        )
+        out[name] = {
+            field: hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+            for field, value in zip(GOLDEN_FIELDS, fields)
+        }
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_golden_fields_per_decomposer(case):
+    pinned = {
+        name: dict(zip(GOLDEN_FIELDS, GOLDEN_FIELD_DIGESTS[case, name]))
+        for name in ("gs", "blocks")
+    }
+    assert _golden_field_digests(*GOLDEN_CASES[case]) == pinned
+
+
 # (recursion_depth, isotropic_steps) of decompose_blocks on each golden form
 GOLDEN_SHAPES = {
     "gf101+deficient": (5, 0),

@@ -13,6 +13,8 @@ import random
 import pytest
 
 from orthoform import (
+    BlockTransvect,
+    Eliminate,
     FormValidationError,
     HermitianForm,
     Matrix,
@@ -23,7 +25,7 @@ from orthoform import (
     RationalQuaternions,
     Scale,
     Swap,
-    Transvect,
+    TransformLog,
     check_declared_consistency,
     detect_s_sigma,
     is_hermitian,
@@ -214,8 +216,41 @@ def test_slp_lines_exact_strings():
     log.dim = 3
     log.append(Scale(0, 4))
     log.append(Swap(0, 2))
-    log.append(Transvect(2, 1, 6))
-    assert log.slp_lines(GF7) == ["scale 0 4", "swap 0 2", "transvect 2 1 6"]
+    log.append(Eliminate(1, (2, 0), (6, 3)))
+    assert log.slp_lines(GF7) == [
+        "scale 0 4", "swap 0 2", "transvect 2 1 6", "transvect 0 1 3"
+    ]
+
+
+def test_log_ops_reject_rows_that_move_under_them():
+    for targets, coeffs in [((2, 2), (3, 4)), ((2, 1), (3, 4)), ((2,), (3, 4)), ((), ())]:
+        with pytest.raises(ValueError):
+            Eliminate(1, targets, coeffs)
+    coeff = Matrix.zeros(GF7, 2, 3)  # rows [target, target+2) += coeff * rows [source, source+3)
+    for target, source in [(0, 1), (1, 0), (2, 0), (3, 1), (2, 2)]:
+        with pytest.raises(ValueError):
+            BlockTransvect(target, source, coeff)
+    BlockTransvect(0, 2, coeff)
+    BlockTransvect(3, 0, coeff)
+
+
+def test_block_transvect_is_its_embedded_block_left():
+    rng = random.Random(39)
+    d = 8
+    for ring in (GF7, GF9, QQ, HH):
+        for target, source, n, k in [(4, 1, 2, 3), (0, 3, 2, 2), (1, 5, 3, 1), (6, 0, 2, 6)]:
+            coeff = Matrix(ring, [[ring.random(rng) for _ in range(k)] for _ in range(n)])
+            op = BlockTransvect(target, source, coeff)
+            embed = op.embedded()
+            lo, hi = min(target, source), max(target + n, source + k)
+            assert (embed.offset, embed.block.nrows) == (lo, hi - lo)
+            expect = Matrix.identity(ring, d)
+            for a in range(n):
+                for b in range(k):
+                    expect.rows[target + a][source + b] = coeff.rows[a][b]
+            one, pasted = TransformLog(d, [op]), TransformLog(d, [embed])
+            assert one.materialize(ring) == pasted.materialize(ring) == expect
+            assert one.slp_lines(ring) == pasted.slp_lines(ring)
 
 
 def test_evaluate_is_the_literal_pairing():

@@ -21,7 +21,7 @@ from orthoform import (
     standardize,
     standardize_at,
 )
-from orthoform.form import Swap
+from orthoform.form import Eliminate, Swap
 from helpers import snapshot
 
 GF7 = PrimeField(7)
@@ -166,6 +166,19 @@ def test_counter_budget_on_dense_forms():
         assert dec.counters.inversions <= d + 2 * dec.isotropic_steps
         assert dec.counters.equality_tests <= d * (d - 1) // 2 + d
         assert dec.counters.sigma_applications <= 3 * d * dec.isotropic_steps
+
+
+def test_each_pivot_logs_one_elimination():
+    # a row-column clear logs its whole row pass as one Eliminate: at most one
+    # per anisotropic pivot and three per isotropic pair (two clears and the
+    # corner's transvection), however many rows each one clears
+    rng = random.Random(58)
+    for ring, s in [(PrimeField(101), 1), (PrimeField(101), -1), (GF9, 1), (QQ, 1), (HH, 1)]:
+        d = 16
+        dec = decompose_gs(random_form(ring, s, d, rng))
+        elims = [op for op in dec.log if isinstance(op, Eliminate)]
+        assert len(elims) <= d + dec.isotropic_steps
+        assert sum(len(op.targets) for op in elims) > 2 * d
 
 
 def test_all_anisotropic_equality_count_is_exact():
