@@ -19,6 +19,13 @@ and counts.  ``kernel`` (and with it numpy) is imported only once a guard has
 chosen it.  ``right_column_reduce`` is the sigma-mirror of
 ``left_row_reduce``; the column passes in ``form`` go through ``col_axpy``.
 
+Over Q and the quaternions the classical product clears denominators: each
+row of the left factor and each column of the right one is scaled by the lcm
+of its denominators, the dot products are summed on Python integers (the
+Hamilton formula on four part vectors over the quaternions), and entry (i, j)
+is divided by the two scales, which are central.  That gives the ring loop's
+canonical Fractions without a gcd per multiply and add.
+
 All routines optionally accept a counters object (duck-typed, with
 ``additions`` / ``multiplications`` / ``inversions`` / ``equality_tests`` /
 ``sigma_applications`` attributes) and add the ring-operation counts of the
@@ -27,9 +34,12 @@ classical cost model to it.
 
 from __future__ import annotations
 
+import operator
+from fractions import Fraction
+from math import lcm
 from typing import Optional
 
-from .rings import PrimeField, QuadraticField, Ring
+from .rings import PrimeField, QuadraticField, RationalField, RationalQuaternions, Ring
 
 
 class ShapeError(ValueError):
@@ -209,6 +219,10 @@ def matmul_classical(left: Matrix, right: Matrix, counters=None) -> Matrix:
         from . import kernel
 
         return Matrix(ring, kernel.matmul(ring, left.rows, right.rows), validate=False)
+    if isinstance(ring, RationalField):
+        return Matrix(ring, _rational_product(left.rows, right.rows), validate=False)
+    if isinstance(ring, RationalQuaternions):
+        return Matrix(ring, _quaternion_product(left.rows, right.rows), validate=False)
     add, mul, zero = ring.add, ring.mul, ring.zero
     cols = list(zip(*right.rows))
     out = []
@@ -222,6 +236,51 @@ def matmul_classical(left: Matrix, right: Matrix, counters=None) -> Matrix:
             orow.append(acc)
         out.append(orow)
     return Matrix(ring, out, validate=False)
+
+
+def _clear(vec) -> tuple[int, list]:
+    """(a, a * vec) for a vector of Fractions, a the lcm of its denominators."""
+    a = lcm(*[x.denominator for x in vec])
+    return a, [x.numerator * (a // x.denominator) for x in vec]
+
+
+def _clear_parts(vec) -> tuple[int, tuple]:
+    """(a, (w, x, y, z)) for a vector of quaternions: a the lcm of the
+    denominators of all four parts, and each part of a * vec as integers."""
+    a, flat = _clear([v for q in vec for v in q])
+    return a, (flat[0::4], flat[1::4], flat[2::4], flat[3::4])
+
+
+def _dot(u: list, v: list) -> int:
+    return sum(map(operator.mul, u, v))
+
+
+def _rational_product(left: list, right: list) -> list:
+    """The product over Q on integers: row i of ``left`` times a_i and column j
+    of ``right`` times c_j are integer vectors, and entry (i, j) is their dot
+    product over a_i * c_j, the same canonical Fraction as the ring loop's."""
+    cols = [_clear(col) for col in zip(*right)]
+    return [[Fraction(_dot(lrow, col), a * c) for c, col in cols] for a, lrow in map(_clear, left)]
+
+
+def _quaternion_product(left: list, right: list) -> list:
+    """The product over the quaternions on integers, as ``_rational_product``:
+    the Hamilton product of ``RationalQuaternions.mul`` on the four integer
+    part vectors, left factor first (a_i and c_j are central)."""
+    cols = [_clear_parts(col) for col in zip(*right)]
+    out = []
+    for a, (w1, x1, y1, z1) in map(_clear_parts, left):
+        orow = []
+        for c, (w2, x2, y2, z2) in cols:
+            den = a * c
+            orow.append((
+                Fraction(_dot(w1, w2) - _dot(x1, x2) - _dot(y1, y2) - _dot(z1, z2), den),
+                Fraction(_dot(w1, x2) + _dot(x1, w2) + _dot(y1, z2) - _dot(z1, y2), den),
+                Fraction(_dot(w1, y2) - _dot(x1, z2) + _dot(y1, w2) + _dot(z1, x2), den),
+                Fraction(_dot(w1, z2) + _dot(x1, y2) - _dot(y1, x2) + _dot(z1, w2), den),
+            ))
+        out.append(orow)
+    return out
 
 
 def _madd(a: Matrix, b: Matrix, counters=None) -> Matrix:

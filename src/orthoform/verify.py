@@ -3,8 +3,12 @@
 check_decomposition re-derives everything from the input matrix and the log:
 the materialized transform must be invertible, must actually congruate the
 input to the direct sum of the claimed blocks, the blocks must be standard,
-and the number of zero blocks must match an independently computed rank.
-Nothing here reuses intermediate state from the decomposition run.
+and the number of zero blocks must match d minus the rank of the input.
+When the first two clauses hold and every block is a scalar or a J block,
+that rank is read off the certificate: congruence by an invertible transform
+keeps the rank, so rank(input) is the rank of the direct sum.  Otherwise the
+input's rank is computed by elimination.  Nothing here reuses intermediate
+state from the decomposition run.
 """
 
 from __future__ import annotations
@@ -45,8 +49,13 @@ class CheckReport:
 
 
 def check_decomposition(original: Matrix, s: int, dec: Decomposition) -> CheckReport:
-    """Re-verify a decomposition against the untouched input matrix."""
-    ring = original.ring
+    """Re-verify a decomposition against the untouched input matrix.
+
+    A decomposition over another ring or of another dimension than the input
+    fails the invertibility and congruence clauses; its blocks are judged
+    over their own ring.
+    """
+    ring = dec.ring
     d = original.nrows
     report = CheckReport(True, True, True, True)
     if d == 0:
@@ -54,20 +63,30 @@ def check_decomposition(original: Matrix, s: int, dec: Decomposition) -> CheckRe
             report.blocks_standard = False
             report.details.append("0-dimensional form with nonempty blocks")
         return report
-    transform = dec.log.materialize(ring)
-    if rank(transform) != d:
+    transform = None
+    if ring != original.ring or dec.dim != d or dec.log.dim != d:
         report.transform_invertible = False
-        report.details.append("materialized transform is singular")
+        report.congruence_matches = False
+        report.details.append(
+            f"decomposition over {ring!r} of dimension {dec.dim} with a {dec.log.dim}-dimensional "
+            f"log does not fit a {d}-dimensional form over {original.ring!r}"
+        )
+    else:
+        transform = dec.log.materialize(ring)
+        if rank(transform) != d:
+            report.transform_invertible = False
+            report.details.append("materialized transform is singular")
     sizes = sum(b.size for b in dec.blocks)
     if sizes != d:
         report.blocks_standard = False
         report.details.append(f"blocks cover {sizes} of {d} positions")
         report.congruence_matches = False
         return report
-    product = matmul(matmul(transform, original), transform.sigma_transpose())
-    if product != dec.direct_sum_matrix():
-        report.congruence_matches = False
-        report.details.append("transformed matrix is not the claimed direct sum")
+    if transform is not None:
+        product = matmul(matmul(transform, original), transform.sigma_transpose())
+        if product != dec.direct_sum_matrix():
+            report.congruence_matches = False
+            report.details.append("transformed matrix is not the claimed direct sum")
     for idx, block in enumerate(dec.blocks):
         if isinstance(block, ScalarBlock):
             value = block.value
@@ -80,7 +99,9 @@ def check_decomposition(original: Matrix, s: int, dec: Decomposition) -> CheckRe
     zero_blocks = sum(
         1 for b in dec.blocks if isinstance(b, ScalarBlock) and b.value == ring.zero
     )
-    corank = d - rank(original)
+    corank = _certified_corank(report, dec)
+    if corank is None:
+        corank = d - rank(original)
     if not (dec.radical_dim == zero_blocks == corank):
         report.radical_matches = False
         report.details.append(
@@ -88,6 +109,30 @@ def check_decomposition(original: Matrix, s: int, dec: Decomposition) -> CheckRe
             f"dim minus rank {corank} disagree"
         )
     return report
+
+
+def _certified_corank(report: CheckReport, dec: Decomposition) -> Optional[int]:
+    """d - rank(original) read off a certificate whose first two clauses hold.
+
+    Then an invertible d x d transform T gives T * original * sigma(T)^t = D,
+    the claimed direct sum, so rank(original) = rank(D): the sum of the block
+    ranks, 1 per nonzero scalar and 2 per [[0, 1], [s, 0]] (1 if s is 0 in the
+    ring).  None when either clause failed or a block is of unknown type; the
+    caller then computes the rank exactly.
+    """
+    if not (report.transform_invertible and report.congruence_matches):
+        return None
+    ring = dec.ring
+    j_rank = 1 + (ring.from_int(dec.s) != ring.zero)
+    rank_d = 0
+    for block in dec.blocks:
+        if isinstance(block, ScalarBlock):
+            rank_d += block.value != ring.zero
+        elif isinstance(block, JBlock):
+            rank_d += j_rank
+        else:
+            return None
+    return dec.dim - rank_d
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,20 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from orthoform import cli
 from orthoform.cli import InputFormatError, format_form_file, main, parse_form_file
+
+# Child interpreters import the orthoform this process imported, also when
+# pytest (not PYTHONPATH) put it on the path.
+_SRC = str(Path(cli.__file__).resolve().parents[1])
+_CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))}
 
 
 def run(argv, capsys):
@@ -216,6 +223,7 @@ def test_console_script_subprocess(tmp_path):
         [sys.executable, "-m", "orthoform.cli", "gen", "--ring", "gfp:11", "--dim", "3", "--seed", "5"],
         capture_output=True,
         text=True,
+        env=_CHILD_ENV,
     )
     assert gen.returncode == 0
     form.write_text(gen.stdout)
@@ -223,6 +231,7 @@ def test_console_script_subprocess(tmp_path):
         [sys.executable, "-m", "orthoform.cli", "decompose", "--input", str(form), "--verify", "--json"],
         capture_output=True,
         text=True,
+        env=_CHILD_ENV,
     )
     assert dec.returncode == 0
     doc = json.loads(dec.stdout)
@@ -245,28 +254,35 @@ def test_import_leaves_numpy_unloaded():
         [sys.executable, "-c", "import sys, orthoform, orthoform.cli; print('numpy' in sys.modules)"],
         capture_output=True,
         text=True,
+        env=_CHILD_ENV,
     )
     assert probe.returncode == 0, probe.stderr
     assert probe.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize(
-    "ring, dim, loaded",
+    "ring, dim, loaded, algo",
     [
-        ("rational", 8, False),
-        ("quaternion", 8, False),
-        ("gfp:1000000000000000003", 8, False),  # p >= 2^31 fails the overflow guard
-        ("gfp:1009", 32, True),  # 32x32 eliminations run on the kernel
+        pytest.param("rational", 8, False, "gs", id="rational-8-False"),
+        pytest.param("quaternion", 8, False, "gs", id="quaternion-8-False"),
+        # p >= 2^31 fails the overflow guard
+        pytest.param("gfp:1000000000000000003", 8, False, "gs", id="gfp:1000000000000000003-8-False"),
+        # 32x32 eliminations run on the kernel
+        pytest.param("gfp:1009", 32, True, "gs", id="gfp:1009-32-True"),
+        # block_congruence and the coupling products run the integer product
+        pytest.param("rational", 8, False, "blocks", id="rational-8-blocks-False"),
+        pytest.param("quaternion", 8, False, "blocks", id="quaternion-8-blocks-False"),
     ],
 )
-def test_numpy_loads_only_when_the_kernel_runs(tmp_path, capsys, ring, dim, loaded):
+def test_numpy_loads_only_when_the_kernel_runs(tmp_path, capsys, ring, dim, loaded, algo):
     path = tmp_path / "form.txt"
     assert run(["gen", "--ring", ring, "--dim", str(dim), "--seed", "3", "--out", str(path)], capsys)[0] == 0
     dec = subprocess.run(
-        [sys.executable, "-c", _NUMPY_PROBE, "decompose", "--input", str(path),
+        [sys.executable, "-c", _NUMPY_PROBE, "decompose", "--input", str(path), "--algo", algo,
          "--verify", "--json", "--emit-transform", "slp"],
         capture_output=True,
         text=True,
+        env=_CHILD_ENV,
     )
     assert dec.returncode == 0, dec.stderr
     assert all(json.loads(dec.stdout)["verification"].values())

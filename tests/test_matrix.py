@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -129,6 +131,49 @@ def test_strassen_cutoff_validation_and_dispatch():
     with pytest.raises(ValueError):
         matmul_strassen(a, a, cutoff=1)
     assert matmul(a, a, cutoff=0) == matmul(a, a, cutoff=None) == matmul(a, a, cutoff=8)
+
+
+def _exact_entry(ring, rng):
+    # zeros, negatives and denominators past 2^64 alongside the ring's own samples
+    def part():
+        return Fraction(rng.randint(-(2**70), 2**70), rng.choice([1, 3, 2**64 + 13, 2**71 - 1]))
+
+    kind = rng.randrange(4)
+    if kind == 0:
+        return ring.zero
+    if kind == 1:
+        return ring.random(rng)
+    return part() if isinstance(ring, RationalField) else tuple(part() for _ in range(4))
+
+
+@pytest.mark.parametrize("ring", [RationalField(), HH], ids=repr)
+def test_integer_product_matches_the_ring_loop(ring):
+    rng = random.Random(706)
+    shapes = [(0, 0, 0), (0, 3, 2), (2, 0, 3), (3, 2, 0), (1, 1, 1), (1, 5, 1), (4, 1, 3), (5, 6, 4), (7, 7, 7)]
+    for n, k, m in shapes:
+        a = Matrix(ring, [[_exact_entry(ring, rng) for _ in range(k)] for _ in range(n)], validate=False, ncols=k)
+        b = Matrix(ring, [[_exact_entry(ring, rng) for _ in range(m)] for _ in range(k)], validate=False, ncols=m)
+        if n > 1 and k:
+            a.rows[1] = [ring.zero] * k  # a zero row of the left factor
+        if m > 1:
+            for row in b.rows:
+                row[0] = ring.zero  # a zero column of the right factor
+        loop = [
+            [functools.reduce(ring.add, (ring.mul(a.rows[i][t], b.rows[t][j]) for t in range(k)), ring.zero) for j in range(m)]
+            for i in range(n)
+        ]
+        counters = OpCounters()
+        product = matmul_classical(a, b, counters)
+        assert product.shape == (n, m)
+        assert product.rows == loop
+        assert counters.multiplications == n * m * k
+        assert counters.additions == n * m * max(k - 1, 0)
+        assert matmul_strassen(a, b, cutoff=2) == product
+    if ring is HH:
+        i, j = (Fraction(0), Fraction(1), Fraction(0), Fraction(0)), (Fraction(0), Fraction(0), Fraction(1), Fraction(0))
+        a, b = Matrix(HH, [[i]]), Matrix(HH, [[j]])
+        assert matmul_classical(a, b).rows == [[HH.mul(i, j)]]
+        assert matmul_classical(a, b) != matmul_classical(b, a)  # i*j = k = -(j*i)
 
 
 def test_left_row_reduce_contract():

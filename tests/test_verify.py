@@ -9,12 +9,16 @@ import pytest
 from orthoform import (
     BlockLeft,
     HermitianForm,
+    JBlock,
     Matrix,
     OpCounters,
     PrimeField,
     QuadraticField,
+    RationalField,
+    RationalQuaternions,
     ScalarBlock,
     Swap,
+    TransformLog,
     brute_force_congruence,
     check_decomposition,
     counter_report,
@@ -22,11 +26,14 @@ from orthoform import (
     invariants_of,
     random_form,
 )
+from orthoform import verify
 from helpers import snapshot
 
 GF3 = PrimeField(3)
 GF7 = PrimeField(7)
 GF9 = QuadraticField(3, "frobenius")
+QQ = RationalField()
+HH = RationalQuaternions()
 
 
 def fresh_decomposition(ring=GF7, s=1, d=4, seed=70):
@@ -102,6 +109,77 @@ def test_radical_lie_is_caught_independently():
     report = check_decomposition(original, 1, dec)
     assert not report.radical_matches
     assert report.congruence_matches  # the matrix itself was untouched
+
+
+def test_mismatched_decomposition_fails_the_first_two_clauses():
+    # a 5-dimensional log on a 4-dimensional GF(7) form, and a decomposition over Q
+    original, dec = fresh_decomposition()
+    dec.log = TransformLog(5, dec.log.ops)
+    for wrong in (dec, fresh_decomposition(QQ)[1]):
+        report = check_decomposition(original, 1, wrong)
+        assert not report.transform_invertible
+        assert not report.congruence_matches
+        assert report.details[0].endswith("does not fit a 4-dimensional form over GF(7)")
+
+
+class _Unknown:
+    """A two-position block of a type the checker does not know."""
+
+    size = 2
+
+
+def _form_with_blocks(ring, s, rng):
+    """A rank-4 form of dimension 6: scalar blocks for s = 1, J blocks for s = -1
+    (over GF(9) and the quaternions an alternating form on GF(3) or Q entries)."""
+    if s == 1:
+        return random_form(ring, 1, 6, rng, rank=4)
+    base, embed = {GF9: (GF3, lambda v: (v, 0)), HH: (QQ, lambda v: (v, 0, 0, 0))}.get(ring, (ring, None))
+    form = random_form(base, -1, 6, rng, rank=4)
+    if embed is None:
+        return form
+    return HermitianForm.from_rows(ring, [[embed(v) for v in row] for row in form.m.rows], -1)
+
+
+def _tamper(kind, dec, ring):
+    if kind in ("value", "value+radical"):
+        idx = next(i for i, b in enumerate(dec.blocks) if isinstance(b, ScalarBlock))
+        dec.blocks[idx] = ScalarBlock(ring.add(dec.blocks[idx].value, ring.one))
+    if kind in ("radical", "value+radical"):
+        dec.radical_dim += 1
+    if kind == "swap":
+        dec.log.append(Swap(0, 5))  # a nonzero block with a radical one
+    if kind == "singular":
+        dec.log.append(BlockLeft(Matrix.zeros(ring, 1, 1), 0))
+    if kind == "extra":
+        dec.blocks.append(ScalarBlock(ring.one))
+    if kind == "unknown":
+        dec.blocks[dec.blocks.index(JBlock())] = _Unknown()
+
+
+@pytest.mark.parametrize("s", [1, -1])
+@pytest.mark.parametrize("ring", [GF7, GF9, QQ, HH], ids=repr)
+def test_certificate_rank_matches_the_exact_rank(ring, s, monkeypatch):
+    # with clauses 1-2 holding and every block known, rank(original) is read
+    # off the certificate; the report must equal one that always eliminates
+    real_rank = verify.rank
+    calls = []
+    monkeypatch.setattr(verify, "rank", lambda m, counters=None: calls.append(m) or real_rank(m, counters))
+    kinds = [None, "value", "swap", "singular", "radical", "extra", "value+radical"]
+    for kind in kinds + (["unknown"] if s == -1 else []):
+        form = _form_with_blocks(ring, s, random.Random(76))
+        original = snapshot(form.m)
+        dec = decompose_gs(form)
+        _tamper(kind, dec, ring)
+        calls.clear()
+        report = check_decomposition(original, s, dec)
+        # the rank clause is skipped after a size mismatch and certified while clauses 1-2 hold
+        assert len(calls) == (1 if kind in (None, "radical", "extra") else 2), kind
+        assert report.passed == (kind is None)
+        with monkeypatch.context() as exact:
+            exact.setattr(verify, "_certified_corank", lambda report, dec: None)
+            reference = check_decomposition(original, s, dec)
+        assert report.as_dict() == reference.as_dict(), kind
+        assert report.details == reference.details, kind
 
 
 def test_dim_zero_is_vacuously_fine():
