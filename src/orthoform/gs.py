@@ -55,14 +55,16 @@ class Decomposition:
         ring = self.ring
         rows = [[ring.zero] * self.dim for _ in range(self.dim)]
         pos = 0
-        for block in self.blocks:
+        for idx, block in enumerate(self.blocks):
             if isinstance(block, ScalarBlock):
                 rows[pos][pos] = block.value
                 pos += 1
-            else:
+            elif isinstance(block, JBlock):
                 rows[pos][pos + 1] = ring.one
                 rows[pos + 1][pos] = ring.from_int(self.s)
                 pos += 2
+            else:
+                raise TypeError(f"block {idx} has unknown type {type(block).__name__}")
         if pos != self.dim:
             raise ValueError(f"blocks cover {pos} positions, form has {self.dim}")
         return Matrix(ring, rows, validate=False)

@@ -6,18 +6,27 @@ inversion.  Everything is exact.
 
 ``left_row_reduce``, ``invert`` and ``TransformLog.materialize`` work on one
 stacked ``[work | identity]`` row store, and ``rank`` on the ``[work]`` half
-alone, with two implementations.  The generic loop (``_ListRows``) clears rows
-through ``eliminate``, one pivot's row pass on ``row_axpy``; it runs over every
-ring and is the reference.  The int64 numpy kernel (``kernel.PlaneRows``) does
-each pivot as one rank-1 update reduced mod p; it runs over GF(p) and GF(p^2)
-(two planes, a and b of a + b*x) when the job has at least
-``_KERNEL_MIN_ENTRIES`` entries and passes the overflow guard ``_int64_ok``:
-terms * (1 + c) * (p - 1)**2 + p < 2**62, with c the non-residue of GF(p^2)
-and 0 over GF(p).  The classical product uses the same guard and the same
-packing.  Both stores choose the same pivots and return the same transforms
-and counts.  ``kernel`` (and with it numpy) is imported only once a guard has
-chosen it.  ``right_column_reduce`` is the sigma-mirror of
-``left_row_reduce``; the column passes in ``form`` go through ``col_axpy``.
+alone.  ``_augmented`` picks one of three stores; all three choose the same
+pivots and return the same transforms and counts.
+
+- The generic loop (``_ListRows``) clears rows through ``eliminate``, one
+  pivot's row pass on ``row_axpy``.  It is valid over every ring and is the
+  reference; it runs the GF(p) and GF(p^2) jobs the kernel does not take.
+- The integer rows (``_RationalRows`` over Q, ``_QuaternionRows`` over the
+  quaternions) hold each row as a positive integer denominator and integer
+  part vectors in lowest terms, and do each pivot as a fraction-free row
+  update in the style of Bareiss: one gcd per updated row instead of one per
+  Fraction operation.  They run every job over Q and the quaternions.
+- The int64 numpy kernel (``kernel.PlaneRows``) does each pivot as one rank-1
+  update reduced mod p.  It runs over GF(p) and GF(p^2) (two planes, a and b
+  of a + b*x) when the job has at least ``_KERNEL_MIN_ENTRIES`` entries and
+  passes the overflow guard ``_int64_ok``: terms * (1 + c) * (p - 1)**2 + p
+  < 2**62, with c the non-residue of GF(p^2) and 0 over GF(p).  The classical
+  product uses the same guard and the same packing.  ``kernel`` (and with it
+  numpy) is imported only once a guard has chosen it.
+
+``right_column_reduce`` is the sigma-mirror of ``left_row_reduce``; the column
+passes in ``form`` go through ``col_axpy``.
 
 Over Q and the quaternions the classical product clears denominators: each
 row of the left factor and each column of the right one is scaled by the lcm
@@ -36,7 +45,8 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 from typing import Optional
 
 from .rings import PrimeField, QuadraticField, RationalField, RationalQuaternions, Ring
@@ -263,22 +273,31 @@ def _rational_product(left: list, right: list) -> list:
     return [[Fraction(_dot(lrow, col), a * c) for c, col in cols] for a, lrow in map(_clear, left)]
 
 
+def _hamilton_dot(left: tuple, right: tuple) -> tuple:
+    """The integer parts of sum_t left[t] * right[t] for two quaternion vectors
+    given as (w, x, y, z) part vectors: the Hamilton product of
+    ``RationalQuaternions.mul``, left factor first."""
+    w1, x1, y1, z1 = left
+    w2, x2, y2, z2 = right
+    return (
+        _dot(w1, w2) - _dot(x1, x2) - _dot(y1, y2) - _dot(z1, z2),
+        _dot(w1, x2) + _dot(x1, w2) + _dot(y1, z2) - _dot(z1, y2),
+        _dot(w1, y2) - _dot(x1, z2) + _dot(y1, w2) + _dot(z1, x2),
+        _dot(w1, z2) + _dot(x1, y2) - _dot(y1, x2) + _dot(z1, w2),
+    )
+
+
 def _quaternion_product(left: list, right: list) -> list:
-    """The product over the quaternions on integers, as ``_rational_product``:
-    the Hamilton product of ``RationalQuaternions.mul`` on the four integer
-    part vectors, left factor first (a_i and c_j are central)."""
+    """The product over the quaternions on integers, as ``_rational_product``,
+    with ``_hamilton_dot`` on the part vectors (a_i and c_j are central)."""
     cols = [_clear_parts(col) for col in zip(*right)]
     out = []
-    for a, (w1, x1, y1, z1) in map(_clear_parts, left):
+    for a, lrow in map(_clear_parts, left):
         orow = []
-        for c, (w2, x2, y2, z2) in cols:
+        for c, col in cols:
             den = a * c
-            orow.append((
-                Fraction(_dot(w1, w2) - _dot(x1, x2) - _dot(y1, y2) - _dot(z1, z2), den),
-                Fraction(_dot(w1, x2) + _dot(x1, w2) + _dot(y1, z2) - _dot(z1, y2), den),
-                Fraction(_dot(w1, y2) - _dot(x1, z2) + _dot(y1, w2) + _dot(z1, x2), den),
-                Fraction(_dot(w1, z2) + _dot(x1, y2) - _dot(y1, x2) + _dot(z1, w2), den),
-            ))
+            w, x, y, z = _hamilton_dot(lrow, col)
+            orow.append((Fraction(w, den), Fraction(x, den), Fraction(y, den), Fraction(z, den)))
         out.append(orow)
     return out
 
@@ -384,10 +403,16 @@ def _pick(rows: list, index) -> list:
 class _ListRows:
     """Rows [work | identity] as Python lists: the generic loop, valid over every ring."""
 
-    def __init__(self, ring: Ring, rows: list, cols: int):
+    def __init__(self, m: Matrix, identity: bool):
+        ring, n = m.ring, m.nrows
         self.ring = ring
-        self.rows = rows
-        self.cols = cols
+        self.cols = m.ncols
+        self.rows = [row[:] for row in m.rows]
+        if identity:
+            one, zero = ring.one, ring.zero
+            for i, row in enumerate(self.rows):
+                row += [zero] * n
+                row[m.ncols + i] = one
 
     def nonzero_from(self, col: int, start: int) -> Optional[int]:
         zero = self.ring.zero
@@ -427,27 +452,196 @@ class _ListRows:
         return [row[self.cols :] for row in self.rows]
 
 
+def _lowest(den: int, parts: tuple) -> tuple:
+    """(den, parts) divided by the gcd of den and every part."""
+    g = gcd(den, *chain.from_iterable(parts))
+    if g == 1:
+        return den, parts
+    return den // g, tuple([v // g for v in part] for part in parts)
+
+
+class _IntRows:
+    """Rows [work | identity] over Q or the quaternions, on Python integers.
+
+    Row k is a pair (den, parts): a positive integer den and the part vectors
+    of den * row k as integers, one vector over Q and the w, x, y and z
+    vectors over the quaternions, kept in lowest terms by one gcd after each
+    update.  A scalar is the tuple of its integer parts.  A pivot step is
+    fraction free in the style of Bareiss (1968): for the pivot entry
+    g*u / den_s (g the gcd of its parts, m = g*|u|^2) and the entry f / den_k
+    of target row k, row k becomes (m*N_k - (f*conj(u))*N_s) / (m*den_k), so
+    den_s cancels, and f*conj(u) multiplies N_s from the left as the generic
+    loop's multiplier does.  ``entry`` and ``transform`` return the generic
+    loop's canonical Fractions.  The subclasses supply the ring's products.
+    """
+
+    def __init__(self, m: Matrix, identity: bool):
+        n = m.nrows
+        self.cols = m.ncols
+        self.zero = m.ring.zero
+        self.rows = list(map(self._clear_row, m.rows))
+        if identity:
+            for i, (den, parts) in enumerate(self.rows):
+                for part in parts:
+                    part += [0] * n
+                parts[0][m.ncols + i] = den
+
+    def nonzero_from(self, col: int, start: int) -> Optional[int]:
+        for k in range(start, len(self.rows)):
+            if any(part[col] for part in self.rows[k][1]):
+                return k
+        return None
+
+    def entry(self, r: int, c: int):
+        den, parts = self.rows[r]
+        return self._join([Fraction(part[c], den) for part in parts])
+
+    def swap(self, i: int, j: int) -> None:
+        self.rows[i], self.rows[j] = self.rows[j], self.rows[i]
+
+    def scale(self, r: int, lam) -> None:
+        a, q = self._clear_scalar(lam)
+        den, parts = self.rows[r]
+        self.rows[r] = _lowest(a * den, self._axpy(0, parts, q, parts))
+
+    def eliminate(self, src: int, col: int, first: int, pivinv) -> int:
+        """The generic loop's pivot step; the pivot's inverse is read off row src."""
+        rows = self.rows
+        pivot = rows[src][1]
+        piv = tuple(part[col] for part in pivot)
+        g = gcd(*piv)
+        u = tuple(v // g for v in piv)
+        m = g * sum(v * v for v in u)
+        conj = (u[0], *(-v for v in u[1:]))
+        pairs = 0
+        for k in range(first, len(rows)):
+            den, parts = rows[k]
+            f = tuple(-part[col] for part in parts)  # minus the target's entry
+            if k != src and any(f):
+                rows[k] = _lowest(m * den, self._axpy(m, parts, self._mul(f, conj), pivot))
+                pairs += 1
+        return pairs
+
+    def add_multiples(self, sources, targets, lams: list) -> None:
+        """Row targets[a] += lams[b][a] * row sources[b]; disjoint lists or slices of rows."""
+        rows, zero = self.rows, self.zero
+        srcs = _pick(rows, sources)
+        for a, t in enumerate(range(len(rows))[targets] if isinstance(targets, slice) else targets):
+            den, parts = rows[t]
+            for (sden, spart), row_lams in zip(srcs, lams):
+                if row_lams[a] != zero:
+                    # parts/den + (q/l) * spart/sden over the lcm of den and l*sden
+                    l, q = self._clear_scalar(row_lams[a])
+                    e = l * sden
+                    g = gcd(den, e)
+                    parts = self._axpy(e // g, parts, tuple(den // g * v for v in q), spart)
+                    den = den // g * e
+            rows[t] = _lowest(den, parts)
+
+    def left_multiply(self, offset: int, block: Matrix) -> None:
+        span = self.rows[offset : offset + block.nrows]
+        den = lcm(*[d for d, _ in span])
+        right = [tuple([den // d * v for v in part] for part in parts) for d, parts in span]
+        self.rows[offset : offset + block.nrows] = [
+            _lowest(a * den, parts) for a, parts in self._product(block.rows, right)
+        ]
+
+    def transform(self) -> list:
+        return [
+            [self._join([Fraction(v, den) for v in vals]) for vals in zip(*[part[self.cols :] for part in parts])]
+            for den, parts in self.rows
+        ]
+
+
+class _RationalRows(_IntRows):
+    """``_IntRows`` over Q: one part vector per row."""
+
+    @staticmethod
+    def _clear_row(row: list) -> tuple:
+        den, ints = _clear(row)
+        return den, (ints,)
+
+    @staticmethod
+    def _clear_scalar(x: Fraction) -> tuple:
+        return x.denominator, (x.numerator,)
+
+    @staticmethod
+    def _join(parts: list) -> Fraction:
+        return parts[0]
+
+    @staticmethod
+    def _mul(x: tuple, y: tuple) -> tuple:
+        return (x[0] * y[0],)
+
+    @staticmethod
+    def _axpy(m: int, x: tuple, q: tuple, y: tuple) -> tuple:
+        """m*x + q*y on part vectors."""
+        (q,) = q
+        return ([m * a + q * b for a, b in zip(x[0], y[0])],)
+
+    @staticmethod
+    def _product(left: list, right: list) -> list:
+        """Per row of ``left`` (Fractions), its scale a from ``_clear`` and the
+        integer parts of (a * row) times the integer rows ``right``."""
+        cols = list(zip(*[parts[0] for parts in right]))
+        return [(a, ([_dot(row, col) for col in cols],)) for a, row in map(_clear, left)]
+
+
+class _QuaternionRows(_IntRows):
+    """``_IntRows`` over the quaternions: w, x, y and z part vectors per row."""
+
+    _clear_row = staticmethod(_clear_parts)
+
+    @staticmethod
+    def _clear_scalar(x: tuple) -> tuple:
+        den, ints = _clear(x)
+        return den, tuple(ints)
+
+    @staticmethod
+    def _join(parts: list) -> tuple:
+        return tuple(parts)
+
+    _mul = staticmethod(RationalQuaternions().mul)  # the Hamilton product, here on integer parts
+
+    @staticmethod
+    def _axpy(m: int, x: tuple, q: tuple, y: tuple) -> tuple:
+        """m*x + q*y on part vectors, q multiplying each entry of y from the left."""
+        a, b, c, d = q
+        yw, yx, yy, yz = y
+        return (
+            [m * v + a * w - b * i - c * j - d * k for v, w, i, j, k in zip(x[0], yw, yx, yy, yz)],
+            [m * v + a * i + b * w + c * k - d * j for v, w, i, j, k in zip(x[1], yw, yx, yy, yz)],
+            [m * v + a * j - b * k + c * w + d * i for v, w, i, j, k in zip(x[2], yw, yx, yy, yz)],
+            [m * v + a * k + b * j - c * i + d * w for v, w, i, j, k in zip(x[3], yw, yx, yy, yz)],
+        )
+
+    @staticmethod
+    def _product(left: list, right: list) -> list:
+        """As ``_RationalRows._product``, with ``_hamilton_dot`` on the part vectors."""
+        cols = list(zip(*[zip(*part) for part in zip(*right)]))
+        return [
+            (a, tuple(map(list, zip(*[_hamilton_dot(row, col) for col in cols]))))
+            for a, row in map(_clear_parts, left)
+        ]
+
+
 def _augmented(m: Matrix, entries: int, terms: int = 1, identity: bool = True):
     """[m | I] (or a copy of m alone, without ``identity``) as rows to eliminate
     on, for a job of ``entries`` entries whose products sum at most ``terms``
     terms.  Takes the int64 kernel when the ring passes ``_int64_ok`` and the
-    job has at least ``_KERNEL_MIN_ENTRIES`` entries; the generic loop
-    otherwise, and always over Q and the quaternions.
+    job has at least ``_KERNEL_MIN_ENTRIES`` entries, the integer rows over Q
+    and the quaternions, and the generic loop otherwise.
     """
-    ring, n = m.ring, m.nrows
+    ring = m.ring
     if entries >= _KERNEL_MIN_ENTRIES and _int64_ok(ring, terms):
         from . import kernel
 
         return kernel.PlaneRows(m, identity)
-    if not identity:
-        return _ListRows(ring, [row[:] for row in m.rows], m.ncols)
-    one, zero = ring.one, ring.zero
-    rows = []
-    for i, row in enumerate(m.rows):
-        unit = [zero] * n
-        unit[i] = one
-        rows.append(row + unit)
-    return _ListRows(ring, rows, m.ncols)
+    if isinstance(ring, RationalField):
+        return _RationalRows(m, identity)
+    if isinstance(ring, RationalQuaternions):
+        return _QuaternionRows(m, identity)
+    return _ListRows(m, identity)
 
 
 def left_row_reduce(m: Matrix, counters=None) -> tuple[Matrix, int]:

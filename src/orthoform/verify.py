@@ -83,10 +83,16 @@ def check_decomposition(original: Matrix, s: int, dec: Decomposition) -> CheckRe
         report.congruence_matches = False
         return report
     if transform is not None:
-        product = matmul(matmul(transform, original), transform.sigma_transpose())
-        if product != dec.direct_sum_matrix():
+        try:
+            direct_sum = dec.direct_sum_matrix()
+        except TypeError as exc:
             report.congruence_matches = False
-            report.details.append("transformed matrix is not the claimed direct sum")
+            report.details.append(f"no direct sum to compare against: {exc}")
+        else:
+            product = matmul(matmul(transform, original), transform.sigma_transpose())
+            if product != direct_sum:
+                report.congruence_matches = False
+                report.details.append("transformed matrix is not the claimed direct sum")
     for idx, block in enumerate(dec.blocks):
         if isinstance(block, ScalarBlock):
             value = block.value

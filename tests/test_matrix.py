@@ -471,3 +471,121 @@ def test_overflow_guard_edges(p):
         if left_row_reduce(square)[1] == 32:
             break
     assert matmul_classical(invert(square), square) == Matrix.identity(ring, 32)
+
+
+def _on_both_row_stores(monkeypatch, run):
+    """run() with every elimination and materialization on the generic loop,
+    then on the store ``_augmented`` picks (the integer rows over Q and the
+    quaternions)."""
+    from orthoform import form
+
+    def generic(m, entries, terms=1, identity=True):
+        return matrix._ListRows(m, identity)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(matrix, "_augmented", generic)
+        patch.setattr(form, "_augmented", generic)
+        reference = run()
+    return reference, run()
+
+
+def _exact_matrix(ring, n, m, rng):
+    return Matrix(ring, [[_exact_entry(ring, rng) for _ in range(m)] for _ in range(n)], validate=False, ncols=m)
+
+
+def _units(ring, rows):
+    """A matrix of Q entries over Q, or of pure imaginary units over the
+    quaternions ('i', 'j', 'k', '-i', ..., '0'), whose pivots do not commute."""
+    if isinstance(ring, RationalField):
+        return Matrix(ring, rows)
+    unit = {"i": 1, "j": 2, "k": 3}
+    out = []
+    for row in rows:
+        qrow = []
+        for v in row:
+            q = [0, 0, 0, 0]
+            if v != "0":
+                q[unit[v[-1]]] = -1 if v[0] == "-" else 1
+            qrow.append(tuple(q))
+        out.append(qrow)
+    return Matrix(ring, out)
+
+
+@pytest.mark.parametrize("ring", [RationalField(), HH], ids=repr)
+def test_integer_rows_match_the_generic_loop(ring, monkeypatch):
+    rng = random.Random(707)
+    cases = [_exact_matrix(ring, n, m, rng) for n, m in [(0, 0), (0, 3), (3, 0), (1, 1), (3, 5), (5, 3), (4, 4), (5, 5)]]
+    for n, m, r in [(4, 6, 2), (6, 4, 3), (5, 5, 3), (4, 4, 3)]:  # rank deficient
+        cases.append(matmul(_exact_matrix(ring, n, r, rng), _exact_matrix(ring, r, m, rng)))
+    for mtx in cases[4:8]:  # zero rows, one of them the first
+        zeroed = Matrix(ring, [row[:] for row in mtx.rows], validate=False)
+        zeroed.rows[0] = [ring.zero] * mtx.ncols
+        zeroed.rows[2] = [ring.zero] * mtx.ncols
+        cases.append(zeroed)
+    if isinstance(ring, RationalField):
+        cases.append(_units(ring, [[-3, 1, 2], [5, -7, 1], [Fraction(-1, 2), 4, -9]]))  # negative pivots
+        cases.append(_units(ring, [[-2, 4], [-1, 2]]))  # singular
+    else:
+        cases.append(_units(ring, [["i", "j", "k"], ["j", "i", "-k"], ["k", "-j", "i"]]))
+        cases.append(_units(ring, [["j", "0", "i"], ["i", "k", "0"], ["-k", "j", "j"]]))
+        cases.append(_units(ring, [["i", "j"], ["j", "-i"]]))  # singular: row 1 is k * row 0
+    assert isinstance(matrix._augmented(cases[-1], 1), matrix._IntRows)
+
+    def run():
+        out = []
+        for mtx in cases:
+            for reduce in (left_row_reduce, right_column_reduce):
+                counters = OpCounters()
+                a, r = reduce(mtx, counters)
+                out.append((a.rows, r, counters.as_dict()))
+            counters = OpCounters()
+            out.append((matrix.rank(mtx, counters), counters.as_dict()))
+            if mtx.nrows == mtx.ncols:
+                counters = OpCounters()
+                try:
+                    out.append((invert(mtx, counters).rows, counters.as_dict()))
+                except SingularMatrixError:
+                    out.append(("singular", counters.as_dict()))
+        return out
+
+    generic, integer = _on_both_row_stores(monkeypatch, run)
+    assert repr(integer) == repr(generic)
+    assert sum(entry[0] == "singular" for entry in integer) >= 2
+    ranks = [entry[1] for entry in integer if len(entry) == 3]
+    assert {0, 2, 3, 4, 5} <= set(ranks)
+
+
+def test_integer_rows_materialize_matches_the_generic_loop(monkeypatch):
+    # multi-target eliminations, block transvections above and below their
+    # source rows, pasted blocks, scales and swaps, over Q and the quaternions
+    logs = []
+    for ring in (RationalField(), HH):
+        rng = random.Random(708)
+        d = 9
+        log = TransformLog(d)
+        for _ in range(60):
+            kind = rng.randrange(6)
+            if kind < 2:
+                src = rng.randrange(d)
+                targets = rng.sample([k for k in range(d) if k != src], rng.randrange(1, 5))
+                log.append(Eliminate(src, tuple(targets), tuple(_exact_entry(ring, rng) for _ in targets)))
+            elif kind == 2:
+                n, k = rng.randrange(1, 5), rng.randrange(1, 5)
+                target_first = rng.random() < 0.5
+                first, second = (n, k) if target_first else (k, n)
+                a = rng.randrange(d - n - k + 1)
+                b = rng.randrange(a + first, d - second + 1)
+                target, source = (a, b) if target_first else (b, a)
+                log.append(BlockTransvect(target, source, _exact_matrix(ring, n, k, rng)))
+            elif kind == 3:
+                log.append(Scale(rng.randrange(d), _exact_entry(ring, rng)))
+            elif kind == 4:
+                log.append(Swap(rng.randrange(d), rng.randrange(d)))
+            else:
+                q = rng.randrange(1, 4)
+                log.append(BlockLeft(_exact_matrix(ring, q, q, rng), rng.randrange(d - q + 1)))
+        assert {type(op) for op in log} == {Eliminate, BlockTransvect, Scale, Swap, BlockLeft}
+        logs.append((ring, log))
+
+    generic, integer = _on_both_row_stores(monkeypatch, lambda: [log.materialize(ring).rows for ring, log in logs])
+    assert repr(integer) == repr(generic)

@@ -128,6 +128,32 @@ class _Unknown:
     size = 2
 
 
+class _UnknownPoint:
+    """A one-position block of a type the checker does not know."""
+
+    size = 1
+
+
+def test_unknown_one_position_block_fails_two_clauses():
+    # in the last position a block mistaken for a J block would run off the matrix
+    original, dec = fresh_decomposition()
+    assert isinstance(dec.blocks[-1], ScalarBlock)
+    dec.blocks[-1] = _UnknownPoint()
+    with pytest.raises(TypeError, match="block 3 has unknown type _UnknownPoint"):
+        dec.direct_sum_matrix()
+    report = check_decomposition(original, 1, dec)
+    assert report.as_dict() == {
+        "transform_invertible": True,
+        "congruence_matches": False,
+        "blocks_standard": False,
+        "radical_matches": True,
+    }
+    assert report.details == [
+        "no direct sum to compare against: block 3 has unknown type _UnknownPoint",
+        "block 3 has unknown type _UnknownPoint",
+    ]
+
+
 def _form_with_blocks(ring, s, rng):
     """A rank-4 form of dimension 6: scalar blocks for s = 1, J blocks for s = -1
     (over GF(9) and the quaternions an alternating form on GF(3) or Q entries)."""
