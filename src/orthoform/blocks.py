@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .form import BlockTransvect, HermitianForm
+from .form import BlockTransvect, HermitianForm, transpositions
 from .gs import Decomposition, ScalarBlock, standardize_at
 from .matrix import Matrix, invert, left_row_reduce, matmul, rank, right_column_reduce
 
@@ -193,17 +193,8 @@ class _BlockRun:
             if v != ring.apply_sign(self.s, ring.sigma(v)):
                 raise InvariantViolation("pair diagonal violates the symmetry law")
         # Interleave: row lo+i and its partner lo+f+i become adjacent at lo+2i.
-        n = 2 * f
-        pos_of = list(range(n))
-        at = list(range(n))
-        for t in range(n):
-            want = t // 2 if t % 2 == 0 else f + t // 2
-            p = pos_of[want]
-            if p != t:
-                form.swap_row_columns(lo + t, lo + p, lo=lo, hi=lo + n)
-                other = at[t]
-                at[t], at[p] = want, other
-                pos_of[want], pos_of[other] = t, p
+        for t, p in transpositions([t // 2 + (t % 2) * f for t in range(2 * f)]):
+            form.swap_row_columns(lo + t, lo + p, lo=lo, hi=lo + 2 * f)
         self.iso_pairs += f
         for i in range(f):
             self.blocks.extend(standardize_at(form, lo + 2 * i))
@@ -245,6 +236,12 @@ def block_isotropic(form: HermitianForm, f: int, lo: int = 0, hi: Optional[int] 
     return run.blocks
 
 
+def check_strassen_cutoff(cutoff: int) -> None:
+    """Raises ValueError unless cutoff is 0 (classical) or at least 2."""
+    if cutoff < 0 or cutoff == 1:
+        raise ValueError(f"strassen cutoff must be 0 (classical) or >= 2, got {cutoff}")
+
+
 def decompose_blocks(form: HermitianForm, strassen_cutoff: int = 0) -> Decomposition:
     """Decompose by block congruences; mutates `form` into the direct sum.
 
@@ -254,8 +251,7 @@ def decompose_blocks(form: HermitianForm, strassen_cutoff: int = 0) -> Decomposi
     Classical is the default because over GF(p) and GF(p^2) the classical
     product runs in numpy, while Strassen's additions run in Python.
     """
-    if strassen_cutoff < 0 or strassen_cutoff == 1:
-        raise ValueError(f"strassen cutoff must be 0 (classical) or >= 2, got {strassen_cutoff}")
+    check_strassen_cutoff(strassen_cutoff)
     d = form.dim
     radical = detect_radical(form, strassen_cutoff)
     run = _BlockRun(form, strassen_cutoff)

@@ -26,7 +26,7 @@ import json
 import sys
 from typing import Optional, TextIO
 
-from .blocks import decompose_blocks
+from .blocks import check_strassen_cutoff, decompose_blocks
 from .form import FormValidationError, HermitianForm, check_declared_consistency, detect_s_sigma, random_form
 from .gs import Decomposition, ScalarBlock, decompose_gs
 from .matrix import Matrix
@@ -242,6 +242,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         return 2
     notes: list[str] = []
     try:
+        check_strassen_cutoff(args.strassen_cutoff)
         ring, sign, matrix = parse_form_file(text)
         s = _resolve_sign(matrix, sign, notes)
         form = HermitianForm(ring, matrix.copy(), s)

@@ -103,6 +103,23 @@ class BlockTransvect:
 LogOp = Union[Scale, Swap, Eliminate, BlockLeft, BlockTransvect]
 
 
+def transpositions(order: list[int]) -> list[tuple[int, int]]:
+    """Swaps (t, p), t < p, that applied in turn to the items range(n) bring
+    item order[t] to position t: one per position not yet holding its item,
+    n minus the number of cycles in all, the fewest that realize the order.
+    Positions below t are final and never read again, so only p is updated."""
+    at = list(range(len(order)))
+    pos_of = list(range(len(order)))
+    swaps = []
+    for t, want in enumerate(order):
+        p = pos_of[want]
+        if p != t:
+            swaps.append((t, p))
+            at[p] = at[t]
+            pos_of[at[p]] = p
+    return swaps
+
+
 class TransformLog:
     """Ordered elementary congruence operations; materializes to the transform A."""
 
@@ -476,6 +493,8 @@ def random_form(ring: Ring, s: int, dim: int, rng, rank: Optional[int] = None) -
     """
     if s not in (1, -1):
         raise ValueError("sign must be +1 or -1")
+    if dim < 0:
+        raise ValueError("dim must be nonnegative")
     if rank is None:
         rows = [[ring.zero] * dim for _ in range(dim)]
         for i in range(dim):

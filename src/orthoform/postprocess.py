@@ -3,16 +3,19 @@
 These operate on the block list and transformation log only: every rewrite
 appends the congruence operations that realize it, so the defining identity
 (materialized transform) * B_input * (its sigma-transpose) = direct sum
-stays true after each pass.
+stays true after each pass.  Each reorder of the blocks is logged as one
+permutation of row-columns with the fewest swaps (`form.transpositions`), at
+most d - 1 of them, and each merge or rewrite as one BlockLeft per pair.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Optional
 
-from .form import BlockLeft, Scale, Swap
+from .form import BlockLeft, Scale, Swap, transpositions
 from .gs import Decomposition, JBlock, ScalarBlock
 from .matrix import Matrix, matmul
 from .rings import (
@@ -121,45 +124,41 @@ def char2_triple(ring: Ring, alpha) -> Matrix:
 
 
 def _block_starts(blocks: list) -> list[int]:
-    starts = []
-    pos = 0
-    for b in blocks:
-        starts.append(pos)
-        pos += b.size
-    return starts
+    return list(itertools.accumulate((b.size for b in blocks), initial=0))
 
 
-def _swap_adjacent(dec: Decomposition, i: int) -> None:
-    """Exchange blocks i and i+1, logging the row-column swaps that realize it."""
-    blocks = dec.blocks
-    p = _block_starts(blocks)[i]
-    a, b = blocks[i].size, blocks[i + 1].size
-    if (a, b) == (1, 1):
-        swaps = [(p, p + 1)]
-    elif (a, b) == (1, 2):
-        swaps = [(p, p + 1), (p + 1, p + 2)]
-    elif (a, b) == (2, 1):
-        swaps = [(p + 1, p + 2), (p, p + 1)]
-    else:
-        swaps = [(p, p + 2), (p + 1, p + 3)]
-    for x, y in swaps:
-        dec.log.append(Swap(x, y))
-    blocks[i], blocks[i + 1] = blocks[i + 1], blocks[i]
+def _reorder(dec: Decomposition, order: list[int]) -> None:
+    """Put block order[t] at index t, logging the fewest row-column swaps."""
+    starts = _block_starts(dec.blocks)
+    positions = [p for b in order for p in range(starts[b], starts[b] + dec.blocks[b].size)]
+    for t, p in transpositions(positions):
+        dec.log.append(Swap(t, p))
+    dec.blocks[:] = [dec.blocks[b] for b in order]
 
 
-def _move_block(dec: Decomposition, src: int, dst: int) -> None:
-    """Bubble the block at list index src to index dst (dst <= src)."""
-    for i in range(src - 1, dst - 1, -1):
-        _swap_adjacent(dec, i)
+def _pair_up(dec: Decomposition, partner: dict[int, int]) -> list[int]:
+    """Reorder so that block partner[i] follows block i, the other blocks
+    keeping their order; returns the new indices of the blocks i, ascending."""
+    taken = set(partner.values())
+    order = []
+    for i in range(len(dec.blocks)):
+        if i not in taken:
+            order.append(i)
+            if i in partner:
+                order.append(partner[i])
+    _reorder(dec, order)
+    return [t for t, i in enumerate(order) if i in partner]
 
 
 def maximize_j_blocks(dec: Decomposition) -> Decomposition:
     """Fuse every pair of 1x1 blocks with opposite nonzero values into a
     [[0,1],[1,0]] block.
 
-    Applies over commutative rings with the identity involution, s = 1, and
-    characteristic other than 2; in any other setting, and when no pair
-    qualifies, the decomposition is returned unchanged.
+    Each block, left to right, pairs with the first later unpaired block of
+    the opposite value; one permutation brings the partners together and one
+    merge per pair follows.  Applies over commutative rings with the identity
+    involution, s = 1, and characteristic other than 2; in any other setting,
+    and when no pair qualifies, the decomposition is returned unchanged.
     """
     ring = dec.ring
     if not (
@@ -169,25 +168,20 @@ def maximize_j_blocks(dec: Decomposition) -> Decomposition:
         and ring.characteristic != 2
     ):
         return dec
-    while True:
-        pair = None
-        for i, bi in enumerate(dec.blocks):
-            if not isinstance(bi, ScalarBlock) or bi.value == ring.zero:
-                continue
-            wanted = ring.neg(bi.value)
-            for j in range(i + 1, len(dec.blocks)):
-                bj = dec.blocks[j]
-                if isinstance(bj, ScalarBlock) and bj.value == wanted:
-                    pair = (i, j)
-                    break
-            if pair:
-                break
-        if pair is None:
-            return dec
-        i, j = pair
-        _move_block(dec, j, i + 1)
-        alpha = dec.blocks[i].value
-        pos = _block_starts(dec.blocks)[i]
+    partner: dict[int, int] = {}
+    taken: set[int] = set()
+    for i, bi in enumerate(dec.blocks):
+        if i in taken or not isinstance(bi, ScalarBlock) or bi.value == ring.zero:
+            continue
+        wanted = ScalarBlock(ring.neg(bi.value))
+        j = next((j for j in range(i + 1, len(dec.blocks)) if j not in taken and dec.blocks[j] == wanted), None)
+        if j is not None:
+            partner[i] = j
+            taken.add(j)
+    heads = _pair_up(dec, partner)
+    starts = _block_starts(dec.blocks)
+    for t in heads:
+        alpha = dec.blocks[t].value
         half = ring.inv(ring.mul(ring.from_int(2), alpha))
         merge = Matrix(
             ring,
@@ -200,27 +194,30 @@ def maximize_j_blocks(dec: Decomposition) -> Decomposition:
         )
         if check != Matrix(ring, [[ring.zero, ring.one], [ring.one, ring.zero]], validate=False):
             raise ArithmeticError("pair merge transform failed its defining identity")
-        dec.log.append(BlockLeft(merge, pos))
-        dec.blocks[i : i + 2] = [JBlock()]
+        dec.log.append(BlockLeft(merge, starts[t]))
+    for t in reversed(heads):
+        dec.blocks[t : t + 2] = [JBlock()]
+    return dec
 
 
-def _two_square_split(p: int, target: int) -> tuple[int, int]:
-    """gamma, delta with gamma^2 + delta^2 = target mod p (p odd)."""
-    squares = {(g * g) % p: g for g in range(p)}
-    for g in range(p):
-        rest = (target - g * g) % p
-        if rest in squares:
-            return g, squares[rest]
-    raise ArithmeticError(f"{target} is not a sum of two squares mod {p}")
+def _two_square_split(ring: PrimeField, target: int) -> tuple[int, int]:
+    """gamma, delta with gamma^2 + delta^2 = target mod p (p odd): the least
+    gamma with target - gamma^2 a square, and the larger root of that square."""
+    for g in range(ring.p):
+        r = sqrt_in_prime_field(ring, target - g * g)
+        if r is not None:
+            return g, -r % ring.p
+    raise ArithmeticError(f"{target} is not a sum of two squares mod {ring.p}")
 
 
 def sort_blocks_canonical(dec: Decomposition) -> Decomposition:
     """Canonicalize over a prime field with the identity involution, p odd.
 
     Nonzero 1x1 blocks are rescaled to 1 or to the least non-residue n; pairs
-    of n-blocks are rewritten to pairs of 1-blocks (their direct sum is
-    congruent to the identity); finally blocks are ordered
-    [[0,1],[s,0]]-blocks, 1-blocks, the at-most-one n-block, zeros.
+    of n-blocks, the first with the second and so on, are brought together by
+    one permutation and rewritten to pairs of 1-blocks (their direct sum is
+    congruent to the identity); finally one stable permutation orders the
+    blocks [[0,1],[s,0]]-blocks, 1-blocks, the at-most-one n-block, zeros.
 
     Raises:
         ValueError: ring is not GF(p) with p odd and the identity involution.
@@ -228,7 +225,6 @@ def sort_blocks_canonical(dec: Decomposition) -> Decomposition:
     ring = dec.ring
     if not isinstance(ring, PrimeField) or ring.p == 2 or ring.involution != "identity":
         raise ValueError("canonical sorting is defined over odd prime fields")
-    p = ring.p
     n = ring.smallest_nonresidue()
     starts = _block_starts(dec.blocks)
     for i, block in enumerate(dec.blocks):
@@ -244,14 +240,11 @@ def sort_blocks_canonical(dec: Decomposition) -> Decomposition:
         if gamma != ring.one:
             dec.log.append(Scale(starts[i], gamma))
         dec.blocks[i] = ScalarBlock(value)
-    while True:
-        heavy = [i for i, b in enumerate(dec.blocks) if isinstance(b, ScalarBlock) and b.value == n]
-        if len(heavy) < 2:
-            break
-        i, j = heavy[0], heavy[1]
-        _move_block(dec, j, i + 1)
-        pos = _block_starts(dec.blocks)[i]
-        g, d = _two_square_split(p, n)
+    heavy = [i for i, b in enumerate(dec.blocks) if isinstance(b, ScalarBlock) and b.value == n]
+    heads = _pair_up(dec, dict(zip(heavy[::2], heavy[1::2])))
+    starts = _block_starts(dec.blocks)
+    for t in heads:
+        g, d = _two_square_split(ring, n)
         scale = ring.inv(n)
         q = Matrix(
             ring,
@@ -266,9 +259,8 @@ def sort_blocks_canonical(dec: Decomposition) -> Decomposition:
         )
         if check != Matrix.identity(ring, 2):
             raise ArithmeticError("non-residue pair rewrite failed its defining identity")
-        dec.log.append(BlockLeft(q, pos))
-        dec.blocks[i] = ScalarBlock(ring.one)
-        dec.blocks[i + 1] = ScalarBlock(ring.one)
+        dec.log.append(BlockLeft(q, starts[t]))
+        dec.blocks[t] = dec.blocks[t + 1] = ScalarBlock(ring.one)
 
     def key(block) -> int:
         if isinstance(block, JBlock):
@@ -281,11 +273,5 @@ def sort_blocks_canonical(dec: Decomposition) -> Decomposition:
             return 3
         raise AssertionError("unnormalized block survived normalization")
 
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(dec.blocks) - 1):
-            if key(dec.blocks[i]) > key(dec.blocks[i + 1]):
-                _swap_adjacent(dec, i)
-                changed = True
+    _reorder(dec, sorted(range(len(dec.blocks)), key=lambda i: key(dec.blocks[i])))
     return dec

@@ -173,6 +173,8 @@ def test_gen_bad_args_exit_2(capsys):
     assert code == 2 and "rank" in err
     code, _, err = run(["gen", "--ring", "gfp:6", "--dim", "1"], capsys)
     assert code == 2
+    code, out, err = run(["gen", "--ring", "gfp:7", "--dim", "-1"], capsys)
+    assert code == 2 and "dim must be nonnegative" in err and out == ""
 
 
 def test_parse_errors_carry_line_numbers():
@@ -204,10 +206,13 @@ def test_verification_failure_exits_1(tmp_path, capsys, monkeypatch):
 def test_strassen_cutoff_flag_validation(tmp_path, capsys):
     path = tmp_path / "form.txt"
     path.write_text(SAMPLE)
-    code, _, err = run(
-        ["decompose", "--input", str(path), "--algo", "blocks", "--strassen-cutoff", "1"], capsys
-    )
-    assert code == 2 and "cutoff" in err
+    # the value is checked before dispatch, so gs, which multiplies no
+    # blocks, rejects it as blocks does instead of ignoring it
+    for algo in ("blocks", "gs"):
+        code, _, err = run(
+            ["decompose", "--input", str(path), "--algo", algo, "--strassen-cutoff", "1"], capsys
+        )
+        assert code == 2 and "cutoff" in err
 
 
 def test_post_sort_rejected_on_wrong_ring(tmp_path, capsys):

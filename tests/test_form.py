@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from orthoform import (
     BlockTransvect,
@@ -32,6 +33,7 @@ from orthoform import (
     matmul_classical,
     random_form,
 )
+from orthoform.form import transpositions
 from helpers import snapshot
 
 GF7 = PrimeField(7)
@@ -348,3 +350,27 @@ def test_random_form_with_target_rank():
         random_form(QQ, -1, 4, rng, rank=3)
     with pytest.raises(ValueError):
         random_form(GF7, 1, 3, rng, rank=4)
+
+
+def test_random_form_rejects_a_negative_dim():
+    for rank in (None, 0):
+        with pytest.raises(ValueError, match="dim must be nonnegative"):
+            random_form(GF7, 1, -1, random.Random(41), rank=rank)
+
+
+@given(st.integers(0, 24).flatmap(lambda n: st.permutations(range(n))))
+def test_transpositions_realize_the_order_with_the_fewest_swaps(order):
+    items = list(range(len(order)))
+    swaps = transpositions(order)
+    for t, p in swaps:
+        assert t < p
+        items[t], items[p] = items[p], items[t]
+    assert items == list(order)
+    cycles, seen = 0, set()
+    for start in range(len(order)):
+        if start not in seen:
+            cycles += 1
+            while start not in seen:
+                seen.add(start)
+                start = order[start]
+    assert len(swaps) == len(order) - cycles
