@@ -1,8 +1,10 @@
 """The int64 numpy kernel over GF(p) and GF(p^2).
 
-``matrix`` imports this module only once its guard has chosen the kernel
-(``_int64_ok``, and ``_KERNEL_MIN_ENTRIES`` for eliminations), so runs over
-Q, the quaternions, large moduli and small eliminations never load numpy.
+``matrix`` imports this module only once its guard has chosen the kernel:
+``_int64_ok`` and at least ``_KERNEL_MIN_ENTRIES`` entries for eliminations,
+and for products ``_int64_ok`` and either that many output entries or numpy
+already loaded.  Runs over Q, the quaternions, large moduli and small forms
+never load numpy; their products run on Python integers in ``matrix``.
 Entries are packed as int64 planes of shape (planes, n, m): the residues over
 GF(p), the a and the b of a + b*x over GF(p^2).  Products are summed in int64
 and reduced mod p afterwards; the caller's guard keeps every sum below 2**62.

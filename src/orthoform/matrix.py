@@ -21,19 +21,28 @@ pivots and return the same transforms and counts.
   update reduced mod p.  It runs over GF(p) and GF(p^2) (two planes, a and b
   of a + b*x) when the job has at least ``_KERNEL_MIN_ENTRIES`` entries and
   passes the overflow guard ``_int64_ok``: terms * (1 + c) * (p - 1)**2 + p
-  < 2**62, with c the non-residue of GF(p^2) and 0 over GF(p).  The classical
-  product uses the same guard and the same packing.  ``kernel`` (and with it
-  numpy) is imported only once a guard has chosen it.
+  < 2**62, with c the non-residue of GF(p^2) and 0 over GF(p).  ``kernel``
+  (and with it numpy) is imported only once a guard has chosen it.
 
 ``right_column_reduce`` is the sigma-mirror of ``left_row_reduce``; the column
 passes in ``form`` go through ``col_axpy``.
 
-Over Q and the quaternions the classical product clears denominators: each
-row of the left factor and each column of the right one is scaled by the lcm
-of its denominators, the dot products are summed on Python integers (the
-Hamilton formula on four part vectors over the quaternions), and entry (i, j)
-is divided by the two scales, which are central.  That gives the ring loop's
-canonical Fractions without a gcd per multiply and add.
+The classical product takes one of three paths:
+
+- ``kernel.matmul`` over GF(p) and GF(p^2) when the inner size passes
+  ``_int64_ok`` and either the product has at least ``_KERNEL_MIN_ENTRIES``
+  entries or numpy is already loaded: once numpy is loaded the kernel is
+  the faster product from about 4x4 up, but loading it costs as much as
+  hundreds of 16x16 products on Python integers.
+- ``_field_product`` for the other products over GF(p) and GF(p^2): one
+  dot product on Python integers per entry (two over GF(p^2)), reduced mod
+  p, exact for every modulus.
+- Over Q and the quaternions the product clears denominators: each row of
+  the left factor and each column of the right one is scaled by the lcm of
+  its denominators, the dot products are summed on Python integers (the
+  Hamilton formula on four part vectors over the quaternions), and entry
+  (i, j) is divided by the two scales, which are central.  That gives the
+  ring loop's canonical Fractions without a gcd per multiply and add.
 
 All routines optionally accept a counters object (duck-typed, with
 ``additions`` / ``multiplications`` / ``inversions`` / ``equality_tests`` /
@@ -44,6 +53,7 @@ classical cost model to it.
 from __future__ import annotations
 
 import operator
+import sys
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -115,6 +125,8 @@ def eliminate(ring: Ring, rows: list, src: int, col: int, targets, pivinv, lo: i
 # pivot's Python row pass costs less than the kernel's numpy calls (measured
 # crossover on square inputs: about 12x12 over GF(101), 16x16 over GF(9),
 # 20x20 to 24x24 over GF(2); materializing a log crosses over a little later).
+# Products with fewer output entries take ``_field_product`` unless numpy is
+# already loaded.
 _KERNEL_MIN_ENTRIES = 576
 
 
@@ -225,7 +237,7 @@ def matmul_classical(left: Matrix, right: Matrix, counters=None) -> Matrix:
     _count_product(counters, n, k, m)
     if n == 0 or m == 0 or k == 0:
         return Matrix.zeros(ring, n, m)
-    if _int64_ok(ring, k):
+    if _int64_ok(ring, k) and (n * m >= _KERNEL_MIN_ENTRIES or "numpy" in sys.modules):
         from . import kernel
 
         return Matrix(ring, kernel.matmul(ring, left.rows, right.rows), validate=False)
@@ -233,19 +245,23 @@ def matmul_classical(left: Matrix, right: Matrix, counters=None) -> Matrix:
         return Matrix(ring, _rational_product(left.rows, right.rows), validate=False)
     if isinstance(ring, RationalQuaternions):
         return Matrix(ring, _quaternion_product(left.rows, right.rows), validate=False)
-    add, mul, zero = ring.add, ring.mul, ring.zero
-    cols = list(zip(*right.rows))
-    out = []
-    for lrow in left.rows:
-        orow = []
-        for col in cols:
-            acc = zero
-            for x, y in zip(lrow, col):
-                if x != zero and y != zero:
-                    acc = add(acc, mul(x, y))
-            orow.append(acc)
-        out.append(orow)
-    return Matrix(ring, out, validate=False)
+    return Matrix(ring, _field_product(ring, left.rows, right.rows), validate=False)
+
+
+def _field_product(ring: Ring, left: list, right: list) -> list:
+    """The product over GF(p) or GF(p^2) on Python integers: each entry is one
+    integer dot product reduced mod p.  Over GF(p^2) row i of ``left`` is laid
+    out as [a..., b...] and column j of ``right`` as [a'..., c*b'...] and
+    [b'..., a'...] (c the non-residue), so entry (i, j) is two dot products,
+    a*a' + c*b*b' and a*b' + b*a'."""
+    p = ring.p
+    if isinstance(ring, QuadraticField):
+        c = ring.nonresidue
+        left = [[a for a, _ in row] + [b for _, b in row] for row in left]
+        cols = [(a + tuple(c * x for x in b), b + a) for a, b in (tuple(zip(*col)) for col in zip(*right))]
+        return [[(_dot(row, re) % p, _dot(row, im) % p) for re, im in cols] for row in left]
+    cols = list(zip(*right))
+    return [[_dot(row, col) % p for col in cols] for row in left]
 
 
 def _clear(vec) -> tuple[int, list]:

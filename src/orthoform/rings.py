@@ -102,7 +102,10 @@ def _parse_int(text: str) -> int:
 def _parse_fraction(text: str) -> Fraction:
     if not _FRACTION_RE.match(text):
         raise ValueError(f"not a rational literal: {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 class Ring:

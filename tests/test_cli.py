@@ -151,6 +151,10 @@ def test_gen_rank_and_out_file(tmp_path, capsys):
         ("ring gfp 7\ns +1\ndim 2\n0 1\n2 0\n", "symmetry law"),
         ("ring gfp 7\nbogus 3\ndim 1\n1\n", "unknown directive"),
         ("ring gfp 4000000000000000000000027\ndim 1\n1\n", "too large"),
+        ("ring rational\ndim 1\n1/0\n", "line 3: column 0: zero denominator"),
+        ("ring rational\ndim 1\n0/0\n", "line 3: column 0: zero denominator"),
+        ("ring quaternion\ndim 1\n1/0\n", "line 3: column 0: zero denominator"),
+        ("ring quaternion\ndim 1\n1+1/0*i\n", "line 3: column 0: zero denominator"),
     ],
 )
 def test_bad_inputs_exit_2(tmp_path, capsys, content, fragment):
@@ -266,25 +270,31 @@ def test_import_leaves_numpy_unloaded():
 
 
 @pytest.mark.parametrize(
-    "ring, dim, loaded, algo",
+    "ring, dim, loaded, algo, post",
     [
-        pytest.param("rational", 8, False, "gs", id="rational-8-False"),
-        pytest.param("quaternion", 8, False, "gs", id="quaternion-8-False"),
+        pytest.param("rational", 8, False, "gs", [], id="rational-8-False"),
+        pytest.param("quaternion", 8, False, "gs", [], id="quaternion-8-False"),
         # p >= 2^31 fails the overflow guard
-        pytest.param("gfp:1000000000000000003", 8, False, "gs", id="gfp:1000000000000000003-8-False"),
+        pytest.param("gfp:1000000000000000003", 8, False, "gs", [], id="gfp:1000000000000000003-8-False"),
         # 32x32 eliminations run on the kernel
-        pytest.param("gfp:1009", 32, True, "gs", id="gfp:1009-32-True"),
+        pytest.param("gfp:1009", 32, True, "gs", [], id="gfp:1009-32-True"),
         # block_congruence and the coupling products run the integer product
-        pytest.param("rational", 8, False, "blocks", id="rational-8-blocks-False"),
-        pytest.param("quaternion", 8, False, "blocks", id="quaternion-8-blocks-False"),
+        pytest.param("rational", 8, False, "blocks", [], id="rational-8-blocks-False"),
+        pytest.param("quaternion", 8, False, "blocks", [], id="quaternion-8-blocks-False"),
+        # 16x16 eliminations stay on the generic loop and the products of
+        # --verify, the blocks recursion and --post sort on the integer product
+        pytest.param("gfp:101", 16, False, "gs", [], id="gfp:101-16-False"),
+        pytest.param("gfp2:3", 16, False, "gs", [], id="gfp2:3-16-False"),
+        pytest.param("gfp:2", 16, False, "blocks", [], id="gfp:2-16-blocks-False"),
+        pytest.param("gfp:101", 16, False, "gs", ["--post", "sort"], id="gfp:101-16-sort-False"),
     ],
 )
-def test_numpy_loads_only_when_the_kernel_runs(tmp_path, capsys, ring, dim, loaded, algo):
+def test_numpy_loads_only_when_the_kernel_runs(tmp_path, capsys, ring, dim, loaded, algo, post):
     path = tmp_path / "form.txt"
     assert run(["gen", "--ring", ring, "--dim", str(dim), "--seed", "3", "--out", str(path)], capsys)[0] == 0
     dec = subprocess.run(
         [sys.executable, "-c", _NUMPY_PROBE, "decompose", "--input", str(path), "--algo", algo,
-         "--verify", "--json", "--emit-transform", "slp"],
+         "--verify", "--json", "--emit-transform", "slp", *post],
         capture_output=True,
         text=True,
         env=_CHILD_ENV,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -72,8 +73,8 @@ def test_classical_product_counts_exactly():
 
 
 def test_numpy_and_generic_routes_agree():
-    # large modulus keeps the int64 path on; a quaternion product of the same
-    # shape exercises the generic route, then both are cross-checked entrywise
+    # the product over GF(1009), on the kernel or the integer product, against
+    # the ring loop entry by entry
     rng = random.Random(1)
     big = PrimeField(1009)
     a, b = random_matrix(big, 17, 13, rng), random_matrix(big, 13, 9, rng)
@@ -146,34 +147,114 @@ def _exact_entry(ring, rng):
     return part() if isinstance(ring, RationalField) else tuple(part() for _ in range(4))
 
 
-@pytest.mark.parametrize("ring", [RationalField(), HH], ids=repr)
-def test_integer_product_matches_the_ring_loop(ring):
-    rng = random.Random(706)
+def _assert_product_matches_the_ring_loop(a, b):
+    ring, (n, k), m = a.ring, a.shape, b.ncols
+    loop = [
+        [functools.reduce(ring.add, (ring.mul(a.rows[i][t], b.rows[t][j]) for t in range(k)), ring.zero) for j in range(m)]
+        for i in range(n)
+    ]
+    counters = OpCounters()
+    product = matmul_classical(a, b, counters)
+    assert product.shape == (n, m)
+    assert product.rows == loop
+    assert counters.multiplications == n * m * k
+    assert counters.additions == n * m * max(k - 1, 0)
+    assert matmul_strassen(a, b, cutoff=2) == product
+
+
+def _product_cases(ring, entry, rng):
+    """Factor pairs with an empty or unit n, k or m, a zero row and a zero column."""
     shapes = [(0, 0, 0), (0, 3, 2), (2, 0, 3), (3, 2, 0), (1, 1, 1), (1, 5, 1), (4, 1, 3), (5, 6, 4), (7, 7, 7)]
     for n, k, m in shapes:
-        a = Matrix(ring, [[_exact_entry(ring, rng) for _ in range(k)] for _ in range(n)], validate=False, ncols=k)
-        b = Matrix(ring, [[_exact_entry(ring, rng) for _ in range(m)] for _ in range(k)], validate=False, ncols=m)
+        a = Matrix(ring, [[entry(ring, rng) for _ in range(k)] for _ in range(n)], validate=False, ncols=k)
+        b = Matrix(ring, [[entry(ring, rng) for _ in range(m)] for _ in range(k)], validate=False, ncols=m)
         if n > 1 and k:
             a.rows[1] = [ring.zero] * k  # a zero row of the left factor
         if m > 1:
             for row in b.rows:
                 row[0] = ring.zero  # a zero column of the right factor
-        loop = [
-            [functools.reduce(ring.add, (ring.mul(a.rows[i][t], b.rows[t][j]) for t in range(k)), ring.zero) for j in range(m)]
-            for i in range(n)
-        ]
-        counters = OpCounters()
-        product = matmul_classical(a, b, counters)
-        assert product.shape == (n, m)
-        assert product.rows == loop
-        assert counters.multiplications == n * m * k
-        assert counters.additions == n * m * max(k - 1, 0)
-        assert matmul_strassen(a, b, cutoff=2) == product
+        yield a, b
+
+
+@pytest.mark.parametrize("ring", [RationalField(), HH], ids=repr)
+def test_integer_product_matches_the_ring_loop(ring):
+    for a, b in _product_cases(ring, _exact_entry, random.Random(706)):
+        _assert_product_matches_the_ring_loop(a, b)
     if ring is HH:
         i, j = (Fraction(0), Fraction(1), Fraction(0), Fraction(0)), (Fraction(0), Fraction(0), Fraction(1), Fraction(0))
         a, b = Matrix(HH, [[i]]), Matrix(HH, [[j]])
         assert matmul_classical(a, b).rows == [[HH.mul(i, j)]]
         assert matmul_classical(a, b) != matmul_classical(b, a)  # i*j = k = -(j*i)
+
+
+def _hide_numpy(monkeypatch):
+    """Make the process look as if numpy were not loaded, and fail any call
+    of the kernel's product; the kernel module itself stays imported."""
+    from orthoform import kernel
+
+    def no_kernel(*args):
+        raise AssertionError("the kernel ran")
+
+    monkeypatch.delitem(sys.modules, "numpy", raising=False)
+    monkeypatch.setattr(kernel, "matmul", no_kernel)
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [
+        PrimeField(2),
+        PrimeField(3),
+        PrimeField(101),
+        PrimeField(1009),
+        PrimeField(2**31 - 1),
+        PrimeField(10**9 + 7),
+        PrimeField(2**61 - 1),
+        GF9,
+        QuadraticField(2**31 + 11),
+    ],
+    ids=repr,
+)
+def test_field_product_matches_the_ring_loop(ring, monkeypatch):
+    _hide_numpy(monkeypatch)
+    for a, b in _product_cases(ring, lambda ring, rng: ring.random(rng), random.Random(707)):
+        _assert_product_matches_the_ring_loop(a, b)
+    # every entry p - 1 (a = b = p - 1 over GF(p^2)): the largest dot products
+    top = ring.from_int(-1) if isinstance(ring, PrimeField) else (ring.p - 1, ring.p - 1)
+    _assert_product_matches_the_ring_loop(
+        Matrix(ring, [[top] * 9 for _ in range(3)]), Matrix(ring, [[top] * 4 for _ in range(9)])
+    )
+
+
+def test_product_takes_the_kernel_once_numpy_is_loaded(monkeypatch):
+    from orthoform import kernel
+
+    calls = []
+
+    def spy(ring, left, right):
+        calls.append((len(left), len(right[0])))
+        return kernel_matmul(ring, left, right)
+
+    kernel_matmul = kernel.matmul
+    monkeypatch.setattr(kernel, "matmul", spy)
+    rng = random.Random(708)
+    ring = PrimeField(101)
+
+    def product(n, m, ring=ring):
+        a, b = random_matrix(ring, n, 3, rng), random_matrix(ring, 3, m, rng)
+        calls.clear()
+        out = matmul_classical(a, b)
+        assert out.rows == matrix._field_product(ring, a.rows, b.rows)
+        return calls[:]
+
+    # numpy loaded: the kernel takes every product that passes the guard
+    assert "numpy" in sys.modules
+    assert product(2, 2) == [(2, 2)]
+    assert product(2, 2, ring=PrimeField(2**61 - 1)) == []
+    # numpy not loaded: the kernel takes only products of at least 576 entries
+    monkeypatch.delitem(sys.modules, "numpy")
+    assert product(2, 2) == []
+    assert product(23, 25) == []
+    assert product(24, 24) == [(24, 24)]
 
 
 def test_left_row_reduce_contract():
@@ -455,7 +536,8 @@ def test_kernel_materialize_matches_the_generic_loop(ring, monkeypatch):
 @pytest.mark.parametrize("p", [2147483647, 1000000000000000003])
 def test_overflow_guard_edges(p):
     # 2^31 - 1 is the largest prime whose rank-1 update fits the int64 guard;
-    # the 19-digit prime must fall back to the generic loop, exactly
+    # the 19-digit prime must fall back to the generic loop and the integer
+    # product, exactly
     from orthoform.matrix import _int64_ok
 
     ring = PrimeField(p)
