@@ -16,7 +16,8 @@ Input format, line oriented, ``#`` starts a comment anywhere::
     0 0 3
 
 Exit codes: 0 on success (and verification pass when requested), 1 when
-``--verify`` fails, 2 on any input problem.
+``--verify`` fails, 2 on any input problem, one too large to fit in memory
+included.
 """
 
 from __future__ import annotations
@@ -347,7 +348,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except MemoryError:
+        print("error: out of memory: the input is too large", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
-from .matrix import Matrix, ShapeError, _augmented, col_axpy, eliminate, matmul, row_axpy
+from .matrix import Matrix, ShapeError, _augmented, col_sweep, eliminate, matmul, row_axpy
 from .rings import QuadraticField, RationalQuaternions, Ring
 
 
@@ -315,7 +315,7 @@ class HermitianForm:
         self.log.append(Eliminate(source, (target,), (lam,)))
         rows = self.m.rows
         row_axpy(ring, rows[target], rows[source], lam, lo, hi)
-        col_axpy(ring, rows, target, source, ring.sigma(lam), lo, hi)
+        col_sweep(ring, rows, source, [(target, ring.sigma(lam))], lo, hi)
         width = hi - lo
         self.counters.multiplications += 2 * width
         self.counters.additions += 2 * width
@@ -337,9 +337,11 @@ class HermitianForm:
         applied, and logged as one Eliminate.  When i = j the combined column
         half of those transvections lands entirely in row i and is an exact
         zeroing, so it is written as an assignment; the diagonal entry B[i][i]
-        stays.  When i != j the full column pass runs (the pivot pair
-        (i,j)/(j,i) stays, and if B[i][i] is nonzero the cleared entries spill
-        into row-column i, which the caller is expected to clear next).
+        stays.  When i != j the full column pass runs, column k += column i *
+        sigma(lam_k) for every cleared k, as one ``col_sweep`` (one sweep of
+        the rows over GF(p) and GF(p^2)).  The pivot pair (i,j)/(j,i) stays, and
+        if B[i][i] is nonzero the cleared entries spill into row-column i,
+        which the caller is expected to clear next.
         """
         ring = self.ring
         rows = self.m.rows
@@ -361,8 +363,7 @@ class HermitianForm:
             for k in targets:
                 rows[i][k] = ring.zero
             return
-        for k, lam in pairs:
-            col_axpy(ring, rows, k, i, ring.sigma(lam), lo, hi)
+        col_sweep(ring, rows, i, [(k, ring.sigma(lam)) for k, lam in pairs], lo, hi)
         c.sigma_applications += len(pairs)
         c.multiplications += len(pairs) * width
         c.additions += len(pairs) * width

@@ -24,8 +24,9 @@ pivots and return the same transforms and counts.
   < 2**62, with c the non-residue of GF(p^2) and 0 over GF(p).  ``kernel``
   (and with it numpy) is imported only once a guard has chosen it.
 
-``right_column_reduce`` is the sigma-mirror of ``left_row_reduce``; the column
-passes in ``form`` go through ``col_axpy``.
+``right_column_reduce`` is the sigma-mirror of ``left_row_reduce``.  The column
+passes in ``form`` go through ``col_sweep``: over GF(p) and GF(p^2) one sweep
+of the rows on Python integers, elsewhere one ``col_axpy`` per column.
 
 The classical product takes one of three paths:
 
@@ -102,6 +103,36 @@ def col_axpy(ring: Ring, rows: list, dst: int, src: int, lam, lo: int, hi: int) 
         v = row[src]
         if v != zero:
             row[dst] = add(row[dst], mul(v, lam))
+
+
+def col_sweep(ring: Ring, rows: list, src: int, pairs: list, lo: int, hi: int) -> None:
+    """In place: rows[r][k] += rows[r][src] * lam for each (k, lam) of ``pairs``
+    and r in [lo, hi); the targets k are distinct and not src.
+
+    Over GF(p) and GF(p^2) this is one sweep of the rows on Python integers:
+    a row with a nonzero entry in column src updates every target, reduced
+    mod p.  That equals one ``col_axpy`` per pair, as column src is never
+    written and the updates of distinct columns commute.  Other rings run
+    the ``col_axpy`` loop.
+    """
+    if isinstance(ring, PrimeField):
+        p = ring.p
+        for row in rows[lo:hi]:
+            v = row[src]
+            if v:
+                for k, lam in pairs:
+                    row[k] = (row[k] + v * lam) % p
+    elif isinstance(ring, QuadraticField):
+        p, c = ring.p, ring.nonresidue
+        for row in rows[lo:hi]:
+            va, vb = row[src]
+            if va or vb:
+                for k, (la, lb) in pairs:
+                    a, b = row[k]
+                    row[k] = ((a + va * la + c * vb * lb) % p, (b + va * lb + vb * la) % p)
+    else:
+        for k, lam in pairs:
+            col_axpy(ring, rows, k, src, lam, lo, hi)
 
 
 def eliminate(ring: Ring, rows: list, src: int, col: int, targets, pivinv, lo: int, hi: int) -> list:

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from orthoform import PrimeField, QuadraticField, RationalField, RationalQuaternions, random_form
 from orthoform import cli
 from orthoform.cli import InputFormatError, format_form_file, main, parse_form_file
 
@@ -181,6 +186,22 @@ def test_gen_bad_args_exit_2(capsys):
     assert code == 2 and "dim must be nonnegative" in err and out == ""
 
 
+def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
+    # a huge dim or input ends in MemoryError; stand one in rather than
+    # allocating for real
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "random_form", exhausted)
+    monkeypatch.setattr(cli, "decompose_gs", exhausted)
+    path = tmp_path / "form.txt"
+    path.write_text(SAMPLE)
+    for argv in (["gen", "--ring", "gfp:7", "--dim", "100000"], ["decompose", "--input", str(path)]):
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(InputFormatError) as info:
         parse_form_file("ring gfp 7\ndim 2\n1 0\n0 q\n")
@@ -302,3 +323,95 @@ def test_numpy_loads_only_when_the_kernel_runs(tmp_path, capsys, ring, dim, load
     assert dec.returncode == 0, dec.stderr
     assert all(json.loads(dec.stdout)["verification"].values())
     assert dec.stderr.splitlines()[-1] == f"numpy loaded: {loaded}"
+
+
+# (header lines, the ring whose entries fill the body, whether the header is valid)
+CONTRACT_SPECS = [
+    ("ring gfp 2", PrimeField(2), True),
+    ("ring gfp 3", PrimeField(3), True),
+    ("ring gfp 101", PrimeField(101), True),
+    ("ring gfp 2305843009213693951", PrimeField(2**61 - 1), True),
+    ("ring gfp2 3", QuadraticField(3), True),
+    ("ring gfp2 3\nsigma identity", QuadraticField(3, "identity"), True),
+    ("ring gfp2 5\nsigma frobenius", QuadraticField(5), True),
+    ("ring rational", RationalField(), True),
+    ("ring quaternion", RationalQuaternions(), True),
+    ("ring quaternion\nsigma conj", RationalQuaternions(), True),
+    ("ring gfp 6", PrimeField(7), False),
+    ("ring gfp", PrimeField(7), False),
+    ("ring gfp2 2", PrimeField(2), False),
+    ("ring rational 3", RationalField(), False),
+    ("ring octonion", RationalField(), False),
+    ("ring gfp seven", PrimeField(7), False),
+    ("ring gfp 7\nsigma frobenius", PrimeField(7), False),
+    ("ring quaternion\nsigma identity", RationalQuaternions(), False),
+    ("ring gfp 4000000000000000000000027", PrimeField(7), False),
+]
+# Entry tokens that are malformed in some rings or in all of them.
+ODD_TOKENS = ["zz", "1/0", "0/0", "1.5", "--1", "1+", "7/", "i", "x", "3*x", "1/2", "2*i", "-0", "9" * 30, "1+1/0*i"]
+# How a form file is spoiled, if it is: "valid" leaves it a form.
+DAMAGE = ["valid", "asymmetric", "token", "short", "long row", "extra row", "dim", "sign"]
+
+
+@st.composite
+def form_files(draw):
+    header, ring, header_ok = draw(st.sampled_from(CONTRACT_SPECS))
+    s = draw(st.sampled_from((1, -1)))
+    d = draw(st.integers(0, 6))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    rank = draw(st.none() | st.integers(0, d))
+    try:
+        form = random_form(ring, s, d, rng, rank=rank)
+    except ValueError:  # no form of that rank and sign over this ring
+        form = random_form(ring, s, d, rng)
+    rows = [[ring.format(v) for v in row] for row in form.m.rows]
+    sign = draw(st.sampled_from(("+1" if s == 1 else "-1", "auto")))
+    dim = str(d)
+    damage = draw(st.sampled_from(DAMAGE))
+    if damage == "asymmetric" and d:
+        i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+        rows[i][j] = ring.format(ring.add(form.m.rows[i][j], ring.one))
+    elif damage == "token" and d:
+        rows[draw(st.integers(0, d - 1))][draw(st.integers(0, d - 1))] = draw(st.sampled_from(ODD_TOKENS))
+    elif damage == "short" and d:
+        rows.pop()
+    elif damage == "long row" and d:
+        rows[-1].append("0")
+    elif damage == "extra row":
+        rows.append(["0"] * d)
+    elif damage == "dim":
+        dim = draw(st.sampled_from(("-1", "x", f"{d} {d}", str(d + 1))))
+    elif damage == "sign":
+        sign = draw(st.sampled_from(("+2", "0", "plus", "")))
+    body = "\n".join(" ".join(row) for row in rows)
+    text = f"{header}\ns {sign}\ndim {dim}\n{body}\n"
+    return text, header_ok and damage == "valid", ring
+
+
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    form_files(),
+    st.sampled_from(("gs", "blocks")),
+    st.sampled_from(("none", "maxj", "sort")),
+    st.sampled_from(("none", "matrix", "slp")),
+    st.booleans(),
+)
+def test_cli_exit_contract(tmp_path_factory, case, algo, post, emit, verify):
+    # every form file, valid or not, exits 0 or 2; a valid form never fails
+    # --verify, and whatever exits 0 prints JSON that parses
+    text, valid, ring = case
+    path = tmp_path_factory.getbasetemp() / "contract.txt"
+    path.write_text(text)
+    argv = ["decompose", "--input", str(path), "--algo", algo, "--post", post, "--emit-transform", emit, "--json"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + ["--verify"] * verify)
+    assert code in (0, 2), err.getvalue()
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+        # --post sort is defined only over odd GF(p); every other valid run exits 0
+        assert not valid or (post == "sort" and not (isinstance(ring, PrimeField) and ring.p > 2)), err.getvalue()
+        return
+    doc = json.loads(out.getvalue())
+    if verify:
+        assert all(doc["verification"].values())

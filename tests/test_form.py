@@ -33,7 +33,9 @@ from orthoform import (
     matmul_classical,
     random_form,
 )
+from orthoform import form as form_module
 from orthoform.form import transpositions
+from orthoform.matrix import col_axpy
 from helpers import snapshot
 
 GF7 = PrimeField(7)
@@ -163,6 +165,69 @@ def test_windowed_transvect_equals_full_congruence_when_support_allows():
         form.transvect(target, source, lam, lo, hi)
         assert form.m == congruate(before, elem_transvect(GF7, d, target, source, lam))
         assert form.m.rows[5][5] == before.rows[5][5]
+
+
+SWEEP_RINGS = [
+    PrimeField(2),
+    PrimeField(3),
+    PrimeField(101),
+    PrimeField(2**61 - 1),
+    GF9,
+    QuadraticField(3, "identity"),
+    QuadraticField(2**31 + 11),
+]
+
+
+def _pairwise_col_sweep(ring, rows, src, pairs, lo, hi):
+    """The column pass as one col_axpy per (target, coefficient) pair."""
+    for k, lam in pairs:
+        col_axpy(ring, rows, k, src, lam, lo, hi)
+
+
+def _zero_pair(form, r, c):
+    form.m.rows[r][c] = form.m.rows[c][r] = form.ring.zero
+
+
+@pytest.mark.parametrize("ring", SWEEP_RINGS, ids=lambda r: f"{r!r}:{r.involution}")
+def test_column_sweep_matches_the_generic_loop(ring, monkeypatch):
+    # clear_row_column(i, j), i != j, and windowed transvect, against the same
+    # calls with the column pass run pair by pair: the rows, log and counters
+    # must agree exactly
+    rng = random.Random(42)
+    for trial in range(36):
+        s = (1, -1)[trial % 2]
+        d = rng.randrange(4, 9)
+        form = random_form(ring, s, d, rng)
+        if trial % 3 == 0:
+            lo, hi = 0, d
+        elif trial % 3 == 1:  # an inner window
+            lo = rng.randrange(1, d - 2)
+            hi = rng.randrange(lo + 2, d)
+        else:
+            lo = rng.randrange(0, d - 1)
+            hi = rng.randrange(lo + 2, d + 1)
+        i, j = rng.sample(range(lo, hi), 2)
+        for r in range(lo, hi):
+            if r != i and rng.random() < 0.4:  # only some rows meet column i
+                _zero_pair(form, r, i)
+            if trial % 4 == 0 and r not in (i, j, lo, hi - 1):  # targets only at the window edges
+                _zero_pair(form, r, j)
+        if form.m.rows[i][j] == ring.zero:
+            form.m.rows[i][j] = ring.one
+            form.m.rows[j][i] = ring.apply_sign(s, ring.one)
+        assert is_hermitian(form.m, s)
+        twin = form.copy()
+        form.clear_row_column(i, j, lo, hi)
+        target, source = rng.sample(range(lo, hi), 2)
+        lam = ring.random(rng)
+        form.transvect(target, source, lam, lo, hi)
+        with monkeypatch.context() as patch:
+            patch.setattr(form_module, "col_sweep", _pairwise_col_sweep)
+            twin.clear_row_column(i, j, lo, hi)
+            twin.transvect(target, source, lam, lo, hi)
+        assert repr(form.m.rows) == repr(twin.m.rows)
+        assert form.log == twin.log
+        assert form.counters == twin.counters
 
 
 def test_primitive_counter_exactness():

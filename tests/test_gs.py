@@ -206,3 +206,31 @@ def test_evaluate_agrees_before_and_after():
     a = dec.log.materialize(GF9)
     product = matmul(matmul(a, original), a.sigma_transpose())
     assert product == dec.direct_sum_matrix()
+
+
+@pytest.mark.parametrize(
+    "ring, calls",
+    [
+        (PrimeField(1009), False),
+        (GF9, False),
+        (QuadraticField(3, "identity"), False),
+        (QQ, True),
+    ],
+    ids=["gf1009", "gf9-frobenius", "gf9-identity", "rational"],
+)
+def test_column_pass_calls_col_axpy_only_off_the_finite_fields(ring, calls, monkeypatch):
+    # over GF(p) and GF(p^2) the column pass of an isotropic pair is one row
+    # sweep; a silent fall back to the per-pair col_axpy loop must show here
+    from orthoform import matrix
+
+    seen = []
+    real = matrix.col_axpy
+
+    def spy(*args):
+        seen.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(matrix, "col_axpy", spy)
+    dec = decompose_gs(random_form(ring, -1, 16, random.Random(7)))
+    assert dec.isotropic_steps > 0
+    assert bool(seen) == calls
