@@ -26,7 +26,6 @@ from .matrix import (
 from .form import (
     BlockLeft,
     BlockTransvect,
-    Detection,
     Eliminate,
     FormValidationError,
     HermitianForm,
@@ -34,7 +33,6 @@ from .form import (
     Scale,
     Swap,
     TransformLog,
-    check_declared_consistency,
     detect_s_sigma,
     is_hermitian,
     random_form,

@@ -16,19 +16,21 @@ Input format, line oriented, ``#`` starts a comment anywhere::
     0 0 3
 
 Exit codes: 0 on success (and verification pass when requested), 1 when
-``--verify`` fails, 2 on any input problem, one too large to fit in memory
-included.
+``--verify`` fails, 2 on any input problem (one that is not UTF-8 text or is
+too large to fit in memory included) and when the output cannot be written
+(a closed pipe, a full disk).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional, TextIO
 
 from .blocks import check_strassen_cutoff, decompose_blocks
-from .form import FormValidationError, HermitianForm, check_declared_consistency, detect_s_sigma, random_form
+from .form import HermitianForm, detect_s_sigma, random_form
 from .gs import Decomposition, ScalarBlock, decompose_gs
 from .matrix import Matrix
 from .postprocess import maximize_j_blocks, sort_blocks_canonical
@@ -59,7 +61,9 @@ def parse_form_file(text: str) -> tuple[Ring, object, Matrix]:
 
     The sign spec is +1, -1, or the string "auto"; resolving "auto" against
     the matrix is the caller's job.  Raises InputFormatError with a line
-    number on any malformed line.
+    number on any malformed line.  The parse is the validation: every row
+    has dim entries and ring.parse returns canonical scalars, so the matrix
+    is built without a second pass over its entries.
     """
     ring: Optional[Ring] = None
     ring_args: tuple = ()
@@ -130,7 +134,7 @@ def parse_form_file(text: str) -> tuple[Ring, object, Matrix]:
     if len(rows) != dim:
         raise InputFormatError(0, f"expected {dim} matrix rows, found {len(rows)}")
     assert ring is not None
-    return ring, sign, Matrix(ring, rows)
+    return ring, sign, Matrix(ring, rows, validate=False)
 
 
 def format_form_file(ring: Ring, s: int, matrix: Matrix) -> str:
@@ -147,12 +151,12 @@ def format_form_file(ring: Ring, s: int, matrix: Matrix) -> str:
 def _resolve_sign(matrix: Matrix, sign: object, notes: list[str]) -> int:
     if sign != "auto":
         return int(sign)  # type: ignore[arg-type]
-    detection = detect_s_sigma(matrix)
-    if detection is None:
+    s = detect_s_sigma(matrix)
+    if s is None:
         notes.append("zero matrix: sign is undetermined, using s = +1")
         return 1
-    notes.append(f"detected s = {'+1' if detection.s == 1 else '-1'}")
-    return detection.s
+    notes.append(f"detected s = {'+1' if s == 1 else '-1'}")
+    return s
 
 
 def _block_entries(ring: Ring, s: int, block) -> list[list[str]]:
@@ -238,7 +242,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     notes: list[str] = []
@@ -247,8 +251,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         ring, sign, matrix = parse_form_file(text)
         s = _resolve_sign(matrix, sign, notes)
         form = HermitianForm(ring, matrix.copy(), s)
-        check_declared_consistency(form.m, s)
-    except (FormValidationError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
@@ -349,10 +352,22 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
     except MemoryError:
         print("error: out of memory: the input is too large", file=sys.stderr)
         return 2
+    except OSError as exc:
+        # The subcommands report a failed read of --input or write of --out
+        # themselves, so this is stdout failing: a closed pipe or a full disk.
+        # What it still buffers would fail again in the interpreter's flush
+        # at exit, so its descriptor is pointed at the null device.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write the output: {exc}", file=sys.stderr)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -187,10 +187,15 @@ class TransformLog:
 
 
 def _first_asymmetry(matrix: Matrix, s: int) -> Optional[tuple[int, int]]:
-    """Row-major first (i, j) with matrix[i][j] != s * sigma(matrix[j][i]), or None."""
+    """Row-major first (i, j) with matrix[i][j] != s * sigma(matrix[j][i]), or None.
+
+    Only j >= i is scanned: applying s * sigma to both sides shows that (i, j)
+    violates the law exactly when (j, i) does, so the first violation in
+    row-major order lies on or above the diagonal.
+    """
     ring = matrix.ring
     for i in range(matrix.nrows):
-        for j in range(matrix.ncols):
+        for j in range(i, matrix.ncols):
             if matrix.rows[i][j] != ring.apply_sign(s, ring.sigma(matrix.rows[j][i])):
                 return (i, j)
     return None
@@ -239,8 +244,8 @@ class HermitianForm:
                 raise FormValidationError(*bad)
 
     @classmethod
-    def from_rows(cls, ring: Ring, rows: list[list], s: int, validate: bool = True) -> "HermitianForm":
-        return cls(ring, Matrix(ring, [row[:] for row in rows]), s, validate=validate)
+    def from_rows(cls, ring: Ring, rows: list[list], s: int) -> "HermitianForm":
+        return cls(ring, Matrix(ring, [row[:] for row in rows]), s)
 
     def copy(self) -> "HermitianForm":
         return HermitianForm(
@@ -399,92 +404,32 @@ class HermitianForm:
             rows[r][lo : lo + q] = out.rows[idx]
 
 
-@dataclass(frozen=True)
-class Detection:
-    s: int
-    sigma_samples: tuple
+def detect_s_sigma(matrix: Matrix) -> Optional[int]:
+    """The sign s of a form, read off its first nonzero entry.
 
-
-def default_probes(ring: Ring) -> list:
-    probes = [ring.from_int(2)]
-    if isinstance(ring, QuadraticField):
-        probes.append(ring.validate_scalar((0, 1)))
-    elif isinstance(ring, RationalQuaternions):
-        probes.extend(
-            ring.validate_scalar(q) for q in [(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
-        )
-    return probes
-
-
-def detect_s_sigma(matrix: Matrix, probes: Optional[list] = None) -> Optional[Detection]:
-    """Read off the sign and involution samples from the first nonzero entry.
-
-    Scans basis pairs (e_i, e_j) row-major for the first with b(e_i, e_j)
-    nonzero; returns None when the matrix is zero (any sign fits).  With
-    beta = B[i][j], the induced involution sample is
-    sigma'(alpha) = b(e_i, alpha e_j) * beta^{-1} = beta * sigma(alpha) * beta^{-1},
-    and the sign is s = b(e_j, e_i)^{-1} * sigma'(beta).  Over commutative
-    rings sigma' coincides with the ring involution; over quaternions it is
-    its conjugate by beta, which the samples report faithfully.
+    Scans row-major for the first nonzero beta = B[i][j] and returns None when
+    the matrix is zero (any sign fits).  A form has B[j][i] = s * sigma(beta),
+    so s = B[j][i]^{-1} * sigma(beta).  Whether the whole matrix obeys that
+    law is the job of HermitianForm's validation, not of this function.
 
     Raises:
-        ValueError: if the computed sign is not +-1 (matrix is not a form).
+        ValueError: if B[j][i] is zero or the quotient is not +-1 (not a form).
     """
     ring = matrix.ring
-    if probes is None:
-        probes = default_probes(ring)
-    first = None
-    for i in range(matrix.nrows):
-        for j in range(matrix.ncols):
-            if matrix.rows[i][j] != ring.zero:
-                first = (i, j)
-                break
-        if first is not None:
-            break
+    zero = ring.zero
+    first = next(((i, j) for i, row in enumerate(matrix.rows) for j, v in enumerate(row) if v != zero), None)
     if first is None:
         return None
     i, j = first
-    beta = matrix.rows[i][j]
-    beta_inv = ring.inv(beta)
-
-    def induced(alpha):
-        return ring.mul(ring.mul(beta, ring.sigma(alpha)), beta_inv)
-
     mirror = matrix.rows[j][i]
-    if mirror == ring.zero:
+    if mirror == zero:
         raise ValueError(f"entry ({j}, {i}) is zero while ({i}, {j}) is not; not a form")
-    s_value = ring.mul(ring.inv(mirror), induced(beta))
+    s_value = ring.mul(ring.inv(mirror), ring.sigma(matrix.rows[i][j]))
     if s_value == ring.one:
-        s = 1
-    elif s_value == ring.neg(ring.one):
-        s = -1
-    else:
-        raise ValueError(f"detected sign {ring.format(s_value)} is not +-1; not a form")
-    samples = tuple((alpha, induced(alpha)) for alpha in probes)
-    return Detection(s, samples)
-
-
-def check_declared_consistency(matrix: Matrix, s: int) -> None:
-    """Fail loudly when the detected sign or involution contradicts the ring's.
-
-    The involution check runs only over commutative rings: over quaternions
-    the detectable map is a conjugate of the ring involution and legitimately
-    differs from it pointwise.
-    """
-    ring = matrix.ring
-    detection = detect_s_sigma(matrix)
-    if detection is None:
-        return
-    ds = detection.s
-    if ds != s and ring.characteristic != 2:
-        raise ValueError(f"declared sign {s} but matrix entries give {ds}")
-    if ring.is_commutative:
-        for alpha, value in detection.sigma_samples:
-            if value != ring.sigma(alpha):
-                raise ValueError(
-                    "declared involution disagrees with the matrix on probe "
-                    f"{ring.format(alpha)}: {ring.format(value)} vs {ring.format(ring.sigma(alpha))}"
-                )
+        return 1
+    if s_value == ring.neg(ring.one):
+        return -1
+    raise ValueError(f"detected sign {ring.format(s_value)} is not +-1; not a form")
 
 
 def random_form(ring: Ring, s: int, dim: int, rng, rank: Optional[int] = None) -> HermitianForm:

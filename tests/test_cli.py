@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import io
 import json
 import os
@@ -146,25 +147,26 @@ def test_gen_rank_and_out_file(tmp_path, capsys):
 @pytest.mark.parametrize(
     "content,fragment",
     [
-        ("ring gfp 6\ndim 1\n1\n", "not prime"),
-        ("ring gfp 7\ndim 1\nzz\n", "column 0"),
-        ("ring gfp 7\ndim 2\n1 0\n", "found 1"),
-        ("ring gfp 7\ndim 1\n1\n2\n", "after the last"),
-        ("dim 1\n1\n", "ring must be declared"),
-        ("ring gfp 7\ns +2\ndim 1\n1\n", "sign"),
-        ("ring gfp 7\nsigma frobenius\ndim 1\n1\n", "involution"),
-        ("ring gfp 7\ns +1\ndim 2\n0 1\n2 0\n", "symmetry law"),
-        ("ring gfp 7\nbogus 3\ndim 1\n1\n", "unknown directive"),
-        ("ring gfp 4000000000000000000000027\ndim 1\n1\n", "too large"),
-        ("ring rational\ndim 1\n1/0\n", "line 3: column 0: zero denominator"),
-        ("ring rational\ndim 1\n0/0\n", "line 3: column 0: zero denominator"),
-        ("ring quaternion\ndim 1\n1/0\n", "line 3: column 0: zero denominator"),
-        ("ring quaternion\ndim 1\n1+1/0*i\n", "line 3: column 0: zero denominator"),
+        (b"ring gfp 6\ndim 1\n1\n", "not prime"),
+        (b"ring gfp 7\ndim 1\nzz\n", "column 0"),
+        (b"ring gfp 7\ndim 2\n1 0\n", "found 1"),
+        (b"ring gfp 7\ndim 1\n1\n2\n", "after the last"),
+        (b"dim 1\n1\n", "ring must be declared"),
+        (b"ring gfp 7\ns +2\ndim 1\n1\n", "sign"),
+        (b"ring gfp 7\nsigma frobenius\ndim 1\n1\n", "involution"),
+        (b"ring gfp 7\ns +1\ndim 2\n0 1\n2 0\n", "symmetry law"),
+        (b"ring gfp 7\nbogus 3\ndim 1\n1\n", "unknown directive"),
+        (b"ring gfp 4000000000000000000000027\ndim 1\n1\n", "too large"),
+        (b"ring rational\ndim 1\n1/0\n", "line 3: column 0: zero denominator"),
+        (b"ring rational\ndim 1\n0/0\n", "line 3: column 0: zero denominator"),
+        (b"ring quaternion\ndim 1\n1/0\n", "line 3: column 0: zero denominator"),
+        (b"ring quaternion\ndim 1\n1+1/0*i\n", "line 3: column 0: zero denominator"),
+        (b"ring gfp 7\ndim 1\n\xff\n", "can't decode byte 0xff"),
     ],
 )
 def test_bad_inputs_exit_2(tmp_path, capsys, content, fragment):
     path = tmp_path / "bad.txt"
-    path.write_text(content)
+    path.write_bytes(content)
     code, out, err = run(["decompose", "--input", str(path)], capsys)
     assert code == 2
     assert fragment in err
@@ -200,6 +202,55 @@ def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
         code, out, err = run(argv, capsys)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class _UnwritableStdout(io.StringIO):
+    """A stdout whose writes fail with `exc`, backed by the descriptor `fd`."""
+
+    def __init__(self, exc: OSError, fd: int):
+        super().__init__()
+        self.exc, self.fd = exc, fd
+
+    def write(self, text):
+        raise self.exc
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize(
+    "exc", [BrokenPipeError(errno.EPIPE, "Broken pipe"), OSError(errno.ENOSPC, "No space left on device")]
+)
+def test_unwritable_output_exits_2(tmp_path, capsys, exc):
+    path = tmp_path / "form.txt"
+    path.write_text(SAMPLE)
+    sink = tmp_path / "stdout"
+    with open(sink, "wb") as fh, contextlib.redirect_stdout(_UnwritableStdout(exc, fh.fileno())):
+        code = main(["decompose", "--input", str(path), "--emit-transform", "slp"])
+        # the descriptor now leads to the null device, so the flush at exit cannot fail
+        os.write(fh.fileno(), b"flushed at exit")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: cannot write the output: {exc}\n"
+    assert sink.read_bytes() == b""
+
+
+@pytest.mark.parametrize("dim", [3, 400])
+def test_closed_stdout_pipe_exits_2(dim):
+    # with buffered stdout (no PYTHONUNBUFFERED) a small form is still in the
+    # buffer when the pipe fails, and the interpreter's flush at exit retries it
+    env = {k: v for k, v in _CHILD_ENV.items() if k != "PYTHONUNBUFFERED"}
+    gen = subprocess.Popen(
+        [sys.executable, "-m", "orthoform.cli", "gen", "--ring", "gfp:101", "--dim", str(dim)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+    gen.stdout.close()
+    _, err = gen.communicate(timeout=60)
+    assert gen.returncode == 2, err
+    assert err == "error: cannot write the output: [Errno 32] Broken pipe\n"
 
 
 def test_parse_errors_carry_line_numbers():

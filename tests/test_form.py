@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from orthoform import (
     BlockTransvect,
@@ -27,7 +27,6 @@ from orthoform import (
     Scale,
     Swap,
     TransformLog,
-    check_declared_consistency,
     detect_s_sigma,
     is_hermitian,
     matmul_classical,
@@ -353,36 +352,14 @@ def test_is_hermitian_both_signs():
 
 
 def test_detect_symmetric_and_alternating():
-    sym = detect_s_sigma(Matrix(GF7, [[0, 0, 0], [0, 2, 1], [0, 1, 0]]))
-    assert sym is not None and sym.s == 1
-    alt = detect_s_sigma(Matrix(QQ, [[0, 5], [-5, 0]]))
-    assert alt is not None and alt.s == -1
+    assert detect_s_sigma(Matrix(GF7, [[0, 0, 0], [0, 2, 1], [0, 1, 0]])) == 1
+    assert detect_s_sigma(Matrix(QQ, [[0, 5], [-5, 0]])) == -1
+    # Hermitian over GF(9): the mirror of 1+x is its Frobenius image 1+2x
+    assert detect_s_sigma(Matrix(GF9, [[(0, 0), (1, 1)], [(1, 2), (2, 0)]])) == 1
+    # over the quaternions an off-diagonal i mirrored by -i = conj(i) is Hermitian
+    i = HH.validate_scalar((0, 1, 0, 0))
+    assert detect_s_sigma(Matrix(HH, [[HH.zero, i], [HH.neg(i), HH.zero]])) == 1
     assert detect_s_sigma(Matrix.zeros(GF7, 3, 3)) is None
-
-
-def test_detect_hermitian_over_gf9_reports_frobenius():
-    m = Matrix(GF9, [[(0, 0), (1, 1)], [(1, 2), (2, 0)]])
-    det = detect_s_sigma(m)
-    assert det is not None and det.s == 1
-    for alpha, value in det.sigma_samples:
-        assert value == GF9.sigma(alpha)
-    check_declared_consistency(m, 1)
-    with pytest.raises(ValueError):
-        check_declared_consistency(m, -1)
-
-
-def test_detect_quaternion_samples_are_a_conjugated_involution():
-    # with first entry beta = i the induced map sends j to +j, where the ring
-    # conjugation sends j to -j; consistency checking must not flag this
-    i = (0, 1, 0, 0)
-    m = Matrix(HH, [[HH.zero, HH.validate_scalar(i)], [HH.neg(HH.validate_scalar(i)), HH.zero]])
-    det = detect_s_sigma(m)
-    assert det is not None and det.s == 1
-    jq = HH.validate_scalar((0, 0, 1, 0))
-    induced = dict(det.sigma_samples)[jq]
-    assert induced == jq
-    assert HH.sigma(jq) == HH.neg(jq)
-    check_declared_consistency(m, 1)
 
 
 def test_detect_rejects_non_forms():
@@ -390,6 +367,75 @@ def test_detect_rejects_non_forms():
         detect_s_sigma(Matrix(GF7, [[0, 1], [0, 0]]))
     with pytest.raises(ValueError):
         detect_s_sigma(Matrix(GF7, [[0, 1], [2, 0]]))
+
+
+# The seven ring specs the command line accepts, GF(9) under both involutions.
+LAW_RINGS = [
+    PrimeField(2),
+    PrimeField(3),
+    PrimeField(101),
+    GF9,
+    QuadraticField(3, "identity"),
+    QQ,
+    HH,
+]
+
+
+def _reference_asymmetry(m: Matrix, s: int):
+    """Row-major first (i, j) breaking B[i][j] = s * sigma(B[j][i]), scanning every entry."""
+    ring = m.ring
+    for i in range(m.nrows):
+        for j in range(m.ncols):
+            if m.rows[i][j] != ring.apply_sign(s, ring.sigma(m.rows[j][i])):
+                return (i, j)
+    return None
+
+
+@st.composite
+def law_cases(draw):
+    """A square matrix over one of LAW_RINGS: a form of either sign (dense or
+    of a given rank), a sparse random matrix, or a form with one entry changed."""
+    ring = draw(st.sampled_from(LAW_RINGS))
+    d = draw(st.integers(0, 5))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(("form", "sparse", "damaged")))
+    if kind == "sparse":
+        rows = [[ring.random(rng) if rng.random() < 0.3 else ring.zero for _ in range(d)] for _ in range(d)]
+        return Matrix(ring, rows, validate=False)
+    s = draw(st.sampled_from((1, -1)))
+    rank = draw(st.none() | st.integers(0, d))
+    try:
+        m = random_form(ring, s, d, rng, rank=rank).m
+    except ValueError:  # no form of that rank and sign over this ring
+        m = random_form(ring, s, d, rng).m
+    if kind == "damaged" and d:
+        i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+        m.rows[i][j] = ring.add(m.rows[i][j], ring.one)
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(law_cases())
+def test_the_symmetry_law_decides_the_sign(m):
+    # validation scans half the matrix and detection reads one entry pair;
+    # both must agree with the law checked over every entry
+    ring = m.ring
+    zero = all(v == ring.zero for row in m.rows for v in row)
+    try:
+        detected = detect_s_sigma(m)
+    except ValueError:  # a form of neither sign
+        detected = "not a form"
+    assert (detected is None) == zero
+    for t in (1, -1):
+        bad = _reference_asymmetry(m, t)
+        assert is_hermitian(m, t) == (bad is None)
+        if bad is None:
+            assert detected == (None if zero else 1 if ring.characteristic == 2 else t)
+            HermitianForm(ring, m, t)
+        else:
+            with pytest.raises(FormValidationError) as info:
+                HermitianForm(ring, m, t)
+            assert info.value.position == bad
 
 
 def test_random_form_obeys_the_declared_shape():
