@@ -354,12 +354,29 @@ def test_is_hermitian_both_signs():
 def test_detect_symmetric_and_alternating():
     assert detect_s_sigma(Matrix(GF7, [[0, 0, 0], [0, 2, 1], [0, 1, 0]])) == 1
     assert detect_s_sigma(Matrix(QQ, [[0, 5], [-5, 0]])) == -1
-    # Hermitian over GF(9): the mirror of 1+x is its Frobenius image 1+2x
-    assert detect_s_sigma(Matrix(GF9, [[(0, 0), (1, 1)], [(1, 2), (2, 0)]])) == 1
-    # over the quaternions an off-diagonal i mirrored by -i = conj(i) is Hermitian
-    i = HH.validate_scalar((0, 1, 0, 0))
-    assert detect_s_sigma(Matrix(HH, [[HH.zero, i], [HH.neg(i), HH.zero]])) == 1
     assert detect_s_sigma(Matrix.zeros(GF7, 3, 3)) is None
+
+
+def test_detect_hermitian_over_gf9_reports_frobenius():
+    # the mirror of 1+x is its Frobenius image 1+2x, so the form is Hermitian
+    m = Matrix(GF9, [[(0, 0), (1, 1)], [(1, 2), (2, 0)]])
+    assert m.rows[1][0] == GF9.sigma(m.rows[0][1])
+    assert detect_s_sigma(m) == 1
+    HermitianForm(GF9, m, 1)
+    with pytest.raises(FormValidationError):
+        HermitianForm(GF9, m, -1)
+
+
+def test_detect_quaternion_samples_are_a_conjugated_involution():
+    # an off-diagonal i mirrored by -i = conj(i) is Hermitian, although the
+    # matrix is skew-symmetric entry by entry
+    i = HH.validate_scalar((0, 1, 0, 0))
+    m = Matrix(HH, [[HH.zero, i], [HH.neg(i), HH.zero]])
+    assert HH.sigma(i) == HH.neg(i)
+    assert detect_s_sigma(m) == 1
+    HermitianForm(HH, m, 1)
+    with pytest.raises(FormValidationError):
+        HermitianForm(HH, m, -1)
 
 
 def test_detect_rejects_non_forms():
