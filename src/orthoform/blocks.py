@@ -40,15 +40,8 @@ def _require_zero(form: HermitianForm, r0: int, r1: int, c0: int, c1: int, conte
 
 
 def _require_identity(form: HermitianForm, r0: int, c0: int, n: int, context: str) -> None:
-    ring = form.ring
-    rows = form.m.rows
-    for i in range(n):
-        for j in range(n):
-            expect = ring.one if i == j else ring.zero
-            if rows[r0 + i][c0 + j] != expect:
-                raise InvariantViolation(
-                    f"{context}: block at ({r0},{c0}) size {n} is not the identity"
-                )
+    if form.m.submatrix(r0, r0 + n, c0, c0 + n) != Matrix.identity(form.ring, n):
+        raise InvariantViolation(f"{context}: block at ({r0},{c0}) size {n} is not the identity")
 
 
 def _sign_scaled(m: Matrix, sign: int) -> Matrix:

@@ -31,7 +31,7 @@ from typing import Optional, TextIO
 
 from .blocks import check_strassen_cutoff, decompose_blocks
 from .form import HermitianForm, detect_s_sigma, random_form
-from .gs import Decomposition, ScalarBlock, decompose_gs
+from .gs import Decomposition, decompose_gs, direct_sum
 from .matrix import Matrix
 from .postprocess import maximize_j_blocks, sort_blocks_canonical
 from .rings import Ring, ring_from_spec
@@ -160,10 +160,7 @@ def _resolve_sign(matrix: Matrix, sign: object, notes: list[str]) -> int:
 
 
 def _block_entries(ring: Ring, s: int, block) -> list[list[str]]:
-    if isinstance(block, ScalarBlock):
-        return [[ring.format(block.value)]]
-    one, zero = ring.format(ring.one), ring.format(ring.zero)
-    return [[zero, one], [ring.format(ring.apply_sign(s, ring.one)), zero]]
+    return [[ring.format(v) for v in row] for row in direct_sum(ring, s, [block]).rows]
 
 
 def _emit_json(

@@ -149,23 +149,34 @@ class TransformLog:
         return TransformLog(self.dim, self.ops[start:stop])
 
     def materialize(self, ring: Ring) -> Matrix:
-        """Product of the elementary matrices in application order (first op innermost)."""
+        """Product of the elementary matrices in application order (first op innermost).
+
+        Raises:
+            ValueError: an op that does not fit, naming its index: a row outside
+                [0, dim), a block that is not square, over another ring or not
+                inside [0, dim), or an op of unknown kind.
+        """
         d = self.dim
         acc = _augmented(Matrix.zeros(ring, d, 0), d * d, terms=d)  # [ | I]: the identity
-        for op in self.ops:
-            if isinstance(op, Scale):
+        for idx, op in enumerate(self.ops):
+            if isinstance(op, Scale) and 0 <= op.index < d:
                 acc.scale(op.index, op.value)
-            elif isinstance(op, Swap):
+            elif isinstance(op, Swap) and 0 <= op.i < d and 0 <= op.j < d:
                 acc.swap(op.i, op.j)
-            elif isinstance(op, Eliminate):
+            elif isinstance(op, Eliminate) and 0 <= op.source < d and 0 <= min(op.targets) and max(op.targets) < d:
                 acc.add_multiples([op.source], list(op.targets), [op.coeffs])
-            elif isinstance(op, BlockTransvect):
+            elif isinstance(op, BlockTransvect) and _inside(op.coeff, ring, d, op.target, op.source):
                 n, k = op.coeff.shape
                 acc.add_multiples(slice(op.source, op.source + k), slice(op.target, op.target + n), list(zip(*op.coeff.rows)))
-            elif isinstance(op, BlockLeft):
+            elif (
+                isinstance(op, BlockLeft)
+                and op.block.nrows == op.block.ncols
+                and _inside(op.block, ring, d, op.offset, op.offset)
+            ):
                 acc.left_multiply(op.offset, op.block)
             else:
-                raise TypeError(f"unknown log op {op!r}")
+                kind = type(op).__name__
+                raise ValueError(f"log op {idx} ({kind}) does not fit a {d}-dimensional log over {ring!r}")
         return Matrix(ring, acc.transform(), validate=False)
 
     def slp_lines(self, ring: Ring) -> list[str]:
@@ -184,6 +195,11 @@ class TransformLog:
                 entries = " ".join(ring.format(v) for row in op.block.rows for v in row)
                 lines.append(f"blockleft {op.offset} {op.block.nrows} {entries}")
         return lines
+
+
+def _inside(block: Matrix, ring: Ring, d: int, row: int, col: int) -> bool:
+    """A block over `ring` whose rows start at `row` and columns at `col` lies inside [0, d)."""
+    return block.ring == ring and 0 <= row and row + block.nrows <= d and 0 <= col and col + block.ncols <= d
 
 
 def _first_asymmetry(matrix: Matrix, s: int) -> Optional[tuple[int, int]]:
@@ -223,8 +239,6 @@ class HermitianForm:
         matrix: Matrix,
         s: int,
         validate: bool = True,
-        log: Optional[TransformLog] = None,
-        counters: Optional[OpCounters] = None,
     ):
         if s not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {s!r}")
@@ -236,8 +250,8 @@ class HermitianForm:
         self.s = s
         self.dim = matrix.nrows
         self.m = matrix
-        self.log = log if log is not None else TransformLog(self.dim)
-        self.counters = counters if counters is not None else OpCounters()
+        self.log = TransformLog(self.dim)
+        self.counters = OpCounters()
         if validate:
             bad = _first_asymmetry(matrix, s)
             if bad is not None:
@@ -248,14 +262,10 @@ class HermitianForm:
         return cls(ring, Matrix(ring, [row[:] for row in rows]), s)
 
     def copy(self) -> "HermitianForm":
-        return HermitianForm(
-            self.ring,
-            self.m.copy(),
-            self.s,
-            validate=False,
-            log=TransformLog(self.dim, list(self.log.ops)),
-            counters=self.counters.copy(),
-        )
+        twin = HermitianForm(self.ring, self.m.copy(), self.s, validate=False)
+        twin.log = TransformLog(self.dim, list(self.log.ops))
+        twin.counters = self.counters.copy()
+        return twin
 
     def evaluate(self, u: list, v: list):
         """b(u, v) = u * B * sigma(v)^t, exact."""

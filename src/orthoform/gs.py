@@ -52,22 +52,28 @@ class Decomposition:
     recursion_depth: int = 0
 
     def direct_sum_matrix(self) -> Matrix:
-        ring = self.ring
-        rows = [[ring.zero] * self.dim for _ in range(self.dim)]
-        pos = 0
-        for idx, block in enumerate(self.blocks):
-            if isinstance(block, ScalarBlock):
-                rows[pos][pos] = block.value
-                pos += 1
-            elif isinstance(block, JBlock):
-                rows[pos][pos + 1] = ring.one
-                rows[pos + 1][pos] = ring.from_int(self.s)
-                pos += 2
-            else:
-                raise TypeError(f"block {idx} has unknown type {type(block).__name__}")
-        if pos != self.dim:
-            raise ValueError(f"blocks cover {pos} positions, form has {self.dim}")
-        return Matrix(ring, rows, validate=False)
+        m = direct_sum(self.ring, self.s, self.blocks)
+        if m.nrows != self.dim:
+            raise ValueError(f"blocks cover {m.nrows} positions, form has {self.dim}")
+        return m
+
+
+def direct_sum(ring: Ring, s: int, blocks: list) -> Matrix:
+    """The block-diagonal matrix of `blocks`, [value] per ScalarBlock and
+    [[0, 1], [s, 0]] per JBlock; TypeError on a block of any other type."""
+    for idx, block in enumerate(blocks):
+        if not isinstance(block, (ScalarBlock, JBlock)):
+            raise TypeError(f"block {idx} has unknown type {type(block).__name__}")
+    d = sum(b.size for b in blocks)
+    m = Matrix.zeros(ring, d, d)
+    pos = 0
+    for block in blocks:
+        if isinstance(block, ScalarBlock):
+            m.rows[pos][pos] = block.value
+        else:
+            m.rows[pos][pos + 1], m.rows[pos + 1][pos] = ring.one, ring.from_int(s)
+        pos += block.size
+    return m
 
 
 def standardize_at(form: HermitianForm, pos: int) -> list:

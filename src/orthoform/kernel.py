@@ -32,7 +32,7 @@ def _pack_scalar(ring: Ring, x) -> np.ndarray:
     return np.array(x if isinstance(ring, QuadraticField) else (x,), dtype=np.int64)[:, None]
 
 
-def _unpack(ring: Ring, planes: np.ndarray) -> list:
+def _unpack(planes: np.ndarray) -> list:
     if len(planes) == 1:
         return planes[0].tolist()
     return [list(zip(r0, r1)) for r0, r1 in zip(planes[0].tolist(), planes[1].tolist())]
@@ -49,7 +49,7 @@ def _plane_product(ring: Ring, x: np.ndarray, y: np.ndarray, op=np.multiply) -> 
 def matmul(ring: Ring, left: list, right: list) -> list:
     """Rows of the product of two nonempty row lists, reduced mod p."""
     prod = _plane_product(ring, _pack(ring, left), _pack(ring, right), np.matmul)
-    return _unpack(ring, prod % ring.p)
+    return _unpack(prod % ring.p)
 
 
 class PlaneRows:
@@ -123,7 +123,7 @@ class PlaneRows:
     def transform(self) -> list:
         out = np.empty_like(self.w[:, :, self.cols :])
         out[:, :, self.perm] = self.w[:, :, self.cols :]
-        return _unpack(self.ring, out)
+        return _unpack(out)
 
 
 _GL_DET_CHUNK = 1 << 20

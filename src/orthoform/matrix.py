@@ -1,8 +1,9 @@
 """Exact dense matrices over a ring descriptor.
 
-Provides the classical and Strassen products, the sigma-transpose, one-sided
-eliminations that return their transform as an invertible witness matrix, and
-inversion.  Everything is exact.
+Provides the classical and Strassen products, the sigma-transpose, the
+congruence check ``congruates``, one-sided eliminations that return their
+transform as an invertible witness matrix, and inversion.  Everything is
+exact.
 
 ``left_row_reduce``, ``invert`` and ``TransformLog.materialize`` work on one
 stacked ``[work | identity]`` row store, and ``rank`` on the ``[work]`` half
@@ -441,6 +442,11 @@ def matmul(left: Matrix, right: Matrix, cutoff: Optional[int] = None, counters=N
     if not cutoff:
         return matmul_classical(left, right, counters)
     return matmul_strassen(left, right, cutoff, counters)
+
+
+def congruates(t: Matrix, source: Matrix, target: Matrix) -> bool:
+    """True iff t * source * sigma(t)^t == target: t takes the form source to target."""
+    return matmul(matmul(t, source), t.sigma_transpose()) == target
 
 
 def _pick(rows: list, index) -> list:

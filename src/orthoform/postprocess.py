@@ -6,6 +6,10 @@ appends the congruence operations that realize it, so the defining identity
 stays true after each pass.  Each reorder of the blocks is logged as one
 permutation of row-columns with the fewest swaps (`form.transpositions`), at
 most d - 1 of them, and each merge or rewrite as one BlockLeft per pair.
+Every small transform is checked on every call by one ``congruates`` from
+the ``direct_sum`` of the blocks it rewrites to that of the blocks it makes;
+the canonical sort rescales with ``normalize_scalar_block`` and rewrites a
+pair of non-residues with ``pair_rescale``.
 """
 
 from __future__ import annotations
@@ -16,8 +20,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .form import BlockLeft, Scale, Swap, transpositions
-from .gs import Decomposition, JBlock, ScalarBlock
-from .matrix import Matrix, matmul
+from .gs import Decomposition, JBlock, ScalarBlock, direct_sum
+from .matrix import Matrix, congruates
 from .rings import (
     PrimeField,
     QuadraticField,
@@ -91,9 +95,7 @@ def pair_rescale(ring: Ring, gamma, delta) -> tuple[Matrix, object]:
         [[gamma, delta], [ring.sigma(delta), ring.neg(ring.sigma(gamma))]],
         validate=False,
     )
-    product = matmul(a, a.sigma_transpose())
-    expected = Matrix(ring, [[alpha, ring.zero], [ring.zero, alpha]], validate=False)
-    if product != expected:
+    if not congruates(a, Matrix.identity(ring, 2), direct_sum(ring, 1, [ScalarBlock(alpha)] * 2)):
         raise ArithmeticError("pair rescale transform failed its defining identity")
     return a, alpha
 
@@ -112,13 +114,8 @@ def char2_triple(ring: Ring, alpha) -> Matrix:
         raise ValueError("alpha must be nonzero")
     one, zero = ring.one, ring.zero
     t = Matrix(ring, [[zero, alpha, one], [one, alpha, one], [one, zero, one]], validate=False)
-    source = Matrix(ring, [[zero, one, zero], [one, zero, zero], [zero, zero, alpha]], validate=False)
-    target = Matrix(
-        ring,
-        [[alpha, zero, zero], [zero, alpha, zero], [zero, zero, alpha]],
-        validate=False,
-    )
-    if matmul(matmul(t, source), t.sigma_transpose()) != target:
+    source = direct_sum(ring, 1, [JBlock(), ScalarBlock(alpha)])
+    if not congruates(t, source, direct_sum(ring, 1, [ScalarBlock(alpha)] * 3)):
         raise ArithmeticError("triple transform failed its defining identity")
     return t
 
@@ -183,16 +180,9 @@ def maximize_j_blocks(dec: Decomposition) -> Decomposition:
     for t in heads:
         alpha = dec.blocks[t].value
         half = ring.inv(ring.mul(ring.from_int(2), alpha))
-        merge = Matrix(
-            ring,
-            [[ring.one, ring.one], [half, ring.neg(half)]],
-            validate=False,
-        )
-        check = matmul(
-            matmul(merge, Matrix(ring, [[alpha, ring.zero], [ring.zero, ring.neg(alpha)]], validate=False)),
-            merge.sigma_transpose(),
-        )
-        if check != Matrix(ring, [[ring.zero, ring.one], [ring.one, ring.zero]], validate=False):
+        merge = Matrix(ring, [[ring.one, ring.one], [half, ring.neg(half)]], validate=False)
+        source = direct_sum(ring, dec.s, [ScalarBlock(alpha), ScalarBlock(ring.neg(alpha))])
+        if not congruates(merge, source, direct_sum(ring, dec.s, [JBlock()])):
             raise ArithmeticError("pair merge transform failed its defining identity")
         dec.log.append(BlockLeft(merge, starts[t]))
     for t in reversed(heads):
@@ -230,35 +220,22 @@ def sort_blocks_canonical(dec: Decomposition) -> Decomposition:
     for i, block in enumerate(dec.blocks):
         if not isinstance(block, ScalarBlock) or block.value == ring.zero:
             continue
-        alpha = block.value
-        root = sqrt_in_prime_field(ring, ring.inv(alpha))
-        if root is not None:
-            gamma, value = root, ring.one
-        else:
-            gamma = sqrt_in_prime_field(ring, ring.mul(n, ring.inv(alpha)))
-            value = n
+        gamma, value = normalize_scalar_block(ring, block.value), ring.one
+        if gamma is None:
+            gamma, value = normalize_scalar_block(ring, ring.mul(block.value, ring.inv(n))), n
         if gamma != ring.one:
             dec.log.append(Scale(starts[i], gamma))
         dec.blocks[i] = ScalarBlock(value)
     heavy = [i for i, b in enumerate(dec.blocks) if isinstance(b, ScalarBlock) and b.value == n]
     heads = _pair_up(dec, dict(zip(heavy[::2], heavy[1::2])))
     starts = _block_starts(dec.blocks)
-    for t in heads:
-        g, d = _two_square_split(ring, n)
+    if heads:
+        a, _ = pair_rescale(ring, *_two_square_split(ring, n))
         scale = ring.inv(n)
-        q = Matrix(
-            ring,
-            [
-                [ring.mul(scale, g), ring.mul(scale, d)],
-                [ring.mul(scale, d), ring.mul(scale, ring.neg(g))],
-            ],
-            validate=False,
-        )
-        check = matmul(
-            matmul(q, Matrix(ring, [[n, 0], [0, n]], validate=False)), q.sigma_transpose()
-        )
-        if check != Matrix.identity(ring, 2):
+        q = Matrix(ring, [[ring.mul(scale, v) for v in row] for row in a.rows], validate=False)
+        if not congruates(q, direct_sum(ring, 1, [ScalarBlock(n)] * 2), Matrix.identity(ring, 2)):
             raise ArithmeticError("non-residue pair rewrite failed its defining identity")
+    for t in heads:
         dec.log.append(BlockLeft(q, starts[t]))
         dec.blocks[t] = dec.blocks[t + 1] = ScalarBlock(ring.one)
 

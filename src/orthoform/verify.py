@@ -2,13 +2,14 @@
 
 check_decomposition re-derives everything from the input matrix and the log:
 the materialized transform must be invertible, must actually congruate the
-input to the direct sum of the claimed blocks, the blocks must be standard,
-and the number of zero blocks must match d minus the rank of the input.
-When the first two clauses hold and every block is a scalar or a J block,
-that rank is read off the certificate: congruence by an invertible transform
-keeps the rank, so rank(input) is the rank of the direct sum.  Otherwise the
-input's rank is computed by elimination.  Nothing here reuses intermediate
-state from the decomposition run.
+input to the direct sum of the claimed blocks (``matrix.congruates``), the
+blocks must be standard, and the number of zero blocks must match d minus
+the rank of the input.  When the first two clauses hold and s = +-1, that
+corank is the zero-block count itself: congruence by an invertible transform
+keeps the rank, and the direct sum has rank 1 per nonzero scalar and 2 per
+J block.  Otherwise the input's rank is computed by elimination.  A log op
+that does not fit the form fails the first two clauses.  Nothing here reuses
+intermediate state from the decomposition run.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Optional
 
 from .form import OpCounters
 from .gs import Decomposition, JBlock, ScalarBlock
-from .matrix import Matrix, matmul, rank
+from .matrix import Matrix, congruates, rank
 from .rings import PrimeField, _legendre
 
 
@@ -51,9 +52,9 @@ class CheckReport:
 def check_decomposition(original: Matrix, s: int, dec: Decomposition) -> CheckReport:
     """Re-verify a decomposition against the untouched input matrix.
 
-    A decomposition over another ring or of another dimension than the input
-    fails the invertibility and congruence clauses; its blocks are judged
-    over their own ring.
+    A decomposition over another ring or of another dimension than the input,
+    or with a log op that does not fit the input, fails the invertibility and
+    congruence clauses; its blocks are judged over their own ring.
     """
     ring = dec.ring
     d = original.nrows
@@ -72,11 +73,17 @@ def check_decomposition(original: Matrix, s: int, dec: Decomposition) -> CheckRe
             f"log does not fit a {d}-dimensional form over {original.ring!r}"
         )
     else:
-        transform = dec.log.materialize(ring)
-        if rank(transform) != d:
+        try:
+            transform = dec.log.materialize(ring)
+        except ValueError as exc:
             report.transform_invertible = False
-            report.details.append("materialized transform is singular")
-    sizes = sum(b.size for b in dec.blocks)
+            report.congruence_matches = False
+            report.details.append(f"log does not materialize: {exc}")
+        else:
+            if rank(transform) != d:
+                report.transform_invertible = False
+                report.details.append("materialized transform is singular")
+    sizes = sum(getattr(b, "size", 0) for b in dec.blocks)
     if sizes != d:
         report.blocks_standard = False
         report.details.append(f"blocks cover {sizes} of {d} positions")
@@ -89,8 +96,7 @@ def check_decomposition(original: Matrix, s: int, dec: Decomposition) -> CheckRe
             report.congruence_matches = False
             report.details.append(f"no direct sum to compare against: {exc}")
         else:
-            product = matmul(matmul(transform, original), transform.sigma_transpose())
-            if product != direct_sum:
+            if not congruates(transform, original, direct_sum):
                 report.congruence_matches = False
                 report.details.append("transformed matrix is not the claimed direct sum")
     for idx, block in enumerate(dec.blocks):
@@ -102,9 +108,7 @@ def check_decomposition(original: Matrix, s: int, dec: Decomposition) -> CheckRe
         elif not isinstance(block, JBlock):
             report.blocks_standard = False
             report.details.append(f"block {idx} has unknown type {type(block).__name__}")
-    zero_blocks = sum(
-        1 for b in dec.blocks if isinstance(b, ScalarBlock) and b.value == ring.zero
-    )
+    zero_blocks = _zero_blocks(dec)
     corank = _certified_corank(report, dec)
     if corank is None:
         corank = d - rank(original)
@@ -117,28 +121,24 @@ def check_decomposition(original: Matrix, s: int, dec: Decomposition) -> CheckRe
     return report
 
 
+def _zero_blocks(dec: Decomposition) -> int:
+    zero = dec.ring.zero
+    return sum(1 for b in dec.blocks if isinstance(b, ScalarBlock) and b.value == zero)
+
+
 def _certified_corank(report: CheckReport, dec: Decomposition) -> Optional[int]:
     """d - rank(original) read off a certificate whose first two clauses hold.
 
     Then an invertible d x d transform T gives T * original * sigma(T)^t = D,
-    the claimed direct sum, so rank(original) = rank(D): the sum of the block
-    ranks, 1 per nonzero scalar and 2 per [[0, 1], [s, 0]] (1 if s is 0 in the
-    ring).  None when either clause failed or a block is of unknown type; the
-    caller then computes the rank exactly.
+    the direct sum of known blocks covering d positions, so rank(original) =
+    rank(D): 1 per nonzero scalar and, as s = +-1 is a unit, 2 per J block,
+    which leaves the zero blocks as the corank.  None when either clause
+    failed or s is not +-1 (with s = 0 a J block has rank 1); the caller then
+    computes the rank exactly.
     """
-    if not (report.transform_invertible and report.congruence_matches):
+    if not (report.transform_invertible and report.congruence_matches and dec.s in (1, -1)):
         return None
-    ring = dec.ring
-    j_rank = 1 + (ring.from_int(dec.s) != ring.zero)
-    rank_d = 0
-    for block in dec.blocks:
-        if isinstance(block, ScalarBlock):
-            rank_d += block.value != ring.zero
-        elif isinstance(block, JBlock):
-            rank_d += j_rank
-        else:
-            return None
-    return dec.dim - rank_d
+    return _zero_blocks(dec)
 
 
 @dataclass(frozen=True)
@@ -159,9 +159,7 @@ def invariants_of(dec: Decomposition) -> InvariantSummary:
     given form, which is what makes the summary comparable across algorithms.
     """
     ring = dec.ring
-    zero_blocks = sum(
-        1 for b in dec.blocks if isinstance(b, ScalarBlock) and b.value == ring.zero
-    )
+    zero_blocks = _zero_blocks(dec)
     j_blocks = sum(1 for b in dec.blocks if isinstance(b, JBlock))
     square_classes = None
     if isinstance(ring, PrimeField) and ring.involution == "identity":

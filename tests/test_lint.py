@@ -1,0 +1,90 @@
+"""A small AST lint of the package: no orphaned imports, no dead private names.
+
+Deleting code tends to leave behind an import that nothing uses any more, or
+a private helper that nothing calls.  Both checks read the source of
+``src/orthoform`` with ``ast`` alone.
+"""
+
+from __future__ import annotations
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "orthoform"
+
+
+def _trees() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _reads(node: ast.AST) -> Counter:
+    """The names a piece of source reads: loaded names, attribute names and
+    identifier strings (string annotations such as ``-> "Matrix"``)."""
+    names: Counter = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            names[sub.attr] += 1
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) and sub.value.isidentifier():
+            names[sub.value] += 1
+    return names
+
+
+def _imports(tree: ast.Module) -> list[ast.alias]:
+    return [
+        alias
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    ]
+
+
+def _imported_from(trees: dict[str, ast.Module], module: str) -> set[str]:
+    """The names that the other modules, ``__init__`` aside, import from `module`."""
+    return {
+        alias.name
+        for name, tree in trees.items()
+        if name != "__init__"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == module
+        for alias in node.names
+    }
+
+
+def test_every_import_is_used():
+    # __init__ only re-exports; a name another module imports from this one counts as used
+    trees = _trees()
+    unused = []
+    for module, tree in trees.items():
+        if module == "__init__":
+            continue
+        used = set(_reads(tree)) | _imported_from(trees, module)
+        for alias in _imports(tree):
+            bound = alias.asname or alias.name.split(".")[0]
+            if bound not in used:
+                unused.append(f"{module}.py: {bound}")
+    assert unused == []
+
+
+def test_every_private_module_name_is_referenced():
+    # a reference inside the definition itself (a recursive call) does not count
+    trees = _trees()
+    reads = sum(map(_reads, trees.values()), Counter())
+    reads.update(alias.name for tree in trees.values() for alias in _imports(tree))
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            inside = _reads(node)
+            for name in defined:
+                if name.startswith("_") and not name.startswith("__") and reads[name] <= inside[name]:
+                    dead.append(f"{module}.py:{node.lineno} {name}")
+    assert dead == []

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,7 @@ from orthoform import (
     random_form,
     sort_blocks_canonical,
 )
+from orthoform import postprocess
 from orthoform.postprocess import _two_square_split
 from helpers import snapshot
 
@@ -394,3 +396,38 @@ def test_sort_pairs_nonresidues_over_a_huge_prime():
     dec = sort_blocks_canonical(decompose_gs(form))
     assert [b.value for b in dec.blocks] == [1, 1]
     assert check_decomposition(original, 1, dec).passed
+
+
+def _diagonal_decomposition(ring, values):
+    rows = [[v if i == j else 0 for j in range(len(values))] for i, v in enumerate(values)]
+    return decompose_gs(HermitianForm.from_rows(ring, rows, 1))
+
+
+_OWN_MESSAGES = {
+    "pair_rescale": (lambda: pair_rescale(GF7, 3, 5), "pair rescale transform failed its defining identity"),
+    "char2_triple": (lambda: char2_triple(GF2, 1), "triple transform failed its defining identity"),
+    "maximize_j_blocks": (
+        lambda: maximize_j_blocks(_diagonal_decomposition(GF7, [1, 6])),
+        "pair merge transform failed its defining identity",
+    ),
+    "sort_blocks_canonical": (
+        lambda: sort_blocks_canonical(_diagonal_decomposition(GF7, [3, 3])),
+        "non-residue pair rewrite failed its defining identity",
+    ),
+}
+
+
+@pytest.mark.parametrize("caller", list(_OWN_MESSAGES))
+def test_a_failed_identity_raises_the_rewrites_own_message(caller, monkeypatch):
+    # the shared congruence check reports failure to `caller` alone, so the
+    # sort's call of pair_rescale still passes and the sort's own check fails
+    run, message = _OWN_MESSAGES[caller]
+    run()  # the real check passes
+    real = postprocess.congruates
+
+    def failing_for_caller(t, source, target):
+        return real(t, source, target) and sys._getframe(1).f_code.co_name != caller
+
+    monkeypatch.setattr(postprocess, "congruates", failing_for_caller)
+    with pytest.raises(ArithmeticError, match=f"^{message}$"):
+        run()

@@ -8,6 +8,9 @@ import pytest
 
 from orthoform import (
     BlockLeft,
+    BlockTransvect,
+    Decomposition,
+    Eliminate,
     HermitianForm,
     JBlock,
     Matrix,
@@ -16,6 +19,7 @@ from orthoform import (
     QuadraticField,
     RationalField,
     RationalQuaternions,
+    Scale,
     ScalarBlock,
     Swap,
     TransformLog,
@@ -294,3 +298,81 @@ def test_counter_report_custom_bands():
     counters = OpCounters(additions=10, multiplications=10, inversions=2, equality_tests=3, sigma_applications=0)
     report = counter_report(counters, 3, 0, bands={"inversions": (0.0, 0.5)})
     assert report.flags and "inversions" in report.flags[0]
+
+
+class _UnknownOp:
+    """A log op of a kind the transform log does not know."""
+
+
+class _Sizeless:
+    """A block without a size."""
+
+
+def _misfits():
+    # ops that do not fit the 4-dimensional GF(7) log they are appended to
+    return {
+        "swap-past-the-end": Swap(0, 9),
+        "eliminate-past-the-end": Eliminate(0, (9,), (1,)),
+        "scale-past-the-end": Scale(7, 1),
+        "block-past-the-end": BlockLeft(Matrix.identity(GF7, 3), 3),
+        "block-not-square": BlockLeft(Matrix(GF7, [[1, 0]]), 0),
+        "block-over-gf5": BlockLeft(Matrix.identity(PrimeField(5), 1), 0),
+        "unknown-kind": _UnknownOp(),
+        "negative-row": Swap(-1, 0),
+        "transvection-past-the-end": BlockTransvect(3, 0, Matrix.identity(GF7, 2)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_misfits()))
+def test_a_log_op_that_does_not_fit_fails_the_first_two_clauses(case):
+    # the transform log names the op; the checker fails clauses 1-2 instead of raising
+    op = _misfits()[case]
+    original, dec = fresh_decomposition()
+    index = len(dec.log)
+    dec.log.append(op)
+    message = f"log op {index} ({type(op).__name__}) does not fit a 4-dimensional log over GF(7)"
+    with pytest.raises(ValueError) as caught:
+        dec.log.materialize(GF7)
+    assert str(caught.value) == message
+    report = check_decomposition(original, 1, dec)
+    assert report.as_dict() == {
+        "transform_invertible": False,
+        "congruence_matches": False,
+        "blocks_standard": True,
+        "radical_matches": True,
+    }
+    assert report.details == [f"log does not materialize: {message}"]
+
+
+def test_a_block_without_a_size_covers_no_position():
+    original, dec = fresh_decomposition()
+    dec.blocks.append(_Sizeless())
+    report = check_decomposition(original, 1, dec)
+    assert report.as_dict() == {
+        "transform_invertible": True,
+        "congruence_matches": False,
+        "blocks_standard": False,
+        "radical_matches": True,
+    }
+    assert report.details == [
+        "no direct sum to compare against: block 4 has unknown type _Sizeless",
+        "block 4 has unknown type _Sizeless",
+    ]
+
+
+def test_the_certified_corank_needs_a_unit_sign():
+    # [[0, 1], [0, 0]] is not a form, but the empty log congruates it to the
+    # J block of s = 0, which has rank 1: the zero-block count (0) is not the
+    # corank (1), so the radical clause must compute the rank and fail
+    original = Matrix(GF7, [[0, 1], [0, 0]])
+    dec = Decomposition(
+        ring=GF7, s=0, dim=2, blocks=[JBlock()], log=TransformLog(2), counters=OpCounters(), radical_dim=0
+    )
+    report = check_decomposition(original, 0, dec)
+    assert report.as_dict() == {
+        "transform_invertible": True,
+        "congruence_matches": True,
+        "blocks_standard": True,
+        "radical_matches": False,
+    }
+    assert report.details == ["radical_dim 0, zero blocks 0, dim minus rank 1 disagree"]
