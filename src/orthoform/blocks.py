@@ -251,15 +251,4 @@ def decompose_blocks(form: HermitianForm, strassen_cutoff: int = 0) -> Decomposi
     core = d - radical
     if core:
         run.aniso(0, core)
-    run.blocks.extend(ScalarBlock(form.ring.zero) for _ in range(radical))
-    return Decomposition(
-        ring=form.ring,
-        s=form.s,
-        dim=d,
-        blocks=run.blocks,
-        log=form.log,
-        counters=form.counters,
-        radical_dim=radical,
-        isotropic_steps=run.iso_pairs,
-        recursion_depth=run.max_depth,
-    )
+    return Decomposition.of(form, run.blocks, radical, run.iso_pairs, run.max_depth)

@@ -152,29 +152,21 @@ class TransformLog:
         """Product of the elementary matrices in application order (first op innermost).
 
         Raises:
-            ValueError: an op that does not fit, naming its index: a row outside
-                [0, dim), a block that is not square, over another ring or not
-                inside [0, dim), or an op of unknown kind.
+            ValueError: an op that does not fit, naming its index: a row that
+                is not an int in [0, dim), a Scale value that is not a scalar
+                of the ring, a block that is not a square Matrix over the ring
+                inside [0, dim), an op the row store cannot apply, or an op of
+                unknown kind.
         """
         d = self.dim
         acc = _augmented(Matrix.zeros(ring, d, 0), d * d, terms=d)  # [ | I]: the identity
+        rows = frozenset(range(d))
         for idx, op in enumerate(self.ops):
-            if isinstance(op, Scale) and 0 <= op.index < d:
-                acc.scale(op.index, op.value)
-            elif isinstance(op, Swap) and 0 <= op.i < d and 0 <= op.j < d:
-                acc.swap(op.i, op.j)
-            elif isinstance(op, Eliminate) and 0 <= op.source < d and 0 <= min(op.targets) and max(op.targets) < d:
-                acc.add_multiples([op.source], list(op.targets), [op.coeffs])
-            elif isinstance(op, BlockTransvect) and _inside(op.coeff, ring, d, op.target, op.source):
-                n, k = op.coeff.shape
-                acc.add_multiples(slice(op.source, op.source + k), slice(op.target, op.target + n), list(zip(*op.coeff.rows)))
-            elif (
-                isinstance(op, BlockLeft)
-                and op.block.nrows == op.block.ncols
-                and _inside(op.block, ring, d, op.offset, op.offset)
-            ):
-                acc.left_multiply(op.offset, op.block)
-            else:
+            try:
+                fits = _apply(acc, op, ring, rows)
+            except (ArithmeticError, AttributeError, IndexError, TypeError, ValueError):
+                fits = False
+            if not fits:
                 kind = type(op).__name__
                 raise ValueError(f"log op {idx} ({kind}) does not fit a {d}-dimensional log over {ring!r}")
         return Matrix(ring, acc.transform(), validate=False)
@@ -197,9 +189,46 @@ class TransformLog:
         return lines
 
 
-def _inside(block: Matrix, ring: Ring, d: int, row: int, col: int) -> bool:
-    """A block over `ring` whose rows start at `row` and columns at `col` lies inside [0, d)."""
-    return block.ring == ring and 0 <= row and row + block.nrows <= d and 0 <= col and col + block.ncols <= d
+def _apply(acc, op: LogOp, ring: Ring, rows: frozenset) -> bool:
+    """Apply one log op to the row store `acc`; False if its fields do not fit
+    a log over `ring` whose row indices are `rows`."""
+    if isinstance(op, Scale) and _ints_in(rows, (op.index,)):
+        acc.scale(op.index, ring.validate_scalar(op.value))
+    elif isinstance(op, Swap) and _ints_in(rows, (op.i, op.j)):
+        acc.swap(op.i, op.j)
+    elif isinstance(op, Eliminate) and _ints_in(rows, (op.source, *op.targets)):
+        acc.add_multiples([op.source], list(op.targets), [op.coeffs])
+    elif isinstance(op, BlockTransvect) and _inside(op.coeff, ring, rows, op.target, op.source):
+        n, k = op.coeff.shape
+        acc.add_multiples(slice(op.source, op.source + k), slice(op.target, op.target + n), list(zip(*op.coeff.rows)))
+    elif (
+        isinstance(op, BlockLeft)
+        and _inside(op.block, ring, rows, op.offset, op.offset)
+        and op.block.nrows == op.block.ncols
+    ):
+        acc.left_multiply(op.offset, op.block)
+    else:
+        return False
+    return True
+
+
+def _ints_in(rows: frozenset, values: tuple) -> bool:
+    """Every entry of `values` is an int in `rows`.  The set test admits only
+    values equal to such ints; a float, Fraction or numpy scalar among them
+    then turns the sum into its own type.  One sum costs honest logs less than
+    a type() call per Eliminate target."""
+    return rows.issuperset(values) and type(sum(values)) is int
+
+
+def _inside(block: Matrix, ring: Ring, rows: frozenset, row: int, col: int) -> bool:
+    """`block` is a Matrix over `ring` whose rows start at `row` and columns at `col`, inside `rows`."""
+    return (
+        isinstance(block, Matrix)
+        and block.ring == ring
+        and _ints_in(rows, (row, col))
+        and row + block.nrows <= len(rows)
+        and col + block.ncols <= len(rows)
+    )
 
 
 def _first_asymmetry(matrix: Matrix, s: int) -> Optional[tuple[int, int]]:

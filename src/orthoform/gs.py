@@ -51,6 +51,17 @@ class Decomposition:
     isotropic_steps: int = 0
     recursion_depth: int = 0
 
+    @classmethod
+    def of(
+        cls, form: HermitianForm, blocks: list, radical_dim: int, isotropic_steps: int, recursion_depth: int = 0
+    ) -> "Decomposition":
+        """The decomposition of `form` into `blocks` followed by the radical's
+        `radical_dim` zero blocks, carrying the form's log and counters."""
+        blocks.extend(ScalarBlock(form.ring.zero) for _ in range(radical_dim))
+        return cls(
+            form.ring, form.s, form.dim, blocks, form.log, form.counters, radical_dim, isotropic_steps, recursion_depth
+        )
+
     def direct_sum_matrix(self) -> Matrix:
         m = direct_sum(self.ring, self.s, self.blocks)
         if m.nrows != self.dim:
@@ -167,16 +178,4 @@ def decompose_gs(form: HermitianForm) -> Decomposition:
         form.clear_row_column(pos, pos + 1, lo=pos, hi=hi)
         blocks.extend(standardize_at(form, pos))
         pos += 2
-    radical_dim = d - hi
-    blocks.extend(ScalarBlock(ring.zero) for _ in range(radical_dim))
-    return Decomposition(
-        ring=ring,
-        s=form.s,
-        dim=d,
-        blocks=blocks,
-        log=form.log,
-        counters=c,
-        radical_dim=radical_dim,
-        isotropic_steps=iso_steps,
-        recursion_depth=0,
-    )
+    return Decomposition.of(form, blocks, d - hi, iso_steps)

@@ -46,6 +46,10 @@ The classical product takes one of three paths:
   (i, j) is divided by the two scales, which are central.  That gives the
   ring loop's canonical Fractions without a gcd per multiply and add.
 
+Strassen's recursion pads each factor to even dimensions, cuts it into
+quarters (``_quarters``) and forms its sums and differences with
+``_combine``, which counts one addition per entry, padded zeros included.
+
 All routines optionally accept a counters object (duck-typed, with
 ``additions`` / ``multiplications`` / ``inversions`` / ``equality_tests`` /
 ``sigma_applications`` attributes) and add the ring-operation counts of the
@@ -350,35 +354,23 @@ def _quaternion_product(left: list, right: list) -> list:
     return out
 
 
-def _madd(a: Matrix, b: Matrix, counters=None) -> Matrix:
-    add = a.ring.add
+def _combine(op, a: Matrix, b: Matrix, counters) -> Matrix:
+    """The entrywise op(a, b) of two matrices of one shape, op being the ring's
+    add or sub; counts one addition per entry."""
     if counters is not None:
         counters.additions += a.nrows * a.ncols
-    return Matrix(
-        a.ring,
-        [[add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)],
-        validate=False,
-    )
+    return Matrix(a.ring, [list(map(op, ra, rb)) for ra, rb in zip(a.rows, b.rows)], validate=False)
 
 
-def _msub(a: Matrix, b: Matrix, counters=None) -> Matrix:
-    sub = a.ring.sub
-    if counters is not None:
-        counters.additions += a.nrows * a.ncols
-    return Matrix(
-        a.ring,
-        [[sub(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)],
-        validate=False,
-    )
-
-
-def _pad(m: Matrix, nrows: int, ncols: int) -> Matrix:
-    if m.nrows == nrows and m.ncols == ncols:
-        return m
-    z = m.ring.zero
-    rows = [row + [z] * (ncols - m.ncols) for row in m.rows]
-    rows += [[z] * ncols for _ in range(nrows - m.nrows)]
-    return Matrix(m.ring, rows, validate=False)
+def _quarters(m: Matrix) -> list:
+    """The four quarters (top left, top right, bottom left, bottom right) of
+    m padded with zero rows and columns to even dimensions."""
+    z, hc = m.ring.zero, (m.ncols + 1) // 2
+    rows = [row + [z] * (m.ncols & 1) for row in m.rows] + [[z] * (2 * hc)] * (m.nrows & 1)
+    hr = len(rows) // 2
+    return [
+        Matrix(m.ring, [row[c : c + hc] for row in rows[r : r + hr]], validate=False) for r in (0, hr) for c in (0, hc)
+    ]
 
 
 def matmul_strassen(left: Matrix, right: Matrix, cutoff: int = 64, counters=None) -> Matrix:
@@ -387,8 +379,9 @@ def matmul_strassen(left: Matrix, right: Matrix, cutoff: int = 64, counters=None
     The seven recursive products keep every left factor built from blocks of
     ``left`` and every right factor from blocks of ``right``, so no
     commutativity is assumed.  Odd dimensions are padded to even at each
-    level.  At or below ``cutoff`` (and for degenerate shapes) the classical
-    product takes over; results are identical to ``matmul_classical``.
+    level, and the padded zeros are counted in the additions.  At or below
+    ``cutoff`` (and for degenerate shapes) the classical product takes over;
+    results are identical to ``matmul_classical``.
     """
     if cutoff < 2:
         raise ValueError(f"strassen cutoff must be >= 2, got {cutoff}")
@@ -400,41 +393,27 @@ def _strassen(left: Matrix, right: Matrix, cutoff: int, counters) -> Matrix:
     n, k, m = left.nrows, left.ncols, right.ncols
     if min(n, k, m) < 2 or max(n, k, m) <= cutoff:
         return matmul_classical(left, right, counters)
-    n2, k2, m2 = n + (n & 1), k + (k & 1), m + (m & 1)
-    lp = _pad(left, n2, k2)
-    rp = _pad(right, k2, m2)
-    hn, hk, hm = n2 // 2, k2 // 2, m2 // 2
-    a11 = lp.submatrix(0, hn, 0, hk)
-    a12 = lp.submatrix(0, hn, hk, k2)
-    a21 = lp.submatrix(hn, n2, 0, hk)
-    a22 = lp.submatrix(hn, n2, hk, k2)
-    b11 = rp.submatrix(0, hk, 0, hm)
-    b12 = rp.submatrix(0, hk, hm, m2)
-    b21 = rp.submatrix(hk, k2, 0, hm)
-    b22 = rp.submatrix(hk, k2, hm, m2)
+    add, sub = left.ring.add, left.ring.sub
 
-    p1 = _strassen(_madd(a11, a22, counters), _madd(b11, b22, counters), cutoff, counters)
-    p2 = _strassen(_madd(a21, a22, counters), b11, cutoff, counters)
-    p3 = _strassen(a11, _msub(b12, b22, counters), cutoff, counters)
-    p4 = _strassen(a22, _msub(b21, b11, counters), cutoff, counters)
-    p5 = _strassen(_madd(a11, a12, counters), b22, cutoff, counters)
-    p6 = _strassen(_msub(a21, a11, counters), _madd(b11, b12, counters), cutoff, counters)
-    p7 = _strassen(_msub(a12, a22, counters), _madd(b21, b22, counters), cutoff, counters)
+    def mix(op, a: Matrix, b: Matrix) -> Matrix:
+        return _combine(op, a, b, counters)
 
-    c11 = _madd(_msub(_madd(p1, p4, counters), p5, counters), p7, counters)
-    c12 = _madd(p3, p5, counters)
-    c21 = _madd(p2, p4, counters)
-    c22 = _madd(_madd(_msub(p1, p2, counters), p3, counters), p6, counters)
+    a11, a12, a21, a22 = _quarters(left)
+    b11, b12, b21, b22 = _quarters(right)
+    p1 = _strassen(mix(add, a11, a22), mix(add, b11, b22), cutoff, counters)
+    p2 = _strassen(mix(add, a21, a22), b11, cutoff, counters)
+    p3 = _strassen(a11, mix(sub, b12, b22), cutoff, counters)
+    p4 = _strassen(a22, mix(sub, b21, b11), cutoff, counters)
+    p5 = _strassen(mix(add, a11, a12), b22, cutoff, counters)
+    p6 = _strassen(mix(sub, a21, a11), mix(add, b11, b12), cutoff, counters)
+    p7 = _strassen(mix(sub, a12, a22), mix(add, b21, b22), cutoff, counters)
 
-    rows = []
-    for i in range(hn):
-        rows.append(c11.rows[i] + c12.rows[i])
-    for i in range(hn):
-        rows.append(c21.rows[i] + c22.rows[i])
-    out = Matrix(left.ring, rows, validate=False)
-    if n2 != n or m2 != m:
-        out = out.submatrix(0, n, 0, m)
-    return out
+    c11 = mix(add, mix(sub, mix(add, p1, p4), p5), p7)
+    c12 = mix(add, p3, p5)
+    c21 = mix(add, p2, p4)
+    c22 = mix(add, mix(add, mix(sub, p1, p2), p3), p6)
+    rows = [x + y for west, east in ((c11, c12), (c21, c22)) for x, y in zip(west.rows, east.rows)]
+    return Matrix(left.ring, [row[:m] for row in rows[:n]], validate=False)
 
 
 def matmul(left: Matrix, right: Matrix, cutoff: Optional[int] = None, counters=None) -> Matrix:

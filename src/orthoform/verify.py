@@ -8,7 +8,9 @@ the rank of the input.  When the first two clauses hold and s = +-1, that
 corank is the zero-block count itself: congruence by an invertible transform
 keeps the rank, and the direct sum has rank 1 per nonzero scalar and 2 per
 J block.  Otherwise the input's rank is computed by elimination.  A log op
-that does not fit the form fails the first two clauses.  Nothing here reuses
+that does not fit the form fails the first two clauses, a decomposition of
+the other sign s fails the congruence clause, and a scalar block whose value
+is not a scalar of the ring is not standard.  Nothing here reuses
 intermediate state from the decomposition run.
 """
 
@@ -54,7 +56,8 @@ def check_decomposition(original: Matrix, s: int, dec: Decomposition) -> CheckRe
 
     A decomposition over another ring or of another dimension than the input,
     or with a log op that does not fit the input, fails the invertibility and
-    congruence clauses; its blocks are judged over their own ring.
+    congruence clauses; its blocks are judged over their own ring.  One made
+    with a sign other than `s` fails the congruence clause.
     """
     ring = dec.ring
     d = original.nrows
@@ -83,13 +86,16 @@ def check_decomposition(original: Matrix, s: int, dec: Decomposition) -> CheckRe
             if rank(transform) != d:
                 report.transform_invertible = False
                 report.details.append("materialized transform is singular")
+    if dec.s != s:
+        report.congruence_matches = False
+        report.details.append(f"decomposition of sign {dec.s} does not fit a form of sign {s}")
     sizes = sum(getattr(b, "size", 0) for b in dec.blocks)
     if sizes != d:
         report.blocks_standard = False
         report.details.append(f"blocks cover {sizes} of {d} positions")
         report.congruence_matches = False
         return report
-    if transform is not None:
+    if transform is not None and report.congruence_matches:
         try:
             direct_sum = dec.direct_sum_matrix()
         except TypeError as exc:
@@ -102,9 +108,15 @@ def check_decomposition(original: Matrix, s: int, dec: Decomposition) -> CheckRe
     for idx, block in enumerate(dec.blocks):
         if isinstance(block, ScalarBlock):
             value = block.value
-            if value != ring.apply_sign(s, ring.sigma(value)):
+            try:
+                ring.validate_scalar(value)
+            except ValueError as exc:
                 report.blocks_standard = False
-                report.details.append(f"block {idx} value violates the symmetry law")
+                report.details.append(f"block {idx} value: {exc}")
+            else:
+                if value != ring.apply_sign(s, ring.sigma(value)):
+                    report.blocks_standard = False
+                    report.details.append(f"block {idx} value violates the symmetry law")
         elif not isinstance(block, JBlock):
             report.blocks_standard = False
             report.details.append(f"block {idx} has unknown type {type(block).__name__}")

@@ -174,6 +174,38 @@ def test_strassen_cutoff_does_not_change_the_result():
             # number of ring operations by design
 
 
+# (ring, s, dim, rank or None, seed) and, per Strassen cutoff, the first 16
+# hex digits of the sha256 of decompose_blocks' blocks, SLP lines and counters:
+# the counters are Strassen's own, so these pin the cost of the recursion.
+STRASSEN_CASES = {
+    "gf101+": (PrimeField(101), 1, 24, None, 621),
+    "gf101-": (PrimeField(101), -1, 22, 16, 622),
+    "gf9+": (GF9, 1, 18, None, 623),
+    "gf2+": (GF2, 1, 20, 13, 624),
+    "q-": (QQ, -1, 14, None, 625),
+    "h+": (HH, 1, 11, 8, 626),
+}
+
+STRASSEN_DIGESTS = {
+    "gf101+": {4: "6caf612c644705fa", 8: "5d72e3d97795ffca"},
+    "gf101-": {4: "7fd914be98342bdb", 8: "e64e82feec21e229"},
+    "gf9+": {4: "fd049fc65c987b30", 8: "ced9c71a9685de1f"},
+    "gf2+": {4: "e778ab45a2d80053", 8: "7f5707f1aa027b2d"},
+    "q-": {4: "dd3487ba8d5aefd0", 8: "22b207a9092591a9"},
+    "h+": {4: "5ec096433ec53f09", 8: "9b1014e34714c77b"},
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRASSEN_CASES))
+def test_strassen_blocks_and_counters_are_pinned(case):
+    ring, s, d, rank, seed = STRASSEN_CASES[case]
+    for cutoff, digest in STRASSEN_DIGESTS[case].items():
+        form = random_form(ring, s, d, random.Random(seed), rank=rank)
+        dec = decompose_blocks(form, strassen_cutoff=cutoff)
+        parts = (repr(dec.blocks), dec.log.slp_lines(ring), dec.counters.as_dict())
+        assert hashlib.sha256(repr(parts).encode()).hexdigest()[:16] == digest, cutoff
+
+
 def test_recursion_depth_is_logarithmic():
     rng = random.Random(54)
     for d in (1, 2, 3, 7, 16, 33):

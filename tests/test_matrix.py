@@ -134,6 +134,38 @@ def test_strassen_cutoff_validation_and_dispatch():
     assert matmul(a, a, cutoff=0) == matmul(a, a, cutoff=None) == matmul(a, a, cutoff=8)
 
 
+# Digests of Strassen's products and of the ring-operation counts they spend,
+# per ring, over odd, rectangular and 1-wide shapes at several cutoffs.  The
+# counts are the measure of the recursion's cost, so a rewrite must reproduce
+# them as well as the products.
+STRASSEN_SHAPES = [
+    (1, 5, 3), (5, 1, 4), (4, 6, 1), (2, 2, 2), (3, 3, 3), (5, 7, 3),
+    (7, 7, 7), (9, 4, 11), (12, 5, 17), (16, 16, 16), (17, 11, 6), (19, 19, 19),
+]
+
+STRASSEN_DIGESTS = {
+    "GF(101)": "e71b734539ecd0cdf09cfcd9e8f8503d6167a590a6874ac78efc31a828cff0a1",
+    "GF(3^2)": "69d1d8a4cee8824906b76b1d4681fe4fee048bcd91593eb861a3774112d0d0b8",
+    "Rational": "5bfff01d4eb266c0244906f74eec3e14d015a81c2ffc875af3702096ba8c66af",
+    "Quaternion": "07a6244b2f4f8c57f8ecea6ec32d9e23ca908d2f9ad6978e2e51b5898215396d",
+    "GF(2)": "4e19babe73d020af3f4fe3ea368d3d69793336825b9236ba5aeecf2a23818357",
+}
+
+
+@pytest.mark.parametrize(
+    "ring", [PrimeField(101), GF9, RationalField(), HH, PrimeField(2)], ids=repr
+)
+def test_strassen_products_and_counts_are_pinned(ring):
+    rng = random.Random(702)
+    out = []
+    for n, k, m in STRASSEN_SHAPES:
+        a, b = random_matrix(ring, n, k, rng), random_matrix(ring, k, m, rng)
+        for cutoff in (2, 3, 4, 8, 16):
+            counters = OpCounters()
+            out.append((matmul_strassen(a, b, cutoff, counters).rows, counters.as_dict()))
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == STRASSEN_DIGESTS[repr(ring)]
+
+
 def _exact_entry(ring, rng):
     # zeros, negatives and denominators past 2^64 alongside the ring's own samples
     def part():

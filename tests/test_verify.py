@@ -30,7 +30,7 @@ from orthoform import (
     invariants_of,
     random_form,
 )
-from orthoform import verify
+from orthoform import matrix, verify
 from helpers import snapshot
 
 GF3 = PrimeField(3)
@@ -376,3 +376,79 @@ def test_the_certified_corank_needs_a_unit_sign():
         "radical_matches": False,
     }
     assert report.details == ["radical_dim 0, zero blocks 0, dim minus rank 1 disagree"]
+
+
+# (ring, dim, the row store that materializes its log) for the wrongly typed ops
+_STORES = {
+    "gf101-list": (PrimeField(101), 5, "_ListRows"),
+    "q-integer": (QQ, 6, "_RationalRows"),
+    "h-integer": (HH, 4, "_QuaternionRows"),
+    "gf101-kernel": (PrimeField(101), 30, "PlaneRows"),
+    "gf9-kernel": (GF9, 30, "PlaneRows"),
+}
+
+
+def _mistyped():
+    # ops whose fields have the wrong type; Scale(0, "1") would read as 1 on the kernel
+    return {
+        "swap-float-row": Swap(0.5, 1),
+        "scale-none": Scale(0, None),
+        "scale-string": Scale(0, "1"),
+        "eliminate-float-target": Eliminate(0, (1.0,), (1,)),
+        "blockleft-string": BlockLeft("x", 0),
+    }
+
+
+@pytest.mark.parametrize("op_case", list(_mistyped()))
+@pytest.mark.parametrize("store", list(_STORES))
+def test_a_mistyped_log_op_fails_the_first_two_clauses(store, op_case):
+    ring, d, store_name = _STORES[store]
+    job = matrix._augmented(Matrix.zeros(ring, d, 0), d * d, terms=d)
+    assert type(job).__name__ == store_name
+    op = _mistyped()[op_case]
+    original, dec = fresh_decomposition(ring, 1, d, seed=71)
+    index = len(dec.log)
+    dec.log.append(op)
+    message = f"log op {index} ({type(op).__name__}) does not fit a {d}-dimensional log over {ring!r}"
+    with pytest.raises(ValueError) as caught:
+        dec.log.materialize(ring)
+    assert str(caught.value) == message
+    report = check_decomposition(original, 1, dec)
+    assert not report.transform_invertible
+    assert not report.congruence_matches
+    assert report.details[0] == f"log does not materialize: {message}"
+
+
+@pytest.mark.parametrize("value", ["x", None, 9, -1, (1, 2)], ids=repr)
+def test_a_scalar_block_outside_the_ring_is_not_standard(value):
+    # each value equals s * sigma(value) under the identity involution, so
+    # only the ring's own scalar check tells it apart
+    original, dec = fresh_decomposition()
+    assert isinstance(dec.blocks[1], ScalarBlock)
+    dec.blocks[1] = ScalarBlock(value)
+    report = check_decomposition(original, 1, dec)
+    assert not report.blocks_standard
+    assert not report.congruence_matches
+    with pytest.raises(ValueError) as caught:
+        GF7.validate_scalar(value)
+    assert f"block 1 value: {caught.value}" in report.details
+
+
+def test_a_decomposition_of_the_other_sign_fails_the_congruence_clause(monkeypatch):
+    # an alternating form decomposed with s = -1 and checked with s = +1: its
+    # J blocks are [[0, 1], [-1, 0]], not the [[0, 1], [1, 0]] of s = +1
+    form = random_form(GF7, -1, 4, random.Random(3))
+    original = snapshot(form.m)
+    dec = decompose_gs(form)
+    assert check_decomposition(original, -1, dec).passed
+    ranked = []
+    monkeypatch.setattr(verify, "rank", lambda m: ranked.append(m) or matrix.rank(m))
+    report = check_decomposition(original, 1, dec)
+    assert report.as_dict() == {
+        "transform_invertible": True,
+        "congruence_matches": False,
+        "blocks_standard": True,
+        "radical_matches": True,
+    }
+    assert report.details == ["decomposition of sign -1 does not fit a form of sign 1"]
+    assert original in ranked  # the radical clause computed the rank
