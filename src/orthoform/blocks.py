@@ -1,13 +1,17 @@
 """Divide-and-conquer orthogonal decomposition built on block congruences.
 
-Every reduction is one split step: row-reduce the leading block of a window
-and apply that as a congruence, leaving it [[core, 0], [0, 0]].  The split of
-the whole matrix sends the radical to the tail; on the nonsingular window the
-split of the leading half gives a core handled recursively and a complement,
-carrying a full-row-rank off-diagonal block X, that becomes hyperbolic pairs
-(column-reduce X, normalize the cross block to an identity, sweep the rest of
-the coupling away with block transvections).  Besides the split the heavy
-lifting is matrix products, exact for every Strassen threshold.
+Every reduction is one split step: row-reduce the top rows of a window,
+pivoting in its leading block, and apply that as a congruence, leaving the
+block [[core, 0], [0, 0]].  The split costs that elimination and one product
+the size of the block: the elimination's reduced half is already A times the
+top rows, and the rows below are the s-sigma mirror of the new top-right
+block.  The split of the whole matrix sends the radical to the tail; on the
+nonsingular window the split of the leading half gives a core handled
+recursively and a complement, carrying a full-row-rank off-diagonal block X,
+that becomes hyperbolic pairs (column-reduce X, which also yields X*A,
+normalize the cross block to an identity, sweep the rest of the coupling away
+with block transvections).  Besides the splits the heavy lifting is matrix
+products, exact for every Strassen threshold.
 
 A window [lo, hi) is always zero outside itself, which makes windowed block
 congruences global congruences.  Each displayed intermediate shape is
@@ -19,9 +23,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .form import BlockTransvect, HermitianForm, transpositions
+from .form import BlockLeft, BlockTransvect, HermitianForm, transpositions
 from .gs import Decomposition, ScalarBlock, standardize_at
-from .matrix import Matrix, invert, left_row_reduce, matmul, rank, right_column_reduce
+from .matrix import Matrix, column_reduce, invert, matmul, rank, split_congruence
 
 
 class InvariantViolation(RuntimeError):
@@ -54,13 +58,24 @@ def _sign_scaled(m: Matrix, sign: int) -> Matrix:
 def _split(form: HermitianForm, lo: int, h: int, hi: int, cutoff: int) -> int:
     """Congruate the leading h x h block of the window [lo, hi) to [[core, 0], [0, 0]].
 
-    Row-reduces that block to find an invertible A with A*block of full row
-    rank on top, applies A as a congruence over the window and returns the
-    rank k of the block; the core is its nonsingular leading k x k part.
+    Row-reduces the top h rows of the window, pivoting in that block, to find
+    an invertible A with A*block of full row rank on top, applies A as a
+    congruence over the window and returns the rank k of the block; the core
+    is its nonsingular leading k x k part.  The new top rows come from the
+    elimination and one h x h product (``split_congruence``); the rows below
+    are the s-sigma mirror of the new top-right block, as the form is
+    s-Hermitian, so they need no product.
     """
-    a, k = left_row_reduce(form.m.submatrix(lo, lo + h, lo, lo + h), form.counters)
-    if a != Matrix.identity(form.ring, h):
-        form.block_congruence(lo, a, lo, hi, cutoff)
+    a, k, top = split_congruence(form.m.submatrix(lo, lo + h, lo, hi), cutoff, form.counters)
+    if top is not None:
+        form.log.append(BlockLeft(a, lo))
+        rows = form.m.rows
+        for row, new in zip(rows[lo : lo + h], top):
+            row[lo:hi] = new
+        right = Matrix(form.ring, [new[h:] for new in top], validate=False)
+        mirror = _sign_scaled(right.sigma_transpose(form.counters), form.s)
+        for row, new in zip(rows[lo + h : hi], mirror.rows):
+            row[lo : lo + h] = new
     _require_zero(form, lo + k, lo + h, lo, lo + h, "split")
     _require_zero(form, lo, lo + h, lo + k, lo + h, "split")
     return k
@@ -148,10 +163,9 @@ class _BlockRun:
         if f < 1 or m < 2 * f:
             raise InvariantViolation(f"hyperbolic window [{lo},{hi}) cannot hold {f} pairs")
         x = form.m.submatrix(lo, lo + f, lo + f, hi)
-        a, xrank = right_column_reduce(x, form.counters)
+        a, xrank, xa = column_reduce(x, form.counters)
         if xrank != f:
             raise InvariantViolation("coupling block X lost full row rank")
-        xa = matmul(x, a, self.cutoff, form.counters)
         if not xa.submatrix(0, f, f, m - f).is_zero():
             raise InvariantViolation("column reduction left residue right of the lead block")
         lead_inv = invert(xa.submatrix(0, f, 0, f), form.counters)

@@ -120,6 +120,10 @@ class PlaneRows:
         span = self.w[:, offset : offset + q]
         self.w[:, offset : offset + q] = _plane_product(self.ring, _pack(self.ring, block.rows), span, np.matmul) % self.p
 
+    def reduced(self, c0: int, c1: int) -> list:
+        """Columns [c0, c1) of the work half as ring values."""
+        return _unpack(self.w[:, :, c0:c1])
+
     def transform(self) -> list:
         out = np.empty_like(self.w[:, :, self.cols :])
         out[:, :, self.perm] = self.w[:, :, self.cols :]

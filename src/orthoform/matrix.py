@@ -8,7 +8,11 @@ exact.
 ``left_row_reduce``, ``invert`` and ``TransformLog.materialize`` work on one
 stacked ``[work | identity]`` row store, and ``rank`` on the ``[work]`` half
 alone.  ``_augmented`` picks one of three stores; all three choose the same
-pivots and return the same transforms and counts.
+pivots and return the same transforms and counts.  Each store also hands back
+its reduced half (``reduced``), which after the pivot loop is A*m for the
+transform A: ``split_congruence`` (the split step of ``blocks``) and
+``column_reduce`` read the products A*m and m*A off the elimination instead
+of issuing them.
 
 - The generic loop (``_ListRows``) clears rows through ``eliminate``, one
   pivot's row pass on ``row_axpy``.  It is valid over every ring and is the
@@ -480,8 +484,12 @@ class _ListRows:
         span = Matrix(self.ring, self.rows[offset : offset + q], validate=False)
         self.rows[offset : offset + q] = matmul_classical(block, span).rows
 
+    def reduced(self, c0: int, c1: Optional[int]) -> list:
+        """Columns [c0, c1) of the rows (to the end when c1 is None) as ring values."""
+        return [row[c0:c1] for row in self.rows]
+
     def transform(self) -> list:
-        return [row[self.cols :] for row in self.rows]
+        return self.reduced(self.cols, None)
 
 
 def _lowest(den: int, parts: tuple) -> tuple:
@@ -578,11 +586,24 @@ class _IntRows:
             _lowest(a * den, parts) for a, parts in self._product(block.rows, right)
         ]
 
-    def transform(self) -> list:
+    def reduced(self, c0: int, c1: Optional[int]) -> list:
         return [
-            [self._join([Fraction(v, den) for v in vals]) for vals in zip(*[part[self.cols :] for part in parts])]
+            [self._join([Fraction(v, den) for v in vals]) for vals in zip(*[part[c0:c1] for part in parts])]
             for den, parts in self.rows
         ]
+
+    def transform(self) -> list:
+        return self.reduced(self.cols, None)
+
+    def corner(self, h: int) -> list:
+        """(A*m1) * sigma(A)^t for the square transform A and the reduced half's
+        first h columns A*m1: entry (i, j) is the integer dot product of the
+        first h parts of row i with sigma of row j's identity half, over
+        den_i * den_j (central), as the generic loop's canonical Fractions."""
+        c = self.cols
+        left = [(den, [part[:h] for part in parts]) for den, parts in self.rows]
+        right = [(den, self._sigma_parts([part[c:] for part in parts])) for den, parts in self.rows]
+        return [[self._join([Fraction(v, a * b) for v in self._dot_parts(u, w)]) for b, w in right] for a, u in left]
 
 
 class _RationalRows(_IntRows):
@@ -604,6 +625,14 @@ class _RationalRows(_IntRows):
     @staticmethod
     def _mul(x: tuple, y: tuple) -> tuple:
         return (x[0] * y[0],)
+
+    @staticmethod
+    def _sigma_parts(parts: list) -> list:
+        return parts
+
+    @staticmethod
+    def _dot_parts(x: list, y: list) -> tuple:
+        return (_dot(x[0], y[0]),)
 
     @staticmethod
     def _axpy(m: int, x: tuple, q: tuple, y: tuple) -> tuple:
@@ -634,6 +663,12 @@ class _QuaternionRows(_IntRows):
         return tuple(parts)
 
     _mul = staticmethod(RationalQuaternions().mul)  # the Hamilton product, here on integer parts
+    _dot_parts = staticmethod(_hamilton_dot)
+
+    @staticmethod
+    def _sigma_parts(parts: list) -> list:
+        """The conjugate: the x, y and z parts negated."""
+        return [parts[0], *([-v for v in part] for part in parts[1:])]
 
     @staticmethod
     def _axpy(m: int, x: tuple, q: tuple, y: tuple) -> tuple:
@@ -696,15 +731,18 @@ def rank(m: Matrix, counters=None) -> int:
     return _row_echelon(m, False, counters)[1]
 
 
-def _row_echelon(m: Matrix, identity: bool, counters) -> tuple:
+def _row_echelon(m: Matrix, identity: bool, counters, pivots: Optional[int] = None) -> tuple:
     """(row store, rank) after the pivot loop of ``left_row_reduce`` on
-    [m | I], or on m alone without ``identity``."""
+    [m | I], or on m alone without ``identity``.  With ``pivots`` the loop
+    pivots in the leading ``pivots`` columns only; the row operations still
+    run over every column, so the store's reduced half is A*m for the A of
+    ``left_row_reduce`` on those columns."""
     ring = m.ring
     n, cols = m.nrows, m.ncols
     rows = _augmented(m, n * cols, identity=identity)
     width = n if identity else 0
     r = 0
-    for c in range(cols):
+    for c in range(cols if pivots is None else pivots):
         if r == n:
             break
         pivot = rows.nonzero_from(c, r)
@@ -724,14 +762,54 @@ def _row_echelon(m: Matrix, identity: bool, counters) -> tuple:
     return rows, r
 
 
+def split_congruence(top: Matrix, cutoff: int = 0, counters=None) -> tuple:
+    """Row-reduce the top rows [M1 M2] of a form's window, M1 its leading
+    h x h block, pivoting in M1 only, and apply A as a congruence.
+
+    A and the rank are those of ``left_row_reduce(M1)``.  The top rows after
+    the congruence by diag(A, I) are [(A*M1)*sigma(A)^t, A*M2]:
+    A*M1 and A*M2 are the reduced half of the row store, so the one product
+    is the h x h corner, issued through ``matmul`` with ``cutoff``.  Over Q
+    and the quaternions a classical corner is formed from the store's integer
+    rows (``corner``), counted as the same product and h*h sigmas.
+
+    Returns:
+        (A, rank, rows): ``rows`` is None when A is the identity, which
+        leaves the window unchanged.
+    """
+    ring, h = top.ring, top.nrows
+    rows, k = _row_echelon(top, True, counters, h)
+    a = Matrix(ring, rows.transform(), validate=False)
+    if a == Matrix.identity(ring, h):
+        return a, k, None
+    if isinstance(rows, _IntRows) and not cutoff:
+        _count_product(counters, h, h, h)
+        if counters is not None:
+            counters.sigma_applications += h * h
+        corner = rows.corner(h)
+    else:
+        work = Matrix(ring, rows.reduced(0, h), validate=False)
+        corner = matmul(work, a.sigma_transpose(counters), cutoff, counters).rows
+    return a, k, [left + right for left, right in zip(corner, rows.reduced(h, top.ncols))]
+
+
 def right_column_reduce(m: Matrix, counters=None) -> tuple[Matrix, int]:
     """Find invertible A with m*A = [C | 0], C of full column rank.
 
     The sigma-mirror of ``left_row_reduce``: sigma is an anti-automorphism,
     so it picks the same pivots and right multipliers at the same counted cost.
     """
-    acc, r = left_row_reduce(m.sigma_transpose(), counters)
-    return acc.sigma_transpose(), r
+    a, r, _ = column_reduce(m, counters)
+    return a, r
+
+
+def column_reduce(m: Matrix, counters=None) -> tuple[Matrix, int, Matrix]:
+    """``right_column_reduce``'s (A, rank) and m*A, the sigma-transpose of the
+    reduced half of the row store that finds A, so no product is issued."""
+    rows, r = _row_echelon(m.sigma_transpose(), True, counters)
+    acc = Matrix(m.ring, rows.transform(), validate=False)
+    reduced = Matrix(m.ring, rows.reduced(0, m.nrows), validate=False, ncols=m.nrows)
+    return acc.sigma_transpose(), r, reduced.sigma_transpose()
 
 
 def invert(m: Matrix, counters=None) -> Matrix:

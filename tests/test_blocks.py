@@ -27,6 +27,7 @@ from orthoform import (
     left_row_reduce,
     random_form,
 )
+from orthoform import blocks as blocks_module, matrix
 from helpers import snapshot
 
 GF7 = PrimeField(7)
@@ -187,12 +188,12 @@ STRASSEN_CASES = {
 }
 
 STRASSEN_DIGESTS = {
-    "gf101+": {4: "6caf612c644705fa", 8: "5d72e3d97795ffca"},
-    "gf101-": {4: "7fd914be98342bdb", 8: "e64e82feec21e229"},
-    "gf9+": {4: "fd049fc65c987b30", 8: "ced9c71a9685de1f"},
-    "gf2+": {4: "e778ab45a2d80053", 8: "7f5707f1aa027b2d"},
-    "q-": {4: "dd3487ba8d5aefd0", 8: "22b207a9092591a9"},
-    "h+": {4: "5ec096433ec53f09", 8: "9b1014e34714c77b"},
+    "gf101+": {4: "86fa5c392c79b270", 8: "41df0e7e2ff387c1"},
+    "gf101-": {4: "2949555367b75d30", 8: "72e2ff7cd1f7429d"},
+    "gf9+": {4: "3dbb01836bdebe5e", 8: "44a912de821cba46"},
+    "gf2+": {4: "72fbd5db653fb8b4", 8: "f61a0455c3f2441a"},
+    "q-": {4: "14c24bb28bf99b2f", 8: "cbb2c3e788621036"},
+    "h+": {4: "6179f83fe0cfe789", 8: "1bbfd51e7867e8f9"},
 }
 
 
@@ -288,24 +289,24 @@ GOLDEN_CASES = {
 }
 
 GOLDEN_DIGESTS = {
-    "gf101+deficient": "3044f35b739624bd6dd0c61887129384c4f1b8c1e613255db1f583e30b74a416",
-    "gf101+full": "8d0af1b416c3b3daba4e9cc8d377343b9a955accacbbeeaa10957b52f75c0682",
-    "gf101-deficient": "f4870a9c8a3711513d8ce7003b0a4da9ce67a62b7fabed72f0190a1bed99dae4",
-    "gf101-full": "32f46337e40e663f7418047239a6276a20eb9d9093161fe7a7ccdffcb7b569f0",
-    "gf101-tail": "8fe1ebb27f380ebc6f5afe34f3c56ff83e9bd76e8f336868019d0a72457d6ebb",
-    "gf2-deficient": "b6dcb01e48e036af3c949d0ec3fb4ea6846999cf47584a6b73fdfdf2983ea40f",
-    "gf2-full": "afe1c35e7387c3eaf08a8a0210c04e2956602cc9d822f7039721ae619ab7cff1",
-    "gf3-corner": "97689da63db13e2cd191f06438655c273842bcc390d8cab5c5068b3a97aa0f08",
-    "gf9+deficient": "26c691e2cbd8708914af367d9238eba6b8a7a03e660c19bf8134e396f11c85cb",
-    "gf9+full": "8fc757d31b4234880a124f4d3506f704cea33dda3c21704f9590814a388fae27",
-    "gf9-full": "9518c0508d589f8b111d5ab011b40abee13369d6659c486c76279a16397215b0",
-    "h+deficient": "4d117771d980852c604f6fc222b1bae99afb3de28881207444f1f65f7b59db60",
-    "h+full": "19477ce21ce3ab703b96cdf7e131b44886f9668ea78b31637222f26db945d06a",
-    "h-deficient": "25faa1d38e761331915882aec76adf940868ce37f37b89794601f7d63d2d9373",
-    "q+deficient": "0a52d09731972bac2d3f48619e31a1e7c38bd47c35756f4629ed4d594ef53f9d",
-    "q+full": "d1b0a3b6e77cf6ab8260ca972d8b2943fe22438f2235e9a8458462c253b1525a",
-    "q-deficient": "329d3d2cdbfe60719f686771154a36e8a77b2656556762110699ab6999467b2d",
-    "q-full": "24e9096bc34869f9a6adc8950bb655827925f53a0d11c52bab056df7f21ac4d3",
+    "gf101+deficient": "69e43f2a8afc9f051ea0058539bd1e10e9d89ea234d47598975adb8a07077935",
+    "gf101+full": "46d43244fff3746e623a6fb54016eae15d30bcf16b1990ae76b6c9e96419cf66",
+    "gf101-deficient": "6d875b41afb5eb8d6472f0564d9b2e03a2186c5a4fe05437fe9370b10019a0a7",
+    "gf101-full": "92f660321e96aba268c37c50d0b206d59abb7ca9bf821c2b8ad4cfea68bfad4c",
+    "gf101-tail": "71d67e65ddf1b416b5d72f14be96c943f28ea3c1cc44ce7e6e5bb3ed373961bb",
+    "gf2-deficient": "126f3adbfd7bf213d419371d322d98326e91d02dd199fce0e9c5efcfdc6de8c6",
+    "gf2-full": "68d374d8cda3924edfb92b2f52b43c63dfeb1422330bac9ab6ebf8c4f73acd37",
+    "gf3-corner": "4029b7513e461d6b70620551acd481f82beb7eb4b4b33d091dd14d1c3afb428b",
+    "gf9+deficient": "ae1ddaf2f6f0e7063a6095a5df3498abf013408246039c586ebf60b363f62f48",
+    "gf9+full": "39e64d94e233fa4bc7db4d7e86888994474cf0b48fd7a76da5c7d112d9555be3",
+    "gf9-full": "f8ed3dff4108fb7aa803636af2cbf38737e69c2bdbfca2ec577d616ba8114978",
+    "h+deficient": "869b4a4cf369b2dc1b425cfec80a7c7f90e1e9f89dd20da0c76a5d669bf9a0fc",
+    "h+full": "67319773da5bf469ba072ca79577ac369a5e375e58dcb2b838270ac77991cbc7",
+    "h-deficient": "3727e581885899ff5db281a031831a7e5eabe3aba3fea83803247cdcb3850ce0",
+    "q+deficient": "c1f478cf1ba755bfc2caf486b53cf12d2828d19aadce9bfd9cb7cc0640edca48",
+    "q+full": "15d259997bb86fd7a7ecb86b66c4dad265d69654110d1968ab07be819aa519cf",
+    "q-deficient": "4a947db6bf3db39909833caebb2584aeda4a0b49be53a6e30f4d5c79b0f235c4",
+    "q-full": "50355bef937834c159b2d87aa5ae82fafd6623991297df0c6d13d30faf500c0c",
 }
 
 
@@ -333,109 +334,109 @@ GOLDEN_FIELD_DIGESTS = {
         "9014928b774e5c47", "a2c9e8b90dec9d45", "c0a135eac70cd183", "9404bc29593b4612",
     ),
     ("gf101+deficient", "blocks"): (
-        "79b340f41496794f", "45e897f38420714d", "5b01cfed4062473b", "52cf36f3baf1d6f4",
+        "79b340f41496794f", "45e897f38420714d", "5b01cfed4062473b", "ff9abc2d096aa4b9",
     ),
     ("gf101+full", "gs"): (
         "26849095620d1f58", "23fcbdba3751c115", "687f438fb5c37625", "f8c95829b6d71242",
     ),
     ("gf101+full", "blocks"): (
-        "26849095620d1f58", "23fcbdba3751c115", "48f8b4d9ac77fef6", "c7be00adc99864f6",
+        "26849095620d1f58", "23fcbdba3751c115", "48f8b4d9ac77fef6", "7a2ff3b551788790",
     ),
     ("gf101-deficient", "gs"): (
         "e4125d09d60b5f7f", "60b41f7fde97277a", "15b6248d94485c02", "48b5b401886e71a7",
     ),
     ("gf101-deficient", "blocks"): (
-        "e4125d09d60b5f7f", "f22d85a67e2d2b95", "45bf431d42241ca1", "c4b4ed024a267be4",
+        "e4125d09d60b5f7f", "f22d85a67e2d2b95", "45bf431d42241ca1", "40882ba16582e510",
     ),
     ("gf101-full", "gs"): (
         "8f23abf5eb1a6e35", "a930547916936dab", "3e143815f5ad2631", "5dfbd827674a2fff",
     ),
     ("gf101-full", "blocks"): (
-        "8f23abf5eb1a6e35", "cf5a4887ec9e947a", "6763f3dddf7493c6", "ef841c69084fdc98",
+        "8f23abf5eb1a6e35", "cf5a4887ec9e947a", "6763f3dddf7493c6", "febc6f27eeae6eb0",
     ),
     ("gf101-tail", "gs"): (
         "3054029728d7a823", "f576c35e582d1c9b", "47acae8b82d49a6d", "90bcf36caf427a5f",
     ),
     ("gf101-tail", "blocks"): (
-        "3054029728d7a823", "07fa73c85149ecf7", "10471ea123a9437c", "0263bd52ac650f21",
+        "3054029728d7a823", "07fa73c85149ecf7", "10471ea123a9437c", "d359a7ee9369ee0a",
     ),
     ("gf2-deficient", "gs"): (
         "2bfbff0d76722ec4", "93ee6a4547e5c611", "53930b6ade3cc97e", "60be334b346100ed",
     ),
     ("gf2-deficient", "blocks"): (
-        "2bfbff0d76722ec4", "eb8b939796ff6087", "b4c85433250f087e", "f118b4312e5847eb",
+        "2bfbff0d76722ec4", "eb8b939796ff6087", "b4c85433250f087e", "a00ca02f5f0ddad9",
     ),
     ("gf2-full", "gs"): (
         "53e1cf0776d6c71d", "2c3b97e200887bf3", "746682c2fcc7b9e7", "580e3d3270b852fe",
     ),
     ("gf2-full", "blocks"): (
-        "53e1cf0776d6c71d", "0b9123899f3ce921", "50a8b6f512319262", "806d32d22bd2d1e7",
+        "53e1cf0776d6c71d", "0b9123899f3ce921", "50a8b6f512319262", "1733b9241423e6fb",
     ),
     ("gf3-corner", "gs"): (
         "71756ca2e634179d", "d543163b1e9f7125", "4a301c2155b46189", "807cf2327fa6f9d9",
     ),
     ("gf3-corner", "blocks"): (
-        "71756ca2e634179d", "079f9fb5c3521858", "b1bc33bf39e1872f", "ec4b65bce8124b1d",
+        "71756ca2e634179d", "079f9fb5c3521858", "b1bc33bf39e1872f", "4649ae13a4ea973f",
     ),
     ("gf9+deficient", "gs"): (
         "afc9dbe15078faf5", "49312ede0b453e0b", "cc2acd2522ed6cc4", "21960ea3d9b32b0b",
     ),
     ("gf9+deficient", "blocks"): (
-        "d8e7f63f99dcd4e3", "5778f15b4c2b1983", "dd79e2ca087db1b3", "9b2ba8c4106e34b9",
+        "d8e7f63f99dcd4e3", "5778f15b4c2b1983", "dd79e2ca087db1b3", "0c28358eb1ea8a4d",
     ),
     ("gf9+full", "gs"): (
         "31bda5f8ac055f41", "2967e386e6ff96ed", "5400fcb655bd7388", "d15c43fe7f061f49",
     ),
     ("gf9+full", "blocks"): (
-        "ed5a6873f6f6357e", "09f389e39f71431f", "9106d2fc53a951a2", "95a9371e250b3442",
+        "ed5a6873f6f6357e", "09f389e39f71431f", "9106d2fc53a951a2", "4db3d0d8c120fe36",
     ),
     ("gf9-full", "gs"): (
         "a1325ed6c6f3a97d", "cd2373a50e19c690", "61bea0e7374d44cf", "64d8ea249970180c",
     ),
     ("gf9-full", "blocks"): (
-        "a8eb4a9ae736b826", "6bebb24cb1e3ceae", "c7c5595a2820d654", "5e0203707e5a97f3",
+        "a8eb4a9ae736b826", "6bebb24cb1e3ceae", "c7c5595a2820d654", "bbe550455a0ec7e9",
     ),
     ("h+deficient", "gs"): (
         "fa4efd8a12b15b1d", "cada9683740cdee2", "b7c1d68d30efc286", "c66b769feb348bb1",
     ),
     ("h+deficient", "blocks"): (
-        "fa4efd8a12b15b1d", "3fa3c2276a3de59f", "f79ce1c67e5fb50e", "4475dd435e7bd56f",
+        "fa4efd8a12b15b1d", "3fa3c2276a3de59f", "f79ce1c67e5fb50e", "e176f54ff9ebc2cd",
     ),
     ("h+full", "gs"): (
         "c3f0e3e4ff5a3854", "9ecb421e917ec920", "46b52d1ee9f3cd2b", "a0d4b75da842899a",
     ),
     ("h+full", "blocks"): (
-        "7680cca503e5b986", "ae6c11929c716b9f", "bcd569003cb5f5ec", "b231f230df001d7c",
+        "7680cca503e5b986", "ae6c11929c716b9f", "bcd569003cb5f5ec", "faaf14c85a868db2",
     ),
     ("h-deficient", "gs"): (
         "453306cf1d4ee0b7", "6327a008b740f72f", "b959b32bbcbfb70b", "9c9f85546c8d0dec",
     ),
     ("h-deficient", "blocks"): (
-        "453306cf1d4ee0b7", "563e230907b7aa18", "5c828ec56f0c1bb9", "0352802a2cabd1f1",
+        "453306cf1d4ee0b7", "563e230907b7aa18", "5c828ec56f0c1bb9", "ce99b2534ed261b6",
     ),
     ("q+deficient", "gs"): (
         "5b0ba4f713f80b49", "aaad8374d89361a0", "8a456083b68175c1", "f70ae99a468849a9",
     ),
     ("q+deficient", "blocks"): (
-        "5b0ba4f713f80b49", "39a776fe9e2d3389", "5f223b46fceb3c92", "795cba9f124d8975",
+        "5b0ba4f713f80b49", "39a776fe9e2d3389", "5f223b46fceb3c92", "f52d09a1e5280265",
     ),
     ("q+full", "gs"): (
         "307ef5333463e12d", "ee0f49b55b1b0921", "4b85b13347b2b92a", "308d150651ae0639",
     ),
     ("q+full", "blocks"): (
-        "307ef5333463e12d", "ee0f49b55b1b0921", "7e5dff241165b74b", "9b8457b7d4f03a78",
+        "307ef5333463e12d", "ee0f49b55b1b0921", "7e5dff241165b74b", "5562eb541cc2b047",
     ),
     ("q-deficient", "gs"): (
         "45e47a46df6d9c0c", "58209b98561dda61", "10e9ea94da0c5358", "9a67e6a9a363dffd",
     ),
     ("q-deficient", "blocks"): (
-        "45e47a46df6d9c0c", "8e5a83d1fac6a652", "3f272b02d4fe6edc", "299fae1b6cf2efb5",
+        "45e47a46df6d9c0c", "8e5a83d1fac6a652", "3f272b02d4fe6edc", "4210036ae57e0297",
     ),
     ("q-full", "gs"): (
         "eaf76d04d224374a", "63cae35c87027c08", "06b4719c12ebb283", "26978520b7c7e190",
     ),
     ("q-full", "blocks"): (
-        "eaf76d04d224374a", "446dab9d7875f71c", "6593f32aa8b0d18c", "46a4695588198cd4",
+        "eaf76d04d224374a", "446dab9d7875f71c", "6593f32aa8b0d18c", "57b466394a89f56d",
     ),
 }
 
@@ -508,10 +509,10 @@ TRANSFORM_CASES = {
 }
 
 TRANSFORM_DIGESTS = {
-    "gf1009+": "90658a70f7b27496400f94952d832068f7e9b8f6604689c6923100b5f17ba417",
-    "gf1009-": "0f55a2ec1245068c1f42877a5cb330be122f5a6a4b933010dc084dbf156b3a6a",
-    "gf9+": "0d683c65e771b27195641ddd4c0cd7758fc88bd5e684281c01f79ef0411a6676",
-    "gf9-": "399a4a9baeebf7aa1f32d6daf50c1c09db25e8402ac4f7384dbf7a7c96edf1ec",
+    "gf1009+": "4d7899e848c4eee638dd0959398f0a2c35e408dfe4f52e73525b02f3ca18a06a",
+    "gf1009-": "c2799d14d6e83841b413b7557b4375e10c0bbc497105fd84d8e0acac1cc49ef0",
+    "gf9+": "b5bfe706d8483334f5999148d4c5dc33ad90a74f87ee2741aa773cc63c0d9a2a",
+    "gf9-": "69b3d8529449b69b48b7104fb1873c3304fd9e6f383182e5146fa0362158d487",
 }
 
 
@@ -524,3 +525,94 @@ def test_kernel_sized_transforms_are_pinned(case):
     for dec in (decompose_gs(form), decompose_blocks(twin)):
         parts.append((repr(dec.blocks), dec.counters.as_dict(), dec.log.materialize(ring).rows))
     assert hashlib.sha256(repr(parts).encode()).hexdigest() == TRANSFORM_DIGESTS[case]
+
+
+GF9_IDENTITY = QuadraticField(3, "identity")
+
+# (ring, s) for the fused split; s = -1 over an identity involution in odd
+# characteristic is alternating, so every leading-block rank below is even.
+SPLIT_RINGS = {
+    "gf2+": (GF2, 1),
+    "gf101+": (GF101, 1),
+    "gf101-": (GF101, -1),
+    "gf9+": (GF9, 1),
+    "gf9-": (GF9, -1),
+    "gf9id+": (GF9_IDENTITY, 1),
+    "gf9id-": (GF9_IDENTITY, -1),
+    "q+": (QQ, 1),
+    "q-": (QQ, -1),
+    "h+": (HH, 1),
+    "h-": (HH, -1),
+}
+
+
+def _split_forms(ring, s, rng):
+    """(form, lo, h, hi, k, cutoffs): a random form whose leading h x h block of
+    the window [lo, hi) is replaced by a random form of rank k.  The windows
+    lie inside the form (lo > 0, h < hi - lo) or cover it; the slabs of the
+    large ones reach the int64 kernel over GF(p) and GF(p^2), where Strassen's
+    recursion down to 2 x 2 would only repeat the small windows' cases."""
+    windows = [(10, 2, 4, 9, (0, 2, 4)), (6, 0, 6, 6, (0, 2, 4))]
+    if not isinstance(ring, (RationalField, RationalQuaternions)):
+        windows += [(40, 1, 16, 38, (0, 8)), (24, 0, 24, 24, (0, 8))]
+    for d, lo, h, hi, cutoffs in windows:
+        for k in (0, 2 * (h // 4), h):
+            form = random_form(ring, s, d, rng)
+            block = random_form(ring, s, h, rng, rank=k).m.rows
+            for row, new in zip(form.m.rows[lo : lo + h], block):
+                row[lo : lo + h] = new
+            yield form, lo, h, hi, k, cutoffs
+
+
+def _split_both_ways(ring, s):
+    """Per form and cutoff: the fused split's and the reference's (rows, log).
+    The reference is left_row_reduce of the leading block, then block_congruence."""
+    out = []
+    for form, lo, h, hi, k, cutoffs in _split_forms(ring, s, random.Random(631)):
+        for cutoff in cutoffs:
+            fused = HermitianForm(ring, snapshot(form.m), s, validate=False)
+            reference = HermitianForm(ring, snapshot(form.m), s, validate=False)
+            assert blocks_module._split(fused, lo, h, hi, cutoff) == k
+            a, rank = left_row_reduce(reference.m.submatrix(lo, lo + h, lo, lo + h))
+            assert rank == k
+            if a != Matrix.identity(ring, h):
+                reference.block_congruence(lo, a, lo, hi, cutoff)
+            out.append((repr(fused.m.rows), repr(list(fused.log)), repr(reference.m.rows), repr(list(reference.log))))
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(SPLIT_RINGS))
+def test_fused_split_matches_row_reduce_then_congruence(case, monkeypatch):
+    ring, s = SPLIT_RINGS[case]
+    runs = _split_both_ways(ring, s)
+    with monkeypatch.context() as patch:  # every elimination on the generic loop
+        patch.setattr(matrix, "_augmented", lambda m, entries, terms=1, identity=True: matrix._ListRows(m, identity))
+        runs += _split_both_ways(ring, s)
+    for fused_rows, fused_log, reference_rows, reference_log in runs:
+        assert fused_rows == reference_rows
+        assert fused_log == reference_log
+    assert sum(log != "[]" for _, log, _, _ in runs) > len(runs) // 2
+
+
+def test_fused_split_reaches_every_row_store(monkeypatch):
+    seen = set()
+    augmented = matrix._augmented
+
+    def spy(m, entries, terms=1, identity=True):
+        rows = augmented(m, entries, terms, identity)
+        seen.add(type(rows).__name__)
+        return rows
+
+    monkeypatch.setattr(matrix, "_augmented", spy)
+    for ring, s in SPLIT_RINGS.values():
+        for form, lo, h, hi, _, _ in _split_forms(ring, s, random.Random(632)):
+            blocks_module._split(form, lo, h, hi, 0)
+    assert seen == {"PlaneRows", "_ListRows", "_RationalRows", "_QuaternionRows"}
+
+
+@pytest.mark.parametrize("d", [64, 128])
+def test_classical_multiplication_count_of_blocks(d):
+    # a split issues one h x h product besides its elimination; the count
+    # reads 1.832 d^3 at both sizes
+    form = random_form(GF1009, 1, d, random.Random(90))
+    assert decompose_blocks(form).counters.multiplications <= 1.84 * d**3
