@@ -4,14 +4,15 @@ Every reduction is one split step: row-reduce the top rows of a window,
 pivoting in its leading block, and apply that as a congruence, leaving the
 block [[core, 0], [0, 0]].  The split costs that elimination and one product
 the size of the block: the elimination's reduced half is already A times the
-top rows, and the rows below are the s-sigma mirror of the new top-right
-block.  The split of the whole matrix sends the radical to the tail; on the
-nonsingular window the split of the leading half gives a core handled
-recursively and a complement, carrying a full-row-rank off-diagonal block X,
-that becomes hyperbolic pairs (column-reduce X, which also yields X*A,
-normalize the cross block to an identity, sweep the rest of the coupling away
-with block transvections).  Besides the splits the heavy lifting is matrix
-products, exact for every Strassen threshold.
+top rows, and a block congruence multiplies only the corner of its columns,
+the rest being the s-sigma mirror of its new rows.  The split of the whole
+matrix sends the radical to the tail; on the nonsingular window the split of
+the leading half gives a core handled recursively and a complement, carrying
+a full-row-rank off-diagonal block X, that becomes hyperbolic pairs
+(column-reduce X, which also yields X*A, normalize the cross block to an
+identity, sweep the rest of the coupling away with block transvections).
+Besides the splits the heavy lifting is matrix products, exact for every
+Strassen threshold.
 
 A window [lo, hi) is always zero outside itself, which makes windowed block
 congruences global congruences.  Each displayed intermediate shape is
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .form import BlockLeft, BlockTransvect, HermitianForm, transpositions
+from .form import BlockTransvect, HermitianForm, transpositions
 from .gs import Decomposition, ScalarBlock, standardize_at
 from .matrix import Matrix, column_reduce, invert, matmul, rank, split_congruence
 
@@ -61,21 +62,13 @@ def _split(form: HermitianForm, lo: int, h: int, hi: int, cutoff: int) -> int:
     Row-reduces the top h rows of the window, pivoting in that block, to find
     an invertible A with A*block of full row rank on top, applies A as a
     congruence over the window and returns the rank k of the block; the core
-    is its nonsingular leading k x k part.  The new top rows come from the
-    elimination and one h x h product (``split_congruence``); the rows below
-    are the s-sigma mirror of the new top-right block, as the form is
-    s-Hermitian, so they need no product.
+    is its nonsingular leading k x k part.  The elimination's reduced half is
+    already A times the top rows, so the congruence's one product is the
+    h x h corner (``split_congruence``).
     """
     a, k, top = split_congruence(form.m.submatrix(lo, lo + h, lo, hi), cutoff, form.counters)
     if top is not None:
-        form.log.append(BlockLeft(a, lo))
-        rows = form.m.rows
-        for row, new in zip(rows[lo : lo + h], top):
-            row[lo:hi] = new
-        right = Matrix(form.ring, [new[h:] for new in top], validate=False)
-        mirror = _sign_scaled(right.sigma_transpose(form.counters), form.s)
-        for row, new in zip(rows[lo + h : hi], mirror.rows):
-            row[lo : lo + h] = new
+        form.block_congruence(lo, a, lo, hi, cutoff, rows=top)
     _require_zero(form, lo + k, lo + h, lo, lo + h, "split")
     _require_zero(form, lo, lo + h, lo + k, lo + h, "split")
     return k

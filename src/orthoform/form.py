@@ -419,12 +419,18 @@ class HermitianForm:
         active_lo: int,
         active_hi: int,
         cutoff: int = 0,
+        rows: Optional[list] = None,
     ) -> None:
         """Congruence by the identity with `block` pasted at [lo, lo+q).
 
         Rows [lo, lo+q) are left-multiplied by the block over the active
         column range, then columns [lo, lo+q) are right-multiplied by its
-        sigma-transpose over the active row range.
+        sigma-transpose over the active row range.  Of that column pass only
+        the q x q corner is a product: the congruence keeps the form
+        s-Hermitian, so the other active rows there are s times sigma of the
+        new rows, one sigma per entry.  ``rows`` are the new rows [lo, lo+q)
+        over the active columns, corner included, when the caller already has
+        them (``matrix.split_congruence``).
         """
         if block.nrows != block.ncols:
             raise ShapeError(f"block must be square, got {block.shape}")
@@ -432,15 +438,19 @@ class HermitianForm:
         if not (active_lo <= lo and lo + q <= active_hi <= self.dim):
             raise ValueError("block does not fit the active window")
         self.log.append(BlockLeft(block.copy(), lo))
-        rows = self.m.rows
-        span = self.m.submatrix(lo, lo + q, active_lo, active_hi)
-        out = matmul(block, span, cutoff, self.counters)
-        for idx, r in enumerate(range(lo, lo + q)):
-            rows[r][active_lo:active_hi] = out.rows[idx]
-        colblock = self.m.submatrix(active_lo, active_hi, lo, lo + q)
-        out = matmul(colblock, block.sigma_transpose(self.counters), cutoff, self.counters)
-        for idx, r in enumerate(range(active_lo, active_hi)):
-            rows[r][lo : lo + q] = out.rows[idx]
+        counters = self.counters
+        if rows is None:
+            new = matmul(block, self.m.submatrix(lo, lo + q, active_lo, active_hi), cutoff, counters)
+            c = lo - active_lo
+            corner = matmul(new.submatrix(0, q, c, c + q), block.sigma_transpose(counters), cutoff, counters)
+            rows = [row[:c] + left + row[c + q :] for row, left in zip(new.rows, corner.rows)]
+        target = self.m.rows
+        for row, new_row in zip(target[lo : lo + q], rows):
+            row[active_lo:active_hi] = new_row
+        for r0, r1 in ((active_lo, lo), (lo + q, active_hi)):
+            mirror = self.m.submatrix(lo, lo + q, r0, r1).sigma_transpose(counters)
+            for row, new_row in zip(target[r0:r1], mirror.rows):
+                row[lo : lo + q] = new_row if self.s == 1 else map(self.ring.neg, new_row)
 
 
 def detect_s_sigma(matrix: Matrix) -> Optional[int]:

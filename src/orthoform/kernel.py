@@ -120,9 +120,10 @@ class PlaneRows:
         span = self.w[:, offset : offset + q]
         self.w[:, offset : offset + q] = _plane_product(self.ring, _pack(self.ring, block.rows), span, np.matmul) % self.p
 
-    def reduced(self, c0: int, c1: int) -> list:
-        """Columns [c0, c1) of the work half as ring values."""
-        return _unpack(self.w[:, :, c0:c1])
+    def reduced(self, c0: int = 0) -> list:
+        """Columns [c0, cols) of the work half as ring values: A*m once the
+        pivot loop is done."""
+        return _unpack(self.w[:, :, c0 : self.cols])
 
     def transform(self) -> list:
         out = np.empty_like(self.w[:, :, self.cols :])

@@ -10,9 +10,10 @@ stacked ``[work | identity]`` row store, and ``rank`` on the ``[work]`` half
 alone.  ``_augmented`` picks one of three stores; all three choose the same
 pivots and return the same transforms and counts.  Each store also hands back
 its reduced half (``reduced``), which after the pivot loop is A*m for the
-transform A: ``split_congruence`` (the split step of ``blocks``) and
-``column_reduce`` read the products A*m and m*A off the elimination instead
-of issuing them.
+transform A: ``row_reduce`` and its sigma-mirror ``column_reduce`` return A*m
+and m*A beside A, and ``split_congruence`` (the split step of ``blocks``) the
+top rows of a congruence with one product, so their callers read those
+products off the elimination instead of issuing them.
 
 - The generic loop (``_ListRows``) clears rows through ``eliminate``, one
   pivot's row pass on ``row_axpy``.  It is valid over every ring and is the
@@ -395,7 +396,7 @@ def matmul_strassen(left: Matrix, right: Matrix, cutoff: int = 64, counters=None
 
 def _strassen(left: Matrix, right: Matrix, cutoff: int, counters) -> Matrix:
     n, k, m = left.nrows, left.ncols, right.ncols
-    if min(n, k, m) < 2 or max(n, k, m) <= cutoff:
+    if _classical(n, k, m, cutoff):
         return matmul_classical(left, right, counters)
     add, sub = left.ring.add, left.ring.sub
 
@@ -418,6 +419,11 @@ def _strassen(left: Matrix, right: Matrix, cutoff: int, counters) -> Matrix:
     c22 = mix(add, mix(add, mix(sub, p1, p2), p3), p6)
     rows = [x + y for west, east in ((c11, c12), (c21, c22)) for x, y in zip(west.rows, east.rows)]
     return Matrix(left.ring, [row[:m] for row in rows[:n]], validate=False)
+
+
+def _classical(n: int, k: int, m: int, cutoff: Optional[int]) -> bool:
+    """Whether ``matmul`` with ``cutoff`` forms an n x k by k x m product classically."""
+    return not cutoff or min(n, k, m) < 2 or max(n, k, m) <= cutoff
 
 
 def matmul(left: Matrix, right: Matrix, cutoff: Optional[int] = None, counters=None) -> Matrix:
@@ -484,12 +490,12 @@ class _ListRows:
         span = Matrix(self.ring, self.rows[offset : offset + q], validate=False)
         self.rows[offset : offset + q] = matmul_classical(block, span).rows
 
-    def reduced(self, c0: int, c1: Optional[int]) -> list:
-        """Columns [c0, c1) of the rows (to the end when c1 is None) as ring values."""
-        return [row[c0:c1] for row in self.rows]
+    def reduced(self, c0: int = 0) -> list:
+        """Columns [c0, cols) of the work half: A*m once the pivot loop is done."""
+        return [row[c0 : self.cols] for row in self.rows]
 
     def transform(self) -> list:
-        return self.reduced(self.cols, None)
+        return [row[self.cols :] for row in self.rows]
 
 
 def _lowest(den: int, parts: tuple) -> tuple:
@@ -511,8 +517,9 @@ class _IntRows:
     g*u / den_s (g the gcd of its parts, m = g*|u|^2) and the entry f / den_k
     of target row k, row k becomes (m*N_k - (f*conj(u))*N_s) / (m*den_k), so
     den_s cancels, and f*conj(u) multiplies N_s from the left as the generic
-    loop's multiplier does.  ``entry`` and ``transform`` return the generic
-    loop's canonical Fractions.  The subclasses supply the ring's products.
+    loop's multiplier does.  ``entry``, ``reduced`` and ``transform`` return
+    the generic loop's canonical Fractions.  The subclasses supply the ring's
+    products.
     """
 
     def __init__(self, m: Matrix, identity: bool):
@@ -586,23 +593,31 @@ class _IntRows:
             _lowest(a * den, parts) for a, parts in self._product(block.rows, right)
         ]
 
-    def reduced(self, c0: int, c1: Optional[int]) -> list:
+    def _values(self, columns: slice) -> list:
+        """Those columns of the rows as ring values."""
         return [
-            [self._join([Fraction(v, den) for v in vals]) for vals in zip(*[part[c0:c1] for part in parts])]
+            [self._join([Fraction(v, den) for v in vals]) for vals in zip(*[part[columns] for part in parts])]
             for den, parts in self.rows
         ]
 
+    def reduced(self, c0: int = 0) -> list:
+        return self._values(slice(c0, self.cols))
+
     def transform(self) -> list:
-        return self.reduced(self.cols, None)
+        return self._values(slice(self.cols, None))
 
     def corner(self, h: int) -> list:
-        """(A*m1) * sigma(A)^t for the square transform A and the reduced half's
-        first h columns A*m1: entry (i, j) is the integer dot product of the
-        first h parts of row i with sigma of row j's identity half, over
-        den_i * den_j (central), as the generic loop's canonical Fractions."""
-        c = self.cols
+        """(A*m1) * sigma(A)^t for the square transform A and the first h
+        columns m1 of m: entry (i, j) is the integer dot product of the first
+        h columns of row i with sigma of row j's identity half, over
+        den_i * den_j (central), as the generic loop's canonical Fractions.
+        Over Q there is one part, so negating the x, y and z parts is sigma
+        of both rings."""
         left = [(den, [part[:h] for part in parts]) for den, parts in self.rows]
-        right = [(den, self._sigma_parts([part[c:] for part in parts])) for den, parts in self.rows]
+        right = [
+            (den, [parts[0][self.cols :], *([-v for v in part[self.cols :]] for part in parts[1:])])
+            for den, parts in self.rows
+        ]
         return [[self._join([Fraction(v, a * b) for v in self._dot_parts(u, w)]) for b, w in right] for a, u in left]
 
 
@@ -625,10 +640,6 @@ class _RationalRows(_IntRows):
     @staticmethod
     def _mul(x: tuple, y: tuple) -> tuple:
         return (x[0] * y[0],)
-
-    @staticmethod
-    def _sigma_parts(parts: list) -> list:
-        return parts
 
     @staticmethod
     def _dot_parts(x: list, y: list) -> tuple:
@@ -664,11 +675,6 @@ class _QuaternionRows(_IntRows):
 
     _mul = staticmethod(RationalQuaternions().mul)  # the Hamilton product, here on integer parts
     _dot_parts = staticmethod(_hamilton_dot)
-
-    @staticmethod
-    def _sigma_parts(parts: list) -> list:
-        """The conjugate: the x, y and z parts negated."""
-        return [parts[0], *([-v for v in part] for part in parts[1:])]
 
     @staticmethod
     def _axpy(m: int, x: tuple, q: tuple, y: tuple) -> tuple:
@@ -721,8 +727,16 @@ def left_row_reduce(m: Matrix, counters=None) -> tuple[Matrix, int]:
     Returns:
         (A, rank) where A is nrows x nrows and invertible.
     """
+    a, r, _ = row_reduce(m, counters)
+    return a, r
+
+
+def row_reduce(m: Matrix, counters=None) -> tuple[Matrix, int, Matrix]:
+    """``left_row_reduce``'s (A, rank) and A*m, the reduced half of the row
+    store that finds A, so no product is issued."""
     rows, r = _row_echelon(m, True, counters)
-    return Matrix(m.ring, rows.transform(), validate=False), r
+    reduced = Matrix(m.ring, rows.reduced(), validate=False, ncols=m.ncols)
+    return Matrix(m.ring, rows.transform(), validate=False), r, reduced
 
 
 def rank(m: Matrix, counters=None) -> int:
@@ -764,14 +778,15 @@ def _row_echelon(m: Matrix, identity: bool, counters, pivots: Optional[int] = No
 
 def split_congruence(top: Matrix, cutoff: int = 0, counters=None) -> tuple:
     """Row-reduce the top rows [M1 M2] of a form's window, M1 its leading
-    h x h block, pivoting in M1 only, and apply A as a congruence.
+    h x h block, pivoting in M1 only: A and the rank are those of
+    ``left_row_reduce(M1)``, and the congruence by diag(A, I) makes the top
+    rows [(A*M1)*sigma(A)^t, A*M2].
 
-    A and the rank are those of ``left_row_reduce(M1)``.  The top rows after
-    the congruence by diag(A, I) are [(A*M1)*sigma(A)^t, A*M2]:
     A*M1 and A*M2 are the reduced half of the row store, so the one product
-    is the h x h corner, issued through ``matmul`` with ``cutoff``.  Over Q
-    and the quaternions a classical corner is formed from the store's integer
-    rows (``corner``), counted as the same product and h*h sigmas.
+    is the h x h corner, through ``matmul`` with ``cutoff``.  Over Q and the
+    quaternions a classical corner is formed from the store's integer rows
+    (``_IntRows.corner``), counted as the same product, so A*M1 is never
+    built as Fractions and cleared again.
 
     Returns:
         (A, rank, rows): ``rows`` is None when A is the identity, which
@@ -782,15 +797,15 @@ def split_congruence(top: Matrix, cutoff: int = 0, counters=None) -> tuple:
     a = Matrix(ring, rows.transform(), validate=False)
     if a == Matrix.identity(ring, h):
         return a, k, None
-    if isinstance(rows, _IntRows) and not cutoff:
+    if isinstance(rows, _IntRows) and _classical(h, h, h, cutoff):
         _count_product(counters, h, h, h)
         if counters is not None:
             counters.sigma_applications += h * h
-        corner = rows.corner(h)
-    else:
-        work = Matrix(ring, rows.reduced(0, h), validate=False)
-        corner = matmul(work, a.sigma_transpose(counters), cutoff, counters).rows
-    return a, k, [left + right for left, right in zip(corner, rows.reduced(h, top.ncols))]
+        return a, k, [left + right for left, right in zip(rows.corner(h), rows.reduced(h))]
+    am = rows.reduced()
+    left = Matrix(ring, [row[:h] for row in am], validate=False)
+    corner = matmul(left, a.sigma_transpose(counters), cutoff, counters)
+    return a, k, [new + row[h:] for new, row in zip(corner.rows, am)]
 
 
 def right_column_reduce(m: Matrix, counters=None) -> tuple[Matrix, int]:
@@ -804,11 +819,9 @@ def right_column_reduce(m: Matrix, counters=None) -> tuple[Matrix, int]:
 
 
 def column_reduce(m: Matrix, counters=None) -> tuple[Matrix, int, Matrix]:
-    """``right_column_reduce``'s (A, rank) and m*A, the sigma-transpose of the
-    reduced half of the row store that finds A, so no product is issued."""
-    rows, r = _row_echelon(m.sigma_transpose(), True, counters)
-    acc = Matrix(m.ring, rows.transform(), validate=False)
-    reduced = Matrix(m.ring, rows.reduced(0, m.nrows), validate=False, ncols=m.nrows)
+    """``right_column_reduce``'s (A, rank) and m*A: the sigma-mirror of
+    ``row_reduce``, so no product is issued."""
+    acc, r, reduced = row_reduce(m.sigma_transpose(), counters)
     return acc.sigma_transpose(), r, reduced.sigma_transpose()
 
 

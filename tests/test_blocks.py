@@ -9,6 +9,7 @@ import random
 import pytest
 
 from orthoform import (
+    BlockLeft,
     HermitianForm,
     InvariantViolation,
     JBlock,
@@ -25,6 +26,7 @@ from orthoform import (
     detect_radical,
     invariants_of,
     left_row_reduce,
+    matmul_classical,
     random_form,
 )
 from orthoform import blocks as blocks_module, matrix
@@ -189,10 +191,10 @@ STRASSEN_CASES = {
 
 STRASSEN_DIGESTS = {
     "gf101+": {4: "86fa5c392c79b270", 8: "41df0e7e2ff387c1"},
-    "gf101-": {4: "2949555367b75d30", 8: "72e2ff7cd1f7429d"},
+    "gf101-": {4: "e1425530a1188f49", 8: "af7221a7fe6890b6"},
     "gf9+": {4: "3dbb01836bdebe5e", 8: "44a912de821cba46"},
-    "gf2+": {4: "72fbd5db653fb8b4", 8: "f61a0455c3f2441a"},
-    "q-": {4: "14c24bb28bf99b2f", 8: "cbb2c3e788621036"},
+    "gf2+": {4: "9d269e5ee7cc5084", 8: "df12f96367dfaad3"},
+    "q-": {4: "bf95b96509eef114", 8: "a4c34cc8a68ca19e"},
     "h+": {4: "6179f83fe0cfe789", 8: "1bbfd51e7867e8f9"},
 }
 
@@ -291,22 +293,22 @@ GOLDEN_CASES = {
 GOLDEN_DIGESTS = {
     "gf101+deficient": "69e43f2a8afc9f051ea0058539bd1e10e9d89ea234d47598975adb8a07077935",
     "gf101+full": "46d43244fff3746e623a6fb54016eae15d30bcf16b1990ae76b6c9e96419cf66",
-    "gf101-deficient": "6d875b41afb5eb8d6472f0564d9b2e03a2186c5a4fe05437fe9370b10019a0a7",
-    "gf101-full": "92f660321e96aba268c37c50d0b206d59abb7ca9bf821c2b8ad4cfea68bfad4c",
-    "gf101-tail": "71d67e65ddf1b416b5d72f14be96c943f28ea3c1cc44ce7e6e5bb3ed373961bb",
+    "gf101-deficient": "da15294a51da25c5b622c3a46a8fc1de16c2cd01d00451f7b293fea5f08b05fa",
+    "gf101-full": "da50a297e0fb77b83096b94636615381bd888b75b404e486013f5f1e6a31e3cc",
+    "gf101-tail": "7eb4a2f292305f1a03870a310c4268d1fbb3b03944a76314c83392dd66a54429",
     "gf2-deficient": "126f3adbfd7bf213d419371d322d98326e91d02dd199fce0e9c5efcfdc6de8c6",
     "gf2-full": "68d374d8cda3924edfb92b2f52b43c63dfeb1422330bac9ab6ebf8c4f73acd37",
-    "gf3-corner": "4029b7513e461d6b70620551acd481f82beb7eb4b4b33d091dd14d1c3afb428b",
+    "gf3-corner": "652ea5c0eda8c7d7cf71baf1ddc6bc67c371a333ce1b916319a9cc8a7afbbf32",
     "gf9+deficient": "ae1ddaf2f6f0e7063a6095a5df3498abf013408246039c586ebf60b363f62f48",
-    "gf9+full": "39e64d94e233fa4bc7db4d7e86888994474cf0b48fd7a76da5c7d112d9555be3",
+    "gf9+full": "8a2bb591febc260443b474dafab13136a6a52b7ad444eaca171105b3adedec6b",
     "gf9-full": "f8ed3dff4108fb7aa803636af2cbf38737e69c2bdbfca2ec577d616ba8114978",
     "h+deficient": "869b4a4cf369b2dc1b425cfec80a7c7f90e1e9f89dd20da0c76a5d669bf9a0fc",
     "h+full": "67319773da5bf469ba072ca79577ac369a5e375e58dcb2b838270ac77991cbc7",
     "h-deficient": "3727e581885899ff5db281a031831a7e5eabe3aba3fea83803247cdcb3850ce0",
     "q+deficient": "c1f478cf1ba755bfc2caf486b53cf12d2828d19aadce9bfd9cb7cc0640edca48",
     "q+full": "15d259997bb86fd7a7ecb86b66c4dad265d69654110d1968ab07be819aa519cf",
-    "q-deficient": "4a947db6bf3db39909833caebb2584aeda4a0b49be53a6e30f4d5c79b0f235c4",
-    "q-full": "50355bef937834c159b2d87aa5ae82fafd6623991297df0c6d13d30faf500c0c",
+    "q-deficient": "bd8cfc04723e7232aab07fd23fd3ee6d8a3bb0e2e87e9a6870b187b06b77b27b",
+    "q-full": "52a43fd981da85dca8553cb5a055024141f22ca243fba72f4bca492e02d22d32",
 }
 
 
@@ -346,19 +348,19 @@ GOLDEN_FIELD_DIGESTS = {
         "e4125d09d60b5f7f", "60b41f7fde97277a", "15b6248d94485c02", "48b5b401886e71a7",
     ),
     ("gf101-deficient", "blocks"): (
-        "e4125d09d60b5f7f", "f22d85a67e2d2b95", "45bf431d42241ca1", "40882ba16582e510",
+        "e4125d09d60b5f7f", "f22d85a67e2d2b95", "45bf431d42241ca1", "ef273548b95773ee",
     ),
     ("gf101-full", "gs"): (
         "8f23abf5eb1a6e35", "a930547916936dab", "3e143815f5ad2631", "5dfbd827674a2fff",
     ),
     ("gf101-full", "blocks"): (
-        "8f23abf5eb1a6e35", "cf5a4887ec9e947a", "6763f3dddf7493c6", "febc6f27eeae6eb0",
+        "8f23abf5eb1a6e35", "cf5a4887ec9e947a", "6763f3dddf7493c6", "c007a72fd87c6189",
     ),
     ("gf101-tail", "gs"): (
         "3054029728d7a823", "f576c35e582d1c9b", "47acae8b82d49a6d", "90bcf36caf427a5f",
     ),
     ("gf101-tail", "blocks"): (
-        "3054029728d7a823", "07fa73c85149ecf7", "10471ea123a9437c", "d359a7ee9369ee0a",
+        "3054029728d7a823", "07fa73c85149ecf7", "10471ea123a9437c", "11ff294aa10e38fb",
     ),
     ("gf2-deficient", "gs"): (
         "2bfbff0d76722ec4", "93ee6a4547e5c611", "53930b6ade3cc97e", "60be334b346100ed",
@@ -376,7 +378,7 @@ GOLDEN_FIELD_DIGESTS = {
         "71756ca2e634179d", "d543163b1e9f7125", "4a301c2155b46189", "807cf2327fa6f9d9",
     ),
     ("gf3-corner", "blocks"): (
-        "71756ca2e634179d", "079f9fb5c3521858", "b1bc33bf39e1872f", "4649ae13a4ea973f",
+        "71756ca2e634179d", "079f9fb5c3521858", "b1bc33bf39e1872f", "5d29330d1bc13a92",
     ),
     ("gf9+deficient", "gs"): (
         "afc9dbe15078faf5", "49312ede0b453e0b", "cc2acd2522ed6cc4", "21960ea3d9b32b0b",
@@ -388,7 +390,7 @@ GOLDEN_FIELD_DIGESTS = {
         "31bda5f8ac055f41", "2967e386e6ff96ed", "5400fcb655bd7388", "d15c43fe7f061f49",
     ),
     ("gf9+full", "blocks"): (
-        "ed5a6873f6f6357e", "09f389e39f71431f", "9106d2fc53a951a2", "4db3d0d8c120fe36",
+        "ed5a6873f6f6357e", "09f389e39f71431f", "9106d2fc53a951a2", "d5f65b55e0c6a8a5",
     ),
     ("gf9-full", "gs"): (
         "a1325ed6c6f3a97d", "cd2373a50e19c690", "61bea0e7374d44cf", "64d8ea249970180c",
@@ -430,13 +432,13 @@ GOLDEN_FIELD_DIGESTS = {
         "45e47a46df6d9c0c", "58209b98561dda61", "10e9ea94da0c5358", "9a67e6a9a363dffd",
     ),
     ("q-deficient", "blocks"): (
-        "45e47a46df6d9c0c", "8e5a83d1fac6a652", "3f272b02d4fe6edc", "4210036ae57e0297",
+        "45e47a46df6d9c0c", "8e5a83d1fac6a652", "3f272b02d4fe6edc", "d12e45d1b6956593",
     ),
     ("q-full", "gs"): (
         "eaf76d04d224374a", "63cae35c87027c08", "06b4719c12ebb283", "26978520b7c7e190",
     ),
     ("q-full", "blocks"): (
-        "eaf76d04d224374a", "446dab9d7875f71c", "6593f32aa8b0d18c", "57b466394a89f56d",
+        "eaf76d04d224374a", "446dab9d7875f71c", "6593f32aa8b0d18c", "97716fb721e82735",
     ),
 }
 
@@ -510,9 +512,9 @@ TRANSFORM_CASES = {
 
 TRANSFORM_DIGESTS = {
     "gf1009+": "4d7899e848c4eee638dd0959398f0a2c35e408dfe4f52e73525b02f3ca18a06a",
-    "gf1009-": "c2799d14d6e83841b413b7557b4375e10c0bbc497105fd84d8e0acac1cc49ef0",
-    "gf9+": "b5bfe706d8483334f5999148d4c5dc33ad90a74f87ee2741aa773cc63c0d9a2a",
-    "gf9-": "69b3d8529449b69b48b7104fb1873c3304fd9e6f383182e5146fa0362158d487",
+    "gf1009-": "852702808b2ddae720cf00f4328a79e96dadeba07be105bd4ca1567752d310dd",
+    "gf9+": "d67dd2020b7176721d6215669b834615ba6d9bafd8a1be684fa8fd801a8d11fb",
+    "gf9-": "2c0bf1f087b85964c97049b583fe81f45c42ec75db4f6247b7717e089bd05caa",
 }
 
 
@@ -564,20 +566,37 @@ def _split_forms(ring, s, rng):
             yield form, lo, h, hi, k, cutoffs
 
 
+def _congruence(t: Matrix, b: Matrix) -> Matrix:
+    """T * B * sigma(T)^t by two classical products."""
+    return matmul_classical(matmul_classical(t, b), t.sigma_transpose())
+
+
+def _pasted(block: Matrix, lo: int, d: int) -> Matrix:
+    """The d x d identity with `block` pasted at rows and columns [lo, lo+q)."""
+    t = Matrix.identity(block.ring, d)
+    for row, new in zip(t.rows[lo : lo + block.nrows], block.rows):
+        row[lo : lo + block.ncols] = new
+    return t
+
+
 def _split_both_ways(ring, s):
     """Per form and cutoff: the fused split's and the reference's (rows, log).
-    The reference is left_row_reduce of the leading block, then block_congruence."""
+    The reference is left_row_reduce of the leading block, then the
+    congruence of the window by the identity with that transform pasted in,
+    as two full products."""
     out = []
     for form, lo, h, hi, k, cutoffs in _split_forms(ring, s, random.Random(631)):
+        a, rank = left_row_reduce(form.m.submatrix(lo, lo + h, lo, lo + h))
+        assert rank == k
+        reference = snapshot(form.m)
+        window = _congruence(_pasted(a, 0, hi - lo), form.m.submatrix(lo, hi, lo, hi))
+        for row, new in zip(reference.rows[lo:hi], window.rows):
+            row[lo:hi] = new
+        log = [BlockLeft(a, lo)] if a != Matrix.identity(ring, h) else []
         for cutoff in cutoffs:
             fused = HermitianForm(ring, snapshot(form.m), s, validate=False)
-            reference = HermitianForm(ring, snapshot(form.m), s, validate=False)
             assert blocks_module._split(fused, lo, h, hi, cutoff) == k
-            a, rank = left_row_reduce(reference.m.submatrix(lo, lo + h, lo, lo + h))
-            assert rank == k
-            if a != Matrix.identity(ring, h):
-                reference.block_congruence(lo, a, lo, hi, cutoff)
-            out.append((repr(fused.m.rows), repr(list(fused.log)), repr(reference.m.rows), repr(list(reference.log))))
+            out.append((repr(fused.m.rows), repr(list(fused.log)), repr(reference.rows), repr(log)))
     return out
 
 
@@ -592,6 +611,26 @@ def test_fused_split_matches_row_reduce_then_congruence(case, monkeypatch):
         assert fused_rows == reference_rows
         assert fused_log == reference_log
     assert sum(log != "[]" for _, log, _, _ in runs) > len(runs) // 2
+
+
+@pytest.mark.parametrize("case", sorted(SPLIT_RINGS))
+def test_block_congruence_matches_two_full_products(case):
+    # the column pass multiplies only the corner and mirrors the active rows
+    # above and below it; the form is zero outside the active window
+    ring, s = SPLIT_RINGS[case]
+    rng = random.Random(633)
+    d, lo, q, active_lo, active_hi = 11, 3, 4, 1, 9
+    for cutoff in (0, 2):
+        rows = [[ring.zero] * d for _ in range(d)]
+        window = random_form(ring, s, active_hi - active_lo, rng).m.rows
+        for row, new in zip(rows[active_lo:active_hi], window):
+            row[active_lo:active_hi] = new
+        form = HermitianForm(ring, Matrix(ring, rows), s)
+        block = Matrix(ring, [[ring.random(rng) for _ in range(q)] for _ in range(q)])
+        expected = _congruence(_pasted(block, lo, d), form.m)
+        form.block_congruence(lo, block, active_lo, active_hi, cutoff)
+        assert repr(form.m.rows) == repr(expected.rows)
+        assert list(form.log) == [BlockLeft(block, lo)]
 
 
 def test_fused_split_reaches_every_row_store(monkeypatch):
