@@ -12,7 +12,12 @@ a full-row-rank off-diagonal block X, that becomes hyperbolic pairs
 (column-reduce X, which also yields X*A, normalize the cross block to an
 identity, sweep the rest of the coupling away with block transvections).
 Besides the splits the heavy lifting is matrix products, exact for every
-Strassen threshold.
+Strassen threshold.  The recursion stops at nonsingular windows of at most
+``LEAF_ROWS`` rows, which the pivot sweep of ``gs`` (``gs.sweep``)
+decomposes: there a sweep costs less than further splits, as Strassen's
+scheme hands small products to the classical one.  The split of the whole
+matrix still runs on every form, so the radical is found by this module's
+own elimination.
 
 A window [lo, hi) is always zero outside itself, which makes windowed block
 congruences global congruences.  Each displayed intermediate shape is
@@ -25,8 +30,14 @@ from __future__ import annotations
 from typing import Optional
 
 from .form import BlockTransvect, HermitianForm, transpositions
-from .gs import Decomposition, ScalarBlock, standardize_at
+from .gs import Decomposition, standardize_at, sweep
 from .matrix import Matrix, column_reduce, invert, matmul, rank, split_congruence
+
+
+# Nonsingular windows of at most this many rows end the recursion with the
+# pivot sweep of ``gs``, which costs less there than further splits (measured
+# on GF(101) and Q forms and the benchmark's small forms, against 8 and 32).
+LEAF_ROWS = 16
 
 
 class InvariantViolation(RuntimeError):
@@ -94,14 +105,19 @@ class _BlockRun:
         self.iso_pairs = 0
 
     def aniso(self, lo: int, hi: int, depth: int = 1) -> None:
-        """Decompose the nonsingular window [lo, hi), a node at recursion `depth`."""
+        """Decompose the nonsingular window [lo, hi), a node at recursion `depth`.
+
+        A window of at most ``LEAF_ROWS`` rows is a leaf: the pivot sweep of
+        ``gs`` decomposes it.  A larger one splits its leading half."""
         self.max_depth = max(self.max_depth, depth)
         form = self.form
         m = hi - lo
-        if m == 0:
-            return
-        if m == 1:
-            self.blocks.append(ScalarBlock(form.m.rows[lo][lo]))
+        if m <= LEAF_ROWS:
+            blocks, end, iso_steps = sweep(form, lo, hi)
+            if end != hi:
+                raise InvariantViolation(f"leaf window [{lo},{hi}) has a radical: the input was singular")
+            self.blocks.extend(blocks)
+            self.iso_pairs += iso_steps
             return
         h = (m + 1) // 2
         k = _split(form, lo, h, hi, self.cutoff)

@@ -6,6 +6,10 @@ with the first partner its row meets, the pair is cleared and standardized;
 a row-column orthogonal to the whole window is swapped to the tail, shrinking
 the window.  The result is a list of 1x1 blocks and [[0,1],[s,0]] blocks with
 the radical zeros at the end.
+
+``sweep`` runs this on any window that is zero outside itself:
+``decompose_gs`` is the sweep of the whole form, and ``blocks`` ends its
+recursion with the sweep of each small nonsingular window.
 """
 
 from __future__ import annotations
@@ -126,21 +130,24 @@ def standardize(ring: Ring, s: int, alpha) -> tuple[TransformLog, list]:
     return form.log, blocks
 
 
-def decompose_gs(form: HermitianForm) -> Decomposition:
-    """Decompose by row-column elimination; mutates `form` into the direct sum.
+def sweep(form: HermitianForm, lo: int, hi: int) -> tuple[list, int, int]:
+    """The pivot sweep of the window [lo, hi), which is zero outside itself.
+
+    Returns (blocks, end, isotropic_steps): the blocks cover [lo, end) and the
+    radical has been swapped to [end, hi), so the window was nonsingular
+    exactly when end == hi.  Every operation acts inside the window, so the
+    sweep is a congruence of the whole form.
 
     Per window position this spends one diagonal test plus one test per
     scanned or cleared entry, one inversion per anisotropic pivot, and at
-    most two inversions per isotropic pair, within the e^3/3 + O(d^2)
-    addition and multiplication envelope.
+    most two inversions per isotropic pair, within the e^3/3 + O(e^2)
+    addition and multiplication envelope, e = hi - lo.
     """
     ring = form.ring
     rows = form.m.rows
     c = form.counters
-    d = form.dim
     blocks: list = []
-    pos = 0
-    hi = d
+    pos = lo
     iso_steps = 0
     neg_one = ring.neg(ring.one)
     while pos < hi:
@@ -178,4 +185,13 @@ def decompose_gs(form: HermitianForm) -> Decomposition:
         form.clear_row_column(pos, pos + 1, lo=pos, hi=hi)
         blocks.extend(standardize_at(form, pos))
         pos += 2
-    return Decomposition.of(form, blocks, d - hi, iso_steps)
+    return blocks, hi, iso_steps
+
+
+def decompose_gs(form: HermitianForm) -> Decomposition:
+    """Decompose by row-column elimination; mutates `form` into the direct sum.
+
+    The sweep of the whole form (``sweep``).
+    """
+    blocks, end, iso_steps = sweep(form, 0, form.dim)
+    return Decomposition.of(form, blocks, form.dim - end, iso_steps)

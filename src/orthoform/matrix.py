@@ -734,7 +734,7 @@ def left_row_reduce(m: Matrix, counters=None) -> tuple[Matrix, int]:
 def row_reduce(m: Matrix, counters=None) -> tuple[Matrix, int, Matrix]:
     """``left_row_reduce``'s (A, rank) and A*m, the reduced half of the row
     store that finds A, so no product is issued."""
-    rows, r = _row_echelon(m, True, counters)
+    rows, r, _ = _row_echelon(m, True, counters)
     reduced = Matrix(m.ring, rows.reduced(), validate=False, ncols=m.ncols)
     return Matrix(m.ring, rows.transform(), validate=False), r, reduced
 
@@ -746,16 +746,20 @@ def rank(m: Matrix, counters=None) -> int:
 
 
 def _row_echelon(m: Matrix, identity: bool, counters, pivots: Optional[int] = None) -> tuple:
-    """(row store, rank) after the pivot loop of ``left_row_reduce`` on
+    """(row store, rank, moved) after the pivot loop of ``left_row_reduce`` on
     [m | I], or on m alone without ``identity``.  With ``pivots`` the loop
     pivots in the leading ``pivots`` columns only; the row operations still
     run over every column, so the store's reduced half is A*m for the A of
-    ``left_row_reduce`` on those columns."""
+    ``left_row_reduce`` on those columns.  ``moved`` is False when the loop
+    made no swap and cleared no nonzero entry, which holds exactly when A is
+    the identity: each swap takes a later row and each clear works below its
+    pivot, so A is a unit lower triangular matrix times a permutation."""
     ring = m.ring
     n, cols = m.nrows, m.ncols
     rows = _augmented(m, n * cols, identity=identity)
     width = n if identity else 0
     r = 0
+    moved = False
     for c in range(cols if pivots is None else pivots):
         if r == n:
             break
@@ -767,13 +771,14 @@ def _row_echelon(m: Matrix, identity: bool, counters, pivots: Optional[int] = No
         if pivot != r:
             rows.swap(r, pivot)
         pairs = rows.eliminate(r, c, r + 1, ring.inv(rows.entry(r, c)))
+        moved = moved or pivot != r or pairs > 0
         if counters is not None:
             counters.inversions += 1
             counters.equality_tests += n - r - 1
             counters.multiplications += pairs * (1 + (cols - c) + width)
             counters.additions += pairs * ((cols - c) + width)
         r += 1
-    return rows, r
+    return rows, r, moved
 
 
 def split_congruence(top: Matrix, cutoff: int = 0, counters=None) -> tuple:
@@ -789,14 +794,14 @@ def split_congruence(top: Matrix, cutoff: int = 0, counters=None) -> tuple:
     built as Fractions and cleared again.
 
     Returns:
-        (A, rank, rows): ``rows`` is None when A is the identity, which
-        leaves the window unchanged.
+        (A, rank, rows): A and ``rows`` are None when A is the identity,
+        which leaves the window unchanged; that case builds neither.
     """
     ring, h = top.ring, top.nrows
-    rows, k = _row_echelon(top, True, counters, h)
+    rows, k, moved = _row_echelon(top, True, counters, h)
+    if not moved:
+        return None, k, None
     a = Matrix(ring, rows.transform(), validate=False)
-    if a == Matrix.identity(ring, h):
-        return a, k, None
     if isinstance(rows, _IntRows) and _classical(h, h, h, cutoff):
         _count_product(counters, h, h, h)
         if counters is not None:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import sys
 
 import pytest
 
@@ -18,6 +19,7 @@ from orthoform import (
     QuadraticField,
     RationalField,
     RationalQuaternions,
+    TransformLog,
     block_anisotropic,
     block_isotropic,
     check_decomposition,
@@ -30,7 +32,7 @@ from orthoform import (
     random_form,
 )
 from orthoform import blocks as blocks_module, matrix
-from helpers import snapshot
+from helpers import SPLIT_RINGS, snapshot
 
 GF7 = PrimeField(7)
 GF2 = PrimeField(2)
@@ -190,12 +192,12 @@ STRASSEN_CASES = {
 }
 
 STRASSEN_DIGESTS = {
-    "gf101+": {4: "86fa5c392c79b270", 8: "41df0e7e2ff387c1"},
-    "gf101-": {4: "e1425530a1188f49", 8: "af7221a7fe6890b6"},
-    "gf9+": {4: "3dbb01836bdebe5e", 8: "44a912de821cba46"},
-    "gf2+": {4: "9d269e5ee7cc5084", 8: "df12f96367dfaad3"},
-    "q-": {4: "bf95b96509eef114", 8: "a4c34cc8a68ca19e"},
-    "h+": {4: "6179f83fe0cfe789", 8: "1bbfd51e7867e8f9"},
+    "gf101+": {4: "e8b5fb30dc1b0ee2", 8: "77a2f10d1300a614"},
+    "gf101-": {4: "2ca47e3e813cf4e7", 8: "f8336dcda122c06c"},
+    "gf9+": {4: "da47d87cd6f15886", 8: "a965bc666f2bce33"},
+    "gf2+": {4: "33a3e2cf13990d42", 8: "3ddb1aa506923578"},
+    "q-": {4: "7c86c984d62e9557", 8: "55409e4e4eff7d33"},
+    "h+": {4: "7a7897d895895829", 8: "7a0b32547efa54be"},
 }
 
 
@@ -263,11 +265,22 @@ def test_invariant_violation_type():
     assert issubclass(InvariantViolation, RuntimeError)
 
 
+def test_singular_leaf_window_raises():
+    # the recursion hands aniso only nonsingular windows; a leaf whose sweep
+    # finds a radical means that promise broke
+    form = HermitianForm.from_rows(GF7, [[5, 0, 0, 0], [0, 0, 0, 0], [0, 0, 3, 1], [0, 0, 1, 2]], 1)
+    with pytest.raises(InvariantViolation, match="radical"):
+        blocks_module._BlockRun(form, 0).aniso(0, 4)
+
+
 GF101 = PrimeField(101)
 
 # (ring, s, dim, rank or None, seed).  The digests pin the blocks, the SLP
 # rendering of the log and every operation counter of both decomposers, so a
 # refactor of the elimination kernels must reproduce them byte for byte.
+# GOLDEN_DIGESTS and GOLDEN_SHAPES are taken with the leaf size at 1, so they
+# pin the recursion down to 1 x 1 windows; at the module's leaf size every
+# golden form is one split and one leaf, which the field digests pin.
 GOLDEN_CASES = {
     "gf101+full": (GF101, 1, 14, None, 601),
     "gf101+deficient": (GF101, 1, 14, 9, 602),
@@ -291,22 +304,22 @@ GOLDEN_CASES = {
 }
 
 GOLDEN_DIGESTS = {
-    "gf101+deficient": "69e43f2a8afc9f051ea0058539bd1e10e9d89ea234d47598975adb8a07077935",
-    "gf101+full": "46d43244fff3746e623a6fb54016eae15d30bcf16b1990ae76b6c9e96419cf66",
+    "gf101+deficient": "a9dee3847c0b264f3ca8df7f8fbe0ee7bf70f13125baed5440ad51c90ad60577",
+    "gf101+full": "13fe921bc68341ab01f05adfb2c1444972bad8ac28a441b454e5fd3b2c68cf1b",
     "gf101-deficient": "da15294a51da25c5b622c3a46a8fc1de16c2cd01d00451f7b293fea5f08b05fa",
     "gf101-full": "da50a297e0fb77b83096b94636615381bd888b75b404e486013f5f1e6a31e3cc",
     "gf101-tail": "7eb4a2f292305f1a03870a310c4268d1fbb3b03944a76314c83392dd66a54429",
-    "gf2-deficient": "126f3adbfd7bf213d419371d322d98326e91d02dd199fce0e9c5efcfdc6de8c6",
-    "gf2-full": "68d374d8cda3924edfb92b2f52b43c63dfeb1422330bac9ab6ebf8c4f73acd37",
+    "gf2-deficient": "e491e24b08f9effbcc67e14604ef5f88ae22f87561afdb7610d3a4863859c6b8",
+    "gf2-full": "8542d4f0b069691173a930dc370f1c5f5af48cf607934166fd3da6edac5d976b",
     "gf3-corner": "652ea5c0eda8c7d7cf71baf1ddc6bc67c371a333ce1b916319a9cc8a7afbbf32",
-    "gf9+deficient": "ae1ddaf2f6f0e7063a6095a5df3498abf013408246039c586ebf60b363f62f48",
-    "gf9+full": "8a2bb591febc260443b474dafab13136a6a52b7ad444eaca171105b3adedec6b",
-    "gf9-full": "f8ed3dff4108fb7aa803636af2cbf38737e69c2bdbfca2ec577d616ba8114978",
-    "h+deficient": "869b4a4cf369b2dc1b425cfec80a7c7f90e1e9f89dd20da0c76a5d669bf9a0fc",
-    "h+full": "67319773da5bf469ba072ca79577ac369a5e375e58dcb2b838270ac77991cbc7",
-    "h-deficient": "3727e581885899ff5db281a031831a7e5eabe3aba3fea83803247cdcb3850ce0",
-    "q+deficient": "c1f478cf1ba755bfc2caf486b53cf12d2828d19aadce9bfd9cb7cc0640edca48",
-    "q+full": "15d259997bb86fd7a7ecb86b66c4dad265d69654110d1968ab07be819aa519cf",
+    "gf9+deficient": "f082617e59ed2ae0733517cf9eb31fde80e7decf8842cb9aae850a246127c561",
+    "gf9+full": "8b5acde2f6c00fa3abd60b77ef03da8a7f4c04ce45c72155a0bc2193cec218ab",
+    "gf9-full": "5de71455dbe60d7f650a087b6c5b303d4cdb8d85a2780137aa3e6337b286c01f",
+    "h+deficient": "2ab8beb15aa0a8c0ef6c63a1182202506e29a2a1bfb6a353aeb9b469bd9bb16f",
+    "h+full": "351c393241e470a5c2eca5966c312f7e48737e59cb8ab8986751506c885633dc",
+    "h-deficient": "3760418de718ccf5d0676f9fe09f21319305d1b6832dbf5e096d9a1385ffc678",
+    "q+deficient": "6ef6c05928355908688e1abc0095565d1c007c5973f862697f6d61eca634947b",
+    "q+full": "e1b8ee24d01d5f662d84229a101c8176c7b38ebb506d3ad7007aeb4d76133298",
     "q-deficient": "bd8cfc04723e7232aab07fd23fd3ee6d8a3bb0e2e87e9a6870b187b06b77b27b",
     "q-full": "52a43fd981da85dca8553cb5a055024141f22ca243fba72f4bca492e02d22d32",
 }
@@ -322,8 +335,40 @@ def _golden_digest(ring, s, d, rank, seed):
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
-def test_golden_logs_and_counters(case):
+def test_golden_logs_and_counters(case, monkeypatch):
+    monkeypatch.setattr(blocks_module, "LEAF_ROWS", 1)
     assert _golden_digest(*GOLDEN_CASES[case]) == GOLDEN_DIGESTS[case]
+
+
+def _iso_branch_spy(monkeypatch) -> list:
+    """Records "tail" when ``iso`` decouples a nonzero tail (the one op it logs
+    itself) and "corner" when it applies its pair corner (its one congruence
+    whose block fills the active window)."""
+    ran = []
+    append, congruence = TransformLog.append, HermitianForm.block_congruence
+
+    def log_spy(self, op):
+        if sys._getframe(1).f_code.co_name == "iso":
+            ran.append("tail")
+        append(self, op)
+
+    def congruence_spy(self, lo, block, active_lo, active_hi, *args, **kwargs):
+        if sys._getframe(1).f_code.co_name == "iso" and block.nrows == active_hi - active_lo:
+            ran.append("corner")
+        congruence(self, lo, block, active_lo, active_hi, *args, **kwargs)
+
+    monkeypatch.setattr(TransformLog, "append", log_spy)
+    monkeypatch.setattr(HermitianForm, "block_congruence", congruence_spy)
+    return ran
+
+
+@pytest.mark.parametrize("case,branch", [("gf101-tail", "tail"), ("gf3-corner", "corner")])
+def test_recursion_pins_reach_the_isotropic_branches(case, branch, monkeypatch):
+    monkeypatch.setattr(blocks_module, "LEAF_ROWS", 1)
+    ran = _iso_branch_spy(monkeypatch)
+    ring, s, d, rank, seed = GOLDEN_CASES[case]
+    decompose_blocks(random_form(ring, s, d, random.Random(seed), rank=rank))
+    assert branch in ran
 
 
 GOLDEN_FIELDS = ("blocks", "transform", "slp", "counters")
@@ -336,109 +381,109 @@ GOLDEN_FIELD_DIGESTS = {
         "9014928b774e5c47", "a2c9e8b90dec9d45", "c0a135eac70cd183", "9404bc29593b4612",
     ),
     ("gf101+deficient", "blocks"): (
-        "79b340f41496794f", "45e897f38420714d", "5b01cfed4062473b", "ff9abc2d096aa4b9",
+        "79b340f41496794f", "45e897f38420714d", "5b01cfed4062473b", "dc9738d97a9d02d8",
     ),
     ("gf101+full", "gs"): (
         "26849095620d1f58", "23fcbdba3751c115", "687f438fb5c37625", "f8c95829b6d71242",
     ),
     ("gf101+full", "blocks"): (
-        "26849095620d1f58", "23fcbdba3751c115", "48f8b4d9ac77fef6", "7a2ff3b551788790",
+        "26849095620d1f58", "23fcbdba3751c115", "48f8b4d9ac77fef6", "347fe71f4c22657e",
     ),
     ("gf101-deficient", "gs"): (
         "e4125d09d60b5f7f", "60b41f7fde97277a", "15b6248d94485c02", "48b5b401886e71a7",
     ),
     ("gf101-deficient", "blocks"): (
-        "e4125d09d60b5f7f", "f22d85a67e2d2b95", "45bf431d42241ca1", "ef273548b95773ee",
+        "e4125d09d60b5f7f", "773fa06e1569c87a", "c8a307ead032f87c", "b62a1b6a41f05316",
     ),
     ("gf101-full", "gs"): (
         "8f23abf5eb1a6e35", "a930547916936dab", "3e143815f5ad2631", "5dfbd827674a2fff",
     ),
     ("gf101-full", "blocks"): (
-        "8f23abf5eb1a6e35", "cf5a4887ec9e947a", "6763f3dddf7493c6", "c007a72fd87c6189",
+        "8f23abf5eb1a6e35", "8ea3f6042f62ac4d", "52fec56722b2f872", "281a3530d1739b29",
     ),
     ("gf101-tail", "gs"): (
         "3054029728d7a823", "f576c35e582d1c9b", "47acae8b82d49a6d", "90bcf36caf427a5f",
     ),
     ("gf101-tail", "blocks"): (
-        "3054029728d7a823", "07fa73c85149ecf7", "10471ea123a9437c", "11ff294aa10e38fb",
+        "3054029728d7a823", "57d63a227b269871", "9e7321910f3e1311", "779b818b2d8f17f6",
     ),
     ("gf2-deficient", "gs"): (
         "2bfbff0d76722ec4", "93ee6a4547e5c611", "53930b6ade3cc97e", "60be334b346100ed",
     ),
     ("gf2-deficient", "blocks"): (
-        "2bfbff0d76722ec4", "eb8b939796ff6087", "b4c85433250f087e", "a00ca02f5f0ddad9",
+        "2bfbff0d76722ec4", "eb8b939796ff6087", "9021a0862aaadbaa", "f2b4f1b572825c11",
     ),
     ("gf2-full", "gs"): (
         "53e1cf0776d6c71d", "2c3b97e200887bf3", "746682c2fcc7b9e7", "580e3d3270b852fe",
     ),
     ("gf2-full", "blocks"): (
-        "53e1cf0776d6c71d", "0b9123899f3ce921", "50a8b6f512319262", "1733b9241423e6fb",
+        "53e1cf0776d6c71d", "9c1bc4ed0c52cb2a", "5bce4cdf56bda315", "35fdbeb2c87299f1",
     ),
     ("gf3-corner", "gs"): (
         "71756ca2e634179d", "d543163b1e9f7125", "4a301c2155b46189", "807cf2327fa6f9d9",
     ),
     ("gf3-corner", "blocks"): (
-        "71756ca2e634179d", "079f9fb5c3521858", "b1bc33bf39e1872f", "5d29330d1bc13a92",
+        "71756ca2e634179d", "a20d1f0b8c3a12f5", "2acde23eab273c21", "c31612ca9aa4b388",
     ),
     ("gf9+deficient", "gs"): (
         "afc9dbe15078faf5", "49312ede0b453e0b", "cc2acd2522ed6cc4", "21960ea3d9b32b0b",
     ),
     ("gf9+deficient", "blocks"): (
-        "d8e7f63f99dcd4e3", "5778f15b4c2b1983", "dd79e2ca087db1b3", "0c28358eb1ea8a4d",
+        "d8e7f63f99dcd4e3", "5778f15b4c2b1983", "20b7f1155b2b8ae9", "d78aeb24702e4982",
     ),
     ("gf9+full", "gs"): (
         "31bda5f8ac055f41", "2967e386e6ff96ed", "5400fcb655bd7388", "d15c43fe7f061f49",
     ),
     ("gf9+full", "blocks"): (
-        "ed5a6873f6f6357e", "09f389e39f71431f", "9106d2fc53a951a2", "d5f65b55e0c6a8a5",
+        "ed5a6873f6f6357e", "164e8d166dcd5f45", "87c7fbbe12cb6b19", "dd563bb54f86ca34",
     ),
     ("gf9-full", "gs"): (
         "a1325ed6c6f3a97d", "cd2373a50e19c690", "61bea0e7374d44cf", "64d8ea249970180c",
     ),
     ("gf9-full", "blocks"): (
-        "a8eb4a9ae736b826", "6bebb24cb1e3ceae", "c7c5595a2820d654", "bbe550455a0ec7e9",
+        "a8eb4a9ae736b826", "6bebb24cb1e3ceae", "f61a04095b4f0f5f", "bf1426d11321ca65",
     ),
     ("h+deficient", "gs"): (
         "fa4efd8a12b15b1d", "cada9683740cdee2", "b7c1d68d30efc286", "c66b769feb348bb1",
     ),
     ("h+deficient", "blocks"): (
-        "fa4efd8a12b15b1d", "3fa3c2276a3de59f", "f79ce1c67e5fb50e", "e176f54ff9ebc2cd",
+        "fa4efd8a12b15b1d", "3fa3c2276a3de59f", "f79ce1c67e5fb50e", "568c41d804f1532f",
     ),
     ("h+full", "gs"): (
         "c3f0e3e4ff5a3854", "9ecb421e917ec920", "46b52d1ee9f3cd2b", "a0d4b75da842899a",
     ),
     ("h+full", "blocks"): (
-        "7680cca503e5b986", "ae6c11929c716b9f", "bcd569003cb5f5ec", "faaf14c85a868db2",
+        "7680cca503e5b986", "ae6c11929c716b9f", "5c126304510f4510", "29b4bb9d4b97ccc6",
     ),
     ("h-deficient", "gs"): (
         "453306cf1d4ee0b7", "6327a008b740f72f", "b959b32bbcbfb70b", "9c9f85546c8d0dec",
     ),
     ("h-deficient", "blocks"): (
-        "453306cf1d4ee0b7", "563e230907b7aa18", "5c828ec56f0c1bb9", "ce99b2534ed261b6",
+        "453306cf1d4ee0b7", "563e230907b7aa18", "5c828ec56f0c1bb9", "28bc932e6a450fe5",
     ),
     ("q+deficient", "gs"): (
         "5b0ba4f713f80b49", "aaad8374d89361a0", "8a456083b68175c1", "f70ae99a468849a9",
     ),
     ("q+deficient", "blocks"): (
-        "5b0ba4f713f80b49", "39a776fe9e2d3389", "5f223b46fceb3c92", "f52d09a1e5280265",
+        "5b0ba4f713f80b49", "39a776fe9e2d3389", "5f223b46fceb3c92", "d991d847039a7568",
     ),
     ("q+full", "gs"): (
         "307ef5333463e12d", "ee0f49b55b1b0921", "4b85b13347b2b92a", "308d150651ae0639",
     ),
     ("q+full", "blocks"): (
-        "307ef5333463e12d", "ee0f49b55b1b0921", "7e5dff241165b74b", "5562eb541cc2b047",
+        "307ef5333463e12d", "ee0f49b55b1b0921", "7e5dff241165b74b", "88c901425a2f0eb5",
     ),
     ("q-deficient", "gs"): (
         "45e47a46df6d9c0c", "58209b98561dda61", "10e9ea94da0c5358", "9a67e6a9a363dffd",
     ),
     ("q-deficient", "blocks"): (
-        "45e47a46df6d9c0c", "8e5a83d1fac6a652", "3f272b02d4fe6edc", "d12e45d1b6956593",
+        "45e47a46df6d9c0c", "68e66bd9ce1e00a0", "8d5c119b9b766d61", "7618d4324a67a5a5",
     ),
     ("q-full", "gs"): (
         "eaf76d04d224374a", "63cae35c87027c08", "06b4719c12ebb283", "26978520b7c7e190",
     ),
     ("q-full", "blocks"): (
-        "eaf76d04d224374a", "446dab9d7875f71c", "6593f32aa8b0d18c", "97716fb721e82735",
+        "eaf76d04d224374a", "51d3897ebb94638f", "23576d90d993dabd", "7946a67ac7e7b662",
     ),
 }
 
@@ -493,7 +538,8 @@ GOLDEN_SHAPES = {
 }
 
 
-def test_golden_recursion_shapes():
+def test_golden_recursion_shapes(monkeypatch):
+    monkeypatch.setattr(blocks_module, "LEAF_ROWS", 1)
     for case, (ring, s, d, rank, seed) in sorted(GOLDEN_CASES.items()):
         dec = decompose_blocks(random_form(ring, s, d, random.Random(seed), rank=rank))
         assert (dec.recursion_depth, dec.isotropic_steps) == GOLDEN_SHAPES[case], case
@@ -511,10 +557,10 @@ TRANSFORM_CASES = {
 }
 
 TRANSFORM_DIGESTS = {
-    "gf1009+": "4d7899e848c4eee638dd0959398f0a2c35e408dfe4f52e73525b02f3ca18a06a",
-    "gf1009-": "852702808b2ddae720cf00f4328a79e96dadeba07be105bd4ca1567752d310dd",
-    "gf9+": "d67dd2020b7176721d6215669b834615ba6d9bafd8a1be684fa8fd801a8d11fb",
-    "gf9-": "2c0bf1f087b85964c97049b583fe81f45c42ec75db4f6247b7717e089bd05caa",
+    "gf1009+": "a1bcc69f25373648cf079fdd6fb061752885b4ae9e6c7024fedee442d4915791",
+    "gf1009-": "1e63c2e6bc96bc3d0b0a52f863e709d2a02047d7fff9d1e384997bc859148885",
+    "gf9+": "8f93df1ac183322c37d852800c0097686e2bbda2679f17c73b68df3fe617947f",
+    "gf9-": "32072abffa7503b6d7a63bdc32f98573adaa189ee7c7e3043c6c4c19aa890e84",
 }
 
 
@@ -527,25 +573,6 @@ def test_kernel_sized_transforms_are_pinned(case):
     for dec in (decompose_gs(form), decompose_blocks(twin)):
         parts.append((repr(dec.blocks), dec.counters.as_dict(), dec.log.materialize(ring).rows))
     assert hashlib.sha256(repr(parts).encode()).hexdigest() == TRANSFORM_DIGESTS[case]
-
-
-GF9_IDENTITY = QuadraticField(3, "identity")
-
-# (ring, s) for the fused split; s = -1 over an identity involution in odd
-# characteristic is alternating, so every leading-block rank below is even.
-SPLIT_RINGS = {
-    "gf2+": (GF2, 1),
-    "gf101+": (GF101, 1),
-    "gf101-": (GF101, -1),
-    "gf9+": (GF9, 1),
-    "gf9-": (GF9, -1),
-    "gf9id+": (GF9_IDENTITY, 1),
-    "gf9id-": (GF9_IDENTITY, -1),
-    "q+": (QQ, 1),
-    "q-": (QQ, -1),
-    "h+": (HH, 1),
-    "h-": (HH, -1),
-}
 
 
 def _split_forms(ring, s, rng):
@@ -655,3 +682,25 @@ def test_classical_multiplication_count_of_blocks(d):
     # reads 1.832 d^3 at both sizes
     form = random_form(GF1009, 1, d, random.Random(90))
     assert decompose_blocks(form).counters.multiplications <= 1.84 * d**3
+
+
+def test_small_windows_are_leaves(monkeypatch):
+    # below the whole-matrix split no window of at most LEAF_ROWS rows is
+    # split again: the pivot sweep takes it in one pass, so the log of an
+    # alternating d=64 form shrinks from 96 ops (leaves of 1 row) to 36
+    windows = []
+    split = blocks_module._split
+
+    def spy(form, lo, h, hi, cutoff):
+        windows.append(hi - lo)
+        return split(form, lo, h, hi, cutoff)
+
+    monkeypatch.setattr(blocks_module, "_split", spy)
+    d = 64
+    form = random_form(GF1009, -1, d, random.Random(90))
+    original = snapshot(form.m)
+    dec = decompose_blocks(form)
+    assert len(dec.log) <= 40
+    assert windows[0] == d and len(windows) > 1
+    assert min(windows[1:]) > blocks_module.LEAF_ROWS
+    assert check_decomposition(original, -1, dec).passed

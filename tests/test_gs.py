@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -21,8 +22,9 @@ from orthoform import (
     standardize,
     standardize_at,
 )
-from orthoform.form import Eliminate, Swap
-from helpers import snapshot
+from orthoform.form import BlockLeft, Eliminate, Scale, Swap
+from orthoform.gs import sweep
+from helpers import SPLIT_RINGS, snapshot
 
 GF7 = PrimeField(7)
 GF2 = PrimeField(2)
@@ -234,3 +236,45 @@ def test_column_pass_calls_col_axpy_only_off_the_finite_fields(ring, calls, monk
     dec = decompose_gs(random_form(ring, -1, 16, random.Random(7)))
     assert dec.isotropic_steps > 0
     assert bool(seen) == calls
+
+
+def _shifted(op, lo):
+    """A sweep's log op moved down the diagonal by lo."""
+    if isinstance(op, Swap):
+        return Swap(op.i + lo, op.j + lo)
+    if isinstance(op, Scale):
+        return replace(op, index=op.index + lo)
+    if isinstance(op, Eliminate):
+        return replace(op, source=op.source + lo, targets=tuple(t + lo for t in op.targets))
+    assert isinstance(op, BlockLeft)
+    return replace(op, offset=op.offset + lo)
+
+
+@pytest.mark.parametrize("case", sorted(SPLIT_RINGS))
+def test_sweep_of_a_window_is_the_sweep_of_the_window_alone(case):
+    # a form embedded at [lo, hi) of a larger zero form: the sweep of that
+    # window emits the same blocks and the same log, moved down by lo, as
+    # decompose_gs of the form alone, and touches nothing outside the window
+    ring, s = SPLIT_RINGS[case]
+    rng = random.Random(71)
+    d, lo = 13, 3
+    for e, rank in [(8, None), (8, 4), (7, None), (5, 2), (1, None), (0, None)]:
+        small = random_form(ring, s, e, rng, rank=rank)
+        rows = [[ring.zero] * d for _ in range(d)]
+        for row, new in zip(rows[lo : lo + e], small.m.rows):
+            row[lo : lo + e] = new
+        form = HermitianForm(ring, Matrix(ring, rows), s)
+        blocks, end, steps = sweep(form, lo, lo + e)
+        alone = decompose_gs(small)
+        assert blocks + [ScalarBlock(ring.zero)] * (lo + e - end) == alone.blocks
+        assert lo + e - end == alone.radical_dim
+        assert steps == alone.isotropic_steps
+        assert list(form.log) == [_shifted(op, lo) for op in alone.log]
+        assert form.m.submatrix(lo, lo + e, lo, lo + e) == small.m
+        outside = [
+            form.m.rows[r][c]
+            for r in range(d)
+            for c in range(d)
+            if not (lo <= r < lo + e and lo <= c < lo + e)
+        ]
+        assert all(v == ring.zero for v in outside)
