@@ -15,13 +15,13 @@ from .matrix import (
     RingMismatchError,
     ShapeError,
     SingularMatrixError,
+    column_reduce,
     invert,
-    left_row_reduce,
     matmul,
     matmul_classical,
     matmul_strassen,
     rank,
-    right_column_reduce,
+    row_reduce,
 )
 from .form import (
     BlockLeft,
@@ -47,8 +47,6 @@ from .gs import (
 )
 from .blocks import (
     InvariantViolation,
-    block_anisotropic,
-    block_isotropic,
     decompose_blocks,
     detect_radical,
 )

@@ -27,11 +27,9 @@ InvariantViolation rather than letting a bad transform propagate.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .form import BlockTransvect, HermitianForm, transpositions
 from .gs import Decomposition, standardize_at, sweep
-from .matrix import Matrix, column_reduce, invert, matmul, rank, split_congruence
+from .matrix import Matrix, column_reduce, invert, matmul, split_congruence
 
 
 # Nonsingular windows of at most this many rows end the recursion with the
@@ -44,14 +42,9 @@ class InvariantViolation(RuntimeError):
     """An intermediate matrix failed the shape its construction guarantees."""
 
 
-def _region_is_zero(form: HermitianForm, r0: int, r1: int, c0: int, c1: int) -> bool:
-    z = form.ring.zero
-    rows = form.m.rows
-    return all(rows[r][c] == z for r in range(r0, r1) for c in range(c0, c1))
-
-
 def _require_zero(form: HermitianForm, r0: int, r1: int, c0: int, c1: int, context: str) -> None:
-    if not _region_is_zero(form, r0, r1, c0, c1):
+    rows, z = form.m.rows, form.ring.zero
+    if not all(rows[r][c] == z for r in range(r0, r1) for c in range(c0, c1)):
         raise InvariantViolation(f"{context}: rows [{r0},{r1}) x cols [{c0},{c1}) not zero")
 
 
@@ -121,13 +114,6 @@ class _BlockRun:
             return
         h = (m + 1) // 2
         k = _split(form, lo, h, hi, self.cutoff)
-        if k == 0:
-            if m != 2 * h:
-                raise InvariantViolation(
-                    "zero leading half in an odd window: the input was singular"
-                )
-            self.iso(lo, hi, h, depth + 1)
-            return
         coupling = form.m.submatrix(lo, lo + k, lo + h, hi)
         if not coupling.is_zero():
             core_inv = invert(form.m.submatrix(lo, lo + k, lo, lo + k), form.counters)
@@ -216,40 +202,6 @@ class _BlockRun:
             self.blocks.extend(standardize_at(form, lo + 2 * i))
         if hi > lo + 2 * f:
             self.aniso(lo + 2 * f, hi, depth + 1)
-
-
-def block_anisotropic(form: HermitianForm, lo: int = 0, hi: Optional[int] = None, cutoff: int = 0) -> list:
-    """Decompose a nonsingular window; returns the blocks emitted.
-
-    Raises:
-        ValueError: if the window is out of range or singular (detect the
-            radical first).
-    """
-    lo, hi = form._window(lo, hi)
-    if rank(form.m.submatrix(lo, hi, lo, hi)) != hi - lo:
-        raise ValueError(f"window [{lo},{hi}) is singular; split off the radical first")
-    run = _BlockRun(form, cutoff)
-    run.aniso(lo, hi)
-    return run.blocks
-
-
-def block_isotropic(form: HermitianForm, f: int, lo: int = 0, hi: Optional[int] = None, cutoff: int = 0) -> list:
-    """Pair off a window whose leading f x f block is zero; returns the blocks.
-
-    Raises:
-        ValueError: if the window is out of range or cannot hold f >= 1 pairs,
-            if the leading block is not zero or X is not of full row rank.
-    """
-    lo, hi = form._window(lo, hi)
-    if not (1 <= f and lo + 2 * f <= hi):
-        raise ValueError(f"window [{lo},{hi}) cannot hold {f} hyperbolic pairs")
-    if not _region_is_zero(form, lo, lo + f, lo, lo + f):
-        raise ValueError(f"leading {f} x {f} block of window [{lo},{hi}) is not zero")
-    if rank(form.m.submatrix(lo, lo + f, lo + f, hi)) != f:
-        raise ValueError("coupling block X must have full row rank")
-    run = _BlockRun(form, cutoff)
-    run.iso(lo, hi, f)
-    return run.blocks
 
 
 def check_strassen_cutoff(cutoff: int) -> None:

@@ -16,6 +16,8 @@ invariant; standalone use should keep the default full window.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import chain
 from typing import Iterator, Optional, Union
 
 from .matrix import Matrix, ShapeError, _augmented, col_sweep, eliminate, matmul, row_axpy
@@ -145,18 +147,15 @@ class TransformLog:
             and self.ops == other.ops
         )
 
-    def subrange(self, start: int, stop: int) -> "TransformLog":
-        return TransformLog(self.dim, self.ops[start:stop])
-
     def materialize(self, ring: Ring) -> Matrix:
         """Product of the elementary matrices in application order (first op innermost).
 
         Raises:
             ValueError: an op that does not fit, naming its index: a row that
                 is not an int in [0, dim), a Scale value that is not a scalar
-                of the ring, a block that is not a square Matrix over the ring
-                inside [0, dim), an op the row store cannot apply, or an op of
-                unknown kind.
+                of the ring, a coefficient or block entry of another type, a
+                block that is not a square Matrix over the ring inside [0, dim),
+                an op the row store cannot apply, or an op of unknown kind.
         """
         d = self.dim
         acc = _augmented(Matrix.zeros(ring, d, 0), d * d, terms=d)  # [ | I]: the identity
@@ -196,7 +195,7 @@ def _apply(acc, op: LogOp, ring: Ring, rows: frozenset) -> bool:
         acc.scale(op.index, ring.validate_scalar(op.value))
     elif isinstance(op, Swap) and _ints_in(rows, (op.i, op.j)):
         acc.swap(op.i, op.j)
-    elif isinstance(op, Eliminate) and _ints_in(rows, (op.source, *op.targets)):
+    elif isinstance(op, Eliminate) and _ints_in(rows, (op.source, *op.targets)) and _typed(ring, [op.coeffs]):
         acc.add_multiples([op.source], list(op.targets), [op.coeffs])
     elif isinstance(op, BlockTransvect) and _inside(op.coeff, ring, rows, op.target, op.source):
         n, k = op.coeff.shape
@@ -220,14 +219,31 @@ def _ints_in(rows: frozenset, values: tuple) -> bool:
     return rows.issuperset(values) and type(sum(values)) is int
 
 
+def _typed(ring: Ring, rows) -> bool:
+    """Each entry of the sequences `rows` has the type of a scalar of `ring`
+    (an int over GF(p), an int pair over GF(p^2), an int or Fraction over Q, a
+    4-tuple of those over the quaternions), which the stores would not check:
+    the int64 kernel reads a str or float as its number.  One check per op, a
+    sum over GF(p) and GF(p^2) as in ``_ints_in``; ranges are not checked."""
+    if isinstance(ring, (QuadraticField, RationalQuaternions)):
+        if set(map(len, chain.from_iterable(rows))) - {len(ring.zero)}:
+            return False
+        rows = chain.from_iterable(rows)  # the parts of each entry
+    values = chain.from_iterable(rows)
+    if ring.characteristic:
+        return type(sum(values)) is int
+    return not set(map(type, values)) - {int, Fraction}
+
+
 def _inside(block: Matrix, ring: Ring, rows: frozenset, row: int, col: int) -> bool:
-    """`block` is a Matrix over `ring` whose rows start at `row` and columns at `col`, inside `rows`."""
+    """`block` is a Matrix over `ring`, of its scalars' type, whose rows start at `row` and columns at `col`, inside `rows`."""
     return (
         isinstance(block, Matrix)
         and block.ring == ring
         and _ints_in(rows, (row, col))
         and row + block.nrows <= len(rows)
         and col + block.ncols <= len(rows)
+        and _typed(ring, block.rows)
     )
 
 
@@ -295,21 +311,6 @@ class HermitianForm:
         twin.log = TransformLog(self.dim, list(self.log.ops))
         twin.counters = self.counters.copy()
         return twin
-
-    def evaluate(self, u: list, v: list):
-        """b(u, v) = u * B * sigma(v)^t, exact."""
-        if len(u) != self.dim or len(v) != self.dim:
-            raise ShapeError(f"vectors must have length {self.dim}")
-        ring = self.ring
-        acc = ring.zero
-        for c in range(self.dim):
-            col = ring.zero
-            for r in range(self.dim):
-                if u[r] != ring.zero:
-                    col = ring.add(col, ring.mul(u[r], self.m.rows[r][c]))
-            if col != ring.zero:
-                acc = ring.add(acc, ring.mul(col, ring.sigma(v[c])))
-        return acc
 
     def _window(self, lo: int, hi: Optional[int]) -> tuple[int, int]:
         if hi is None:

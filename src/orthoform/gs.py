@@ -15,7 +15,6 @@ recursion with the sweep of each small nonsingular window.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 from .form import HermitianForm, OpCounters, TransformLog
 from .matrix import Matrix
@@ -38,9 +37,6 @@ class JBlock:
     @property
     def size(self) -> int:
         return 2
-
-
-Block = Union[ScalarBlock, JBlock]
 
 
 @dataclass

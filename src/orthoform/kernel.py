@@ -57,7 +57,7 @@ class PlaneRows:
 
     Each pivot is one rank-1 update of the target rows, reduced mod p.  A row
     swap also swaps the two identity columns (``perm`` records where each
-    column went).  When pivots are taken in row order, as ``left_row_reduce``
+    column went).  When pivots are taken in row order, as ``row_reduce``
     and ``invert`` do, the identity part of pivot row ``src`` is then zero
     right of column ``src``, so ``eliminate`` skips those columns;
     ``transform`` puts the columns back in place.

@@ -5,7 +5,7 @@ congruence check ``congruates``, one-sided eliminations that return their
 transform as an invertible witness matrix, and inversion.  Everything is
 exact.
 
-``left_row_reduce``, ``invert`` and ``TransformLog.materialize`` work on one
+``row_reduce``, ``invert`` and ``TransformLog.materialize`` work on one
 stacked ``[work | identity]`` row store, and ``rank`` on the ``[work]`` half
 alone.  ``_augmented`` picks one of three stores; all three choose the same
 pivots and return the same transforms and counts.  Each store also hands back
@@ -30,9 +30,8 @@ products off the elimination instead of issuing them.
   < 2**62, with c the non-residue of GF(p^2) and 0 over GF(p).  ``kernel``
   (and with it numpy) is imported only once a guard has chosen it.
 
-``right_column_reduce`` is the sigma-mirror of ``left_row_reduce``.  The column
-passes in ``form`` go through ``col_sweep``: over GF(p) and GF(p^2) one sweep
-of the rows on Python integers, elsewhere one ``col_axpy`` per column.
+The column passes in ``form`` go through ``col_sweep``: over GF(p) and GF(p^2)
+one sweep of the rows on Python integers, elsewhere one ``col_axpy`` per column.
 
 The classical product takes one of three paths:
 
@@ -717,40 +716,32 @@ def _augmented(m: Matrix, entries: int, terms: int = 1, identity: bool = True):
     return _ListRows(m, identity)
 
 
-def left_row_reduce(m: Matrix, counters=None) -> tuple[Matrix, int]:
-    """Find invertible A with A*m = [top; 0], the top ``rank`` rows independent.
+def row_reduce(m: Matrix, counters=None) -> tuple[Matrix, int, Matrix]:
+    """(A, rank, A*m) for an invertible nrows x nrows A with A*m = [top; 0],
+    the top ``rank`` rows independent.  A*m is the reduced half of the row
+    store that finds A, so no product is issued.
 
     Pivots are chosen scanning columns left to right and, within a column,
     the smallest-index unused row.  Row operations add a left multiple of the
     pivot row, so the reduction is valid over noncommutative rings.
-
-    Returns:
-        (A, rank) where A is nrows x nrows and invertible.
     """
-    a, r, _ = row_reduce(m, counters)
-    return a, r
-
-
-def row_reduce(m: Matrix, counters=None) -> tuple[Matrix, int, Matrix]:
-    """``left_row_reduce``'s (A, rank) and A*m, the reduced half of the row
-    store that finds A, so no product is issued."""
     rows, r, _ = _row_echelon(m, True, counters)
     reduced = Matrix(m.ring, rows.reduced(), validate=False, ncols=m.ncols)
     return Matrix(m.ring, rows.transform(), validate=False), r, reduced
 
 
 def rank(m: Matrix, counters=None) -> int:
-    """The rank of m: the pivot loop of ``left_row_reduce`` on m alone, so no
+    """The rank of m: the pivot loop of ``row_reduce`` on m alone, so no
     transform is built and no identity half is carried."""
     return _row_echelon(m, False, counters)[1]
 
 
 def _row_echelon(m: Matrix, identity: bool, counters, pivots: Optional[int] = None) -> tuple:
-    """(row store, rank, moved) after the pivot loop of ``left_row_reduce`` on
+    """(row store, rank, moved) after the pivot loop of ``row_reduce`` on
     [m | I], or on m alone without ``identity``.  With ``pivots`` the loop
     pivots in the leading ``pivots`` columns only; the row operations still
     run over every column, so the store's reduced half is A*m for the A of
-    ``left_row_reduce`` on those columns.  ``moved`` is False when the loop
+    ``row_reduce`` on those columns.  ``moved`` is False when the loop
     made no swap and cleared no nonzero entry, which holds exactly when A is
     the identity: each swap takes a later row and each clear works below its
     pivot, so A is a unit lower triangular matrix times a permutation."""
@@ -784,7 +775,7 @@ def _row_echelon(m: Matrix, identity: bool, counters, pivots: Optional[int] = No
 def split_congruence(top: Matrix, cutoff: int = 0, counters=None) -> tuple:
     """Row-reduce the top rows [M1 M2] of a form's window, M1 its leading
     h x h block, pivoting in M1 only: A and the rank are those of
-    ``left_row_reduce(M1)``, and the congruence by diag(A, I) makes the top
+    ``row_reduce(M1)``, and the congruence by diag(A, I) makes the top
     rows [(A*M1)*sigma(A)^t, A*M2].
 
     A*M1 and A*M2 are the reduced half of the row store, so the one product
@@ -813,19 +804,11 @@ def split_congruence(top: Matrix, cutoff: int = 0, counters=None) -> tuple:
     return a, k, [new + row[h:] for new, row in zip(corner.rows, am)]
 
 
-def right_column_reduce(m: Matrix, counters=None) -> tuple[Matrix, int]:
-    """Find invertible A with m*A = [C | 0], C of full column rank.
-
-    The sigma-mirror of ``left_row_reduce``: sigma is an anti-automorphism,
-    so it picks the same pivots and right multipliers at the same counted cost.
-    """
-    a, r, _ = column_reduce(m, counters)
-    return a, r
-
-
 def column_reduce(m: Matrix, counters=None) -> tuple[Matrix, int, Matrix]:
-    """``right_column_reduce``'s (A, rank) and m*A: the sigma-mirror of
-    ``row_reduce``, so no product is issued."""
+    """(A, rank, m*A) for an invertible ncols x ncols A with m*A = [C | 0], C
+    of full column rank: the sigma-mirror of ``row_reduce``.  Sigma is an
+    anti-automorphism, so it picks the same pivots and right multipliers at
+    the same counted cost, and issues no product."""
     acc, r, reduced = row_reduce(m.sigma_transpose(), counters)
     return acc.sigma_transpose(), r, reduced.sigma_transpose()
 

@@ -1,7 +1,8 @@
-"""A small AST lint of the package: no orphaned imports, no dead private names.
+"""A small AST lint of the package: no orphaned imports, no dead module names.
 
-Deleting code tends to leave behind an import that nothing uses any more, or
-a private helper that nothing calls.  Both checks read the source of
+Deleting code tends to leave behind an import that nothing uses any more, a
+private helper that nothing calls, or a public function that nothing calls
+and the package does not export.  The checks read the source of
 ``src/orthoform`` with ``ast`` alone.
 """
 
@@ -68,8 +69,10 @@ def test_every_import_is_used():
     assert unused == []
 
 
-def test_every_private_module_name_is_referenced():
-    # a reference inside the definition itself (a recursive call) does not count
+def _unreferenced(public: bool) -> list[str]:
+    """The module-level names, public or private (dunders aside), that no
+    module reads or imports; ``__init__``'s re-exports count as imports, and a
+    reference inside the definition itself (a recursive call) does not."""
     trees = _trees()
     reads = sum(map(_reads, trees.values()), Counter())
     reads.update(alias.name for tree in trees.values() for alias in _imports(tree))
@@ -85,6 +88,16 @@ def test_every_private_module_name_is_referenced():
                 continue
             inside = _reads(node)
             for name in defined:
-                if name.startswith("_") and not name.startswith("__") and reads[name] <= inside[name]:
+                if name.startswith("_") != public and not name.startswith("__") and reads[name] <= inside[name]:
                     dead.append(f"{module}.py:{node.lineno} {name}")
-    assert dead == []
+    return dead
+
+
+def test_every_private_module_name_is_referenced():
+    assert _unreferenced(public=False) == []
+
+
+def test_every_public_module_name_is_read_or_exported():
+    # a public name that no module reads is an entry point only if the
+    # package exports it
+    assert _unreferenced(public=True) == []

@@ -25,12 +25,12 @@ from orthoform import (
     SingularMatrixError,
     Swap,
     TransformLog,
+    column_reduce,
     invert,
-    left_row_reduce,
     matmul,
     matmul_classical,
     matmul_strassen,
-    right_column_reduce,
+    row_reduce,
 )
 from orthoform import matrix
 
@@ -289,49 +289,72 @@ def test_product_takes_the_kernel_once_numpy_is_loaded(monkeypatch):
     assert product(24, 24) == [(24, 24)]
 
 
-def test_left_row_reduce_contract():
+# One ring per row store an elimination runs on (``matrix._augmented``): the
+# generic loop, the integer rows over Q and over the quaternions, and the
+# int64 kernel over GF(p) and GF(p^2), taken at every size once its threshold
+# is lowered.
+REDUCE_STORES = [
+    (GF7, "_ListRows"),
+    (GF9, "_ListRows"),
+    (RationalField(), "_RationalRows"),
+    (HH, "_QuaternionRows"),
+    (PrimeField(101), "PlaneRows"),
+    (GF9, "PlaneRows"),
+]
+
+
+def _on_each_store(monkeypatch):
+    """Each ring of ``REDUCE_STORES``, with ``_augmented`` picking its store."""
+    for ring, store in REDUCE_STORES:
+        with monkeypatch.context() as patch:
+            if store == "PlaneRows":
+                patch.setattr(matrix, "_KERNEL_MIN_ENTRIES", 0)
+            assert type(matrix._augmented(Matrix.zeros(ring, 1, 1), 1)).__name__ == store
+            yield ring
+
+
+def test_row_reduce_contract(monkeypatch):
     rng = random.Random(6)
-    for ring in (GF7, GF9, HH):
+    for ring in _on_each_store(monkeypatch):
         for _ in range(25):
             n, m = rng.randrange(1, 6), rng.randrange(1, 6)
             mtx = random_matrix(ring, n, m, rng)
-            a, rank = left_row_reduce(mtx)
+            a, rank, reduced = row_reduce(mtx)
             assert 0 <= rank <= min(n, m)
             invert(a)  # must not raise
-            reduced = matmul_classical(a, mtx)
+            assert reduced == matmul(a, mtx)
             for i in range(rank, n):
                 assert all(v == ring.zero for v in reduced.rows[i])
             # the top rows really are independent: reducing them again keeps rank
             if rank:
                 top = Matrix(ring, reduced.rows[:rank], validate=False)
-                assert left_row_reduce(top)[1] == rank
+                assert row_reduce(top)[1] == rank
 
 
-def test_right_column_reduce_contract():
+def test_column_reduce_contract(monkeypatch):
     rng = random.Random(7)
-    for ring in (GF7, GF9, HH):
+    for ring in _on_each_store(monkeypatch):
         for _ in range(25):
             n, m = rng.randrange(1, 6), rng.randrange(1, 6)
             mtx = random_matrix(ring, n, m, rng)
-            a, rank = right_column_reduce(mtx)
+            a, rank, reduced = column_reduce(mtx)
             invert(a)
-            reduced = matmul_classical(mtx, a)
+            assert reduced == matmul(mtx, a)
             for i in range(n):
                 for j in range(rank, m):
                     assert reduced.rows[i][j] == ring.zero
 
 
-def test_right_column_reduce_full_row_rank_gives_invertible_lead():
+def test_column_reduce_full_row_rank_gives_invertible_lead():
     # for X with independent rows, X*A = [C | 0] with C square invertible
     rng = random.Random(8)
     for _ in range(20):
         f = rng.randrange(1, 4)
         m = f + rng.randrange(0, 4)
         mtx = random_matrix(GF7, f, m, rng)
-        a, rank = right_column_reduce(mtx)
+        a, rank, xa = column_reduce(mtx)
         if rank < f:
             continue
-        xa = matmul_classical(mtx, a)
         lead = Matrix(GF7, [row[:f] for row in xa.rows], validate=False)
         invert(lead)
         for i in range(f):
@@ -419,9 +442,9 @@ def _elimination_digest(ring):
             mtx = random_matrix(ring, n, m, rng)
         else:
             mtx = _low_rank_matrix(ring, n, m, r, rng)
-        for reduce in (left_row_reduce, right_column_reduce):
+        for reduce in (row_reduce, column_reduce):
             counters = OpCounters()
-            a, rank = reduce(mtx, counters)
+            a, rank, _ = reduce(mtx, counters)
             out.append((a.rows, rank, counters.as_dict()))
         if n == m:
             counters = OpCounters()
@@ -451,7 +474,7 @@ KERNEL_DIGESTS = {
 def _kernel_inputs(ring, rng):
     while True:
         square = random_matrix(ring, 40, 40, rng)
-        if left_row_reduce(square)[1] == 40:
+        if row_reduce(square)[1] == 40:
             break
     return [
         square,
@@ -467,9 +490,9 @@ def _kernel_inputs(ring, rng):
 def test_kernel_sized_eliminations_are_pinned(ring):
     out = []
     for mtx in _kernel_inputs(ring, random.Random(701)):
-        for reduce in (left_row_reduce, right_column_reduce):
+        for reduce in (row_reduce, column_reduce):
             counters = OpCounters()
-            a, rank = reduce(mtx, counters)
+            a, rank, _ = reduce(mtx, counters)
             out.append((a.rows, rank, counters.as_dict()))
         if mtx.nrows == mtx.ncols:
             counters = OpCounters()
@@ -513,9 +536,9 @@ def test_kernel_matches_the_generic_loop(ring, monkeypatch):
     def run():
         out = []
         for mtx in cases:
-            for reduce in (left_row_reduce, right_column_reduce):
+            for reduce in (row_reduce, column_reduce):
                 counters = OpCounters()
-                a, r = reduce(mtx, counters)
+                a, r, _ = reduce(mtx, counters)
                 out.append((a.rows, r, counters.as_dict()))
             counters = OpCounters()
             out.append((matrix.rank(mtx, counters), counters.as_dict()))
@@ -576,13 +599,13 @@ def test_overflow_guard_edges(p):
     assert _int64_ok(ring, 1) == (p < 2**31)
     rng = random.Random(705)
     mtx = _low_rank_matrix(ring, 32, 32, 20, rng)
-    a, rank = left_row_reduce(mtx)
+    a, rank, _ = row_reduce(mtx)
     assert rank == 20
     reduced = matmul_classical(a, mtx)
     assert all(v == 0 for row in reduced.rows[rank:] for v in row)
     while True:
         square = random_matrix(ring, 32, 32, rng)
-        if left_row_reduce(square)[1] == 32:
+        if row_reduce(square)[1] == 32:
             break
     assert matmul_classical(invert(square), square) == Matrix.identity(ring, 32)
 
@@ -648,9 +671,9 @@ def test_integer_rows_match_the_generic_loop(ring, monkeypatch):
     def run():
         out = []
         for mtx in cases:
-            for reduce in (left_row_reduce, right_column_reduce):
+            for reduce in (row_reduce, column_reduce):
                 counters = OpCounters()
-                a, r = reduce(mtx, counters)
+                a, r, _ = reduce(mtx, counters)
                 out.append((a.rows, r, counters.as_dict()))
             counters = OpCounters()
             out.append((matrix.rank(mtx, counters), counters.as_dict()))

@@ -388,24 +388,39 @@ _STORES = {
 }
 
 
-def _mistyped():
-    # ops whose fields have the wrong type; Scale(0, "1") would read as 1 on the kernel
+def _mistyped(ring):
+    # ops whose fields have the wrong type; Scale(0, "1") would read as 1 on
+    # the kernel, and so would a coefficient or block entry that is the ring's
+    # one as a str or a float
+    def one_as(kind):
+        one = ring.one
+        return tuple(map(kind, one)) if isinstance(one, tuple) else kind(one)
+
+    def block(kind):
+        return Matrix(ring, [[one_as(kind)]], validate=False)
+
     return {
         "swap-float-row": Swap(0.5, 1),
         "scale-none": Scale(0, None),
         "scale-string": Scale(0, "1"),
         "eliminate-float-target": Eliminate(0, (1.0,), (1,)),
         "blockleft-string": BlockLeft("x", 0),
+        "eliminate-string-coeff": Eliminate(0, (1,), (one_as(str),)),
+        "eliminate-float-coeff": Eliminate(0, (1,), (one_as(float),)),
+        "blockleft-string-entry": BlockLeft(block(str), 0),
+        "blockleft-float-entry": BlockLeft(block(float), 0),
+        "blocktransvect-string-entry": BlockTransvect(1, 0, block(str)),
+        "blocktransvect-float-entry": BlockTransvect(1, 0, block(float)),
     }
 
 
-@pytest.mark.parametrize("op_case", list(_mistyped()))
+@pytest.mark.parametrize("op_case", list(_mistyped(QQ)))
 @pytest.mark.parametrize("store", list(_STORES))
 def test_a_mistyped_log_op_fails_the_first_two_clauses(store, op_case):
     ring, d, store_name = _STORES[store]
     job = matrix._augmented(Matrix.zeros(ring, d, 0), d * d, terms=d)
     assert type(job).__name__ == store_name
-    op = _mistyped()[op_case]
+    op = _mistyped(ring)[op_case]
     original, dec = fresh_decomposition(ring, 1, d, seed=71)
     index = len(dec.log)
     dec.log.append(op)
