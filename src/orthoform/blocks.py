@@ -4,20 +4,22 @@ Every reduction is one split step: row-reduce the top rows of a window,
 pivoting in its leading block, and apply that as a congruence, leaving the
 block [[core, 0], [0, 0]].  The split costs that elimination and one product
 the size of the block: the elimination's reduced half is already A times the
-top rows, and a block congruence multiplies only the corner of its columns,
-the rest being the s-sigma mirror of its new rows.  The split of the whole
-matrix sends the radical to the tail; on the nonsingular window the split of
-the leading half gives a core handled recursively and a complement, carrying
-a full-row-rank off-diagonal block X, that becomes hyperbolic pairs
-(column-reduce X, which also yields X*A, normalize the cross block to an
-identity, sweep the rest of the coupling away with block transvections).
-Besides the splits the heavy lifting is matrix products, exact for every
-Strassen threshold.  The recursion stops at nonsingular windows of at most
-``LEAF_ROWS`` rows, which the pivot sweep of ``gs`` (``gs.sweep``)
-decomposes: there a sweep costs less than further splits, as Strassen's
-scheme hands small products to the classical one.  The split of the whole
-matrix still runs on every form, so the radical is found by this module's
-own elimination.
+top rows, and the form installs those rows and mirrors the rest of their
+columns with s-sigma.  The split of the whole matrix sends the radical to the
+tail; on the nonsingular window the split of the leading half gives a core
+handled recursively and a complement, carrying a full-row-rank off-diagonal
+block X, that becomes hyperbolic pairs (column-reduce X, which also yields
+X*A, normalize the cross block to an identity, sweep the rest of the coupling
+away with block transvections).  Besides the splits the heavy lifting is
+matrix products, exact for every Strassen threshold.  The recursion stops at
+nonsingular windows of at most ``LEAF_ROWS`` rows, which the pivot sweep of
+``gs`` (``gs.sweep``) decomposes: there a sweep costs less than further
+splits, as Strassen's scheme hands small products to the classical one.  The
+split of the whole matrix still runs on every form, so the radical is found
+by this module's own elimination.
+
+Each step changes the form through one ``HermitianForm`` method, which logs
+its op and writes the rows it changes; this module does neither by hand.
 
 A window [lo, hi) is always zero outside itself, which makes windowed block
 congruences global congruences.  Each displayed intermediate shape is
@@ -27,7 +29,7 @@ InvariantViolation rather than letting a bad transform propagate.
 
 from __future__ import annotations
 
-from .form import BlockTransvect, HermitianForm, transpositions
+from .form import BlockLeft, BlockTransvect, HermitianForm, transpositions
 from .gs import Decomposition, standardize_at, sweep
 from .matrix import Matrix, column_reduce, invert, matmul, split_congruence
 
@@ -48,14 +50,9 @@ def _require_zero(form: HermitianForm, r0: int, r1: int, c0: int, c1: int, conte
         raise InvariantViolation(f"{context}: rows [{r0},{r1}) x cols [{c0},{c1}) not zero")
 
 
-def _require_identity(form: HermitianForm, r0: int, c0: int, n: int, context: str) -> None:
-    if form.m.submatrix(r0, r0 + n, c0, c0 + n) != Matrix.identity(form.ring, n):
-        raise InvariantViolation(f"{context}: block at ({r0},{c0}) size {n} is not the identity")
-
-
 def _sign_scaled(m: Matrix, sign: int) -> Matrix:
     if sign == 1:
-        return m.copy()
+        return m
     neg = m.ring.neg
     return Matrix(m.ring, [[neg(v) for v in row] for row in m.rows], validate=False)
 
@@ -72,7 +69,7 @@ def _split(form: HermitianForm, lo: int, h: int, hi: int, cutoff: int) -> int:
     """
     a, k, top = split_congruence(form.m.submatrix(lo, lo + h, lo, hi), cutoff, form.counters)
     if top is not None:
-        form.block_congruence(lo, a, lo, hi, cutoff, rows=top)
+        form.install_rows(BlockLeft(a, lo), lo, top, lo, hi)
     _require_zero(form, lo + k, lo + h, lo, lo + h, "split")
     _require_zero(form, lo, lo + h, lo + k, lo + h, "split")
     return k
@@ -117,13 +114,9 @@ class _BlockRun:
         coupling = form.m.submatrix(lo, lo + k, lo + h, hi)
         if not coupling.is_zero():
             core_inv = invert(form.m.submatrix(lo, lo + k, lo, lo + k), form.counters)
-            y = _sign_scaled(
-                matmul(coupling.sigma_transpose(form.counters), core_inv, self.cutoff, form.counters),
-                -self.s,
-            )
-            self._block_transvect(lo + h, lo, y, lo, hi)
-        _require_zero(form, lo + h, hi, lo, lo + k, "coupling sweep")
-        _require_zero(form, lo, lo + k, lo + h, hi, "coupling sweep")
+            y = matmul(coupling.sigma_transpose(form.counters), core_inv, self.cutoff, form.counters)
+            form.block_transvect(BlockTransvect(lo + h, lo, _sign_scaled(y, -self.s)), lo, hi, self.cutoff)
+        _require_zero(form, lo + h, hi, lo, lo + k, "coupling sweep")  # its s-sigma mirror is the coupling
         self.aniso(lo, lo + k, depth + 1)
         f = h - k
         if f == 0:
@@ -131,29 +124,12 @@ class _BlockRun:
         else:
             self.iso(lo + k, hi, f, depth + 1)
 
-    def _block_transvect(self, t_lo: int, s_lo: int, coeff: Matrix, lo: int, hi: int) -> None:
-        """Rows [t_lo, ...) += coeff * rows [s_lo, ...), then the mirrored columns."""
-        form = self.form
-        rows = form.m.rows
-        add = self.ring.add
-        t_hi, s_hi = t_lo + coeff.nrows, s_lo + coeff.ncols
-        form.log.append(BlockTransvect(t_lo, s_lo, coeff))
-        delta = matmul(coeff, form.m.submatrix(s_lo, s_hi, lo, hi), self.cutoff, form.counters)
-        for row, drow in zip(rows[t_lo:t_hi], delta.rows):
-            row[lo:hi] = map(add, row[lo:hi], drow)
-        src_cols = form.m.submatrix(lo, hi, s_lo, s_hi)
-        delta = matmul(src_cols, coeff.sigma_transpose(form.counters), self.cutoff, form.counters)
-        for row, drow in zip(rows[lo:hi], delta.rows):
-            row[t_lo:t_hi] = map(add, row[t_lo:t_hi], drow)
-        form.counters.additions += 2 * coeff.nrows * (hi - lo)
-
     def iso(self, lo: int, hi: int, f: int, depth: int = 1) -> None:
         """Pair off [lo, lo+2f) hyperbolically, a node at recursion `depth`; here
         B[lo:lo+f, lo:lo+f] = 0 and the block X right of it has full row rank f."""
         self.max_depth = max(self.max_depth, depth)
         form = self.form
         ring = self.ring
-        rows = form.m.rows
         m = hi - lo
         if f < 1 or m < 2 * f:
             raise InvariantViolation(f"hyperbolic window [{lo},{hi}) cannot hold {f} pairs")
@@ -167,32 +143,26 @@ class _BlockRun:
         form.block_congruence(lo, lead_inv, lo, hi, self.cutoff)
         form.block_congruence(lo + f, a.sigma_transpose(form.counters), lo, hi, self.cutoff)
         _require_zero(form, lo, lo + f, lo, lo + f, "hyperbolic normalization")
-        _require_identity(form, lo, lo + f, f, "hyperbolic normalization")
+        if form.m.submatrix(lo, lo + f, lo + f, lo + 2 * f) != Matrix.identity(ring, f):
+            raise InvariantViolation(f"hyperbolic normalization: block at ({lo},{lo + f}) size {f} is not the identity")
         _require_zero(form, lo, lo + f, lo + 2 * f, hi, "hyperbolic normalization")
         tail = form.m.submatrix(lo + f, lo + 2 * f, lo + 2 * f, hi)
         if not tail.is_zero():
+            # rows [lo, lo+f) are [0 | I | 0], so rows [lo+2f, hi) += coeff *
+            # rows [lo, lo+f) only zeroes their columns [lo+f, lo+2f)
             coeff = _sign_scaled(tail.sigma_transpose(form.counters), -self.s)
-            form.log.append(BlockTransvect(lo + 2 * f, lo, coeff))
-            zero = ring.zero
-            for r in range(lo + f, lo + 2 * f):
-                for c in range(lo + 2 * f, hi):
-                    rows[r][c] = zero
-                    rows[c][r] = zero
-        _require_zero(form, lo + f, lo + 2 * f, lo + 2 * f, hi, "tail decoupling")
-        _require_zero(form, lo + 2 * f, hi, lo + f, lo + 2 * f, "tail decoupling")
-        corner = Matrix.identity(ring, 2 * f)
-        for i in range(f):
-            above = rows[lo + f + i][lo + f + i + 1 : lo + 2 * f]
-            corner.rows[f + i][i + 1 : f] = [ring.neg(v) for v in above]
-        if not corner.submatrix(f, 2 * f, 0, f).is_zero():
-            form.block_congruence(lo, corner, lo, lo + 2 * f, self.cutoff)
-        for i in range(f):
-            for j in range(f):
-                if i != j and rows[lo + f + i][lo + f + j] != ring.zero:
-                    raise InvariantViolation("pair diagonalization left off-diagonal residue")
-        for i in range(f):
-            v = rows[lo + f + i][lo + f + i]
-            if v != ring.apply_sign(self.s, ring.sigma(v)):
+            new = [row[lo : lo + f] + [ring.zero] * f + row[lo + 2 * f : hi] for row in form.m.rows[lo + 2 * f : hi]]
+            form.install_rows(BlockTransvect(lo + 2 * f, lo, coeff), lo + 2 * f, new, lo, hi)
+        # rows [lo+f, lo+2f) += N * rows [lo, lo+f), N the pair block's negated strict upper triangle
+        pair = form.m.submatrix(lo + f, lo + 2 * f, lo + f, lo + 2 * f).rows
+        strict = [[ring.zero] * (i + 1) + list(map(ring.neg, row[i + 1 :])) for i, row in enumerate(pair)]
+        upper = Matrix(ring, strict, validate=False)
+        if not upper.is_zero():
+            form.block_transvect(BlockTransvect(lo + f, lo, upper), lo, lo + 2 * f, self.cutoff)
+        for i, row in enumerate(form.m.submatrix(lo + f, lo + 2 * f, lo + f, lo + 2 * f).rows):
+            if any(v != ring.zero for j, v in enumerate(row) if j != i):
+                raise InvariantViolation("pair diagonalization left off-diagonal residue")
+            if row[i] != ring.apply_sign(self.s, ring.sigma(row[i])):
                 raise InvariantViolation("pair diagonal violates the symmetry law")
         # Interleave: row lo+i and its partner lo+f+i become adjacent at lo+2i.
         for t, p in transpositions([t // 2 + (t % 2) * f for t in range(2 * f)]):

@@ -151,11 +151,11 @@ class TransformLog:
         """Product of the elementary matrices in application order (first op innermost).
 
         Raises:
-            ValueError: an op that does not fit, naming its index: a row that
-                is not an int in [0, dim), a Scale value that is not a scalar
-                of the ring, a coefficient or block entry of another type, a
-                block that is not a square Matrix over the ring inside [0, dim),
-                an op the row store cannot apply, or an op of unknown kind.
+            ValueError: an op that does not fit, naming its index: a row not
+                an int in [0, dim), a Scale value, coefficient or block entry
+                not a reduced scalar of the ring (over GF(p), an int in [0, p)),
+                a block not a square Matrix over the ring inside [0, dim), an
+                op the row store cannot apply, or an op of unknown kind.
         """
         d = self.dim
         acc = _augmented(Matrix.zeros(ring, d, 0), d * d, terms=d)  # [ | I]: the identity
@@ -220,18 +220,20 @@ def _ints_in(rows: frozenset, values: tuple) -> bool:
 
 
 def _typed(ring: Ring, rows) -> bool:
-    """Each entry of the sequences `rows` has the type of a scalar of `ring`
-    (an int over GF(p), an int pair over GF(p^2), an int or Fraction over Q, a
-    4-tuple of those over the quaternions), which the stores would not check:
-    the int64 kernel reads a str or float as its number.  One check per op, a
-    sum over GF(p) and GF(p^2) as in ``_ints_in``; ranges are not checked."""
+    """Each entry of the sequences `rows` is a scalar of `ring` (an int in
+    [0, p) over GF(p), a pair of those over GF(p^2), an int or Fraction over
+    Q, a 4-tuple of those over the quaternions), which the stores would not
+    check: the int64 kernel reads a str or float as its number, and wraps on
+    an int far outside [0, p).  One check per op: over GF(p) and GF(p^2) a sum
+    as in ``_ints_in``, then the least and greatest value."""
     if isinstance(ring, (QuadraticField, RationalQuaternions)):
         if set(map(len, chain.from_iterable(rows))) - {len(ring.zero)}:
             return False
         rows = chain.from_iterable(rows)  # the parts of each entry
-    values = chain.from_iterable(rows)
-    if ring.characteristic:
-        return type(sum(values)) is int
+    values = list(chain.from_iterable(rows))
+    p = ring.characteristic
+    if p:
+        return type(sum(values)) is int and 0 <= min(values, default=0) and max(values, default=0) < p
     return not set(map(type, values)) - {int, Fraction}
 
 
@@ -413,45 +415,61 @@ class HermitianForm:
         c.multiplications += len(pairs) * width
         c.additions += len(pairs) * width
 
-    def block_congruence(
-        self,
-        lo: int,
-        block: Matrix,
-        active_lo: int,
-        active_hi: int,
-        cutoff: int = 0,
-        rows: Optional[list] = None,
-    ) -> None:
+    def install_rows(self, op: LogOp, lo: int, rows: list, active_lo: int, active_hi: int) -> None:
+        """Log `op`, a congruence that changes rows and columns [lo, lo+q) of
+        the active window, and write its new rows [lo, lo+q) over the active
+        columns, corner included.  The form stays s-Hermitian, so the other
+        active rows of those columns are s times sigma of them."""
+        q = len(rows)
+        if not (active_lo <= lo and lo + q <= active_hi <= self.dim):
+            raise ValueError("rows do not fit the active window")
+        self.log.append(op)
+        target = self.m.rows
+        for row, new_row in zip(target[lo : lo + q], rows):
+            row[active_lo:active_hi] = new_row
+        for r0, r1 in ((active_lo, lo), (lo + q, active_hi)):
+            mirror = self.m.submatrix(lo, lo + q, r0, r1).sigma_transpose(self.counters)
+            for row, new_row in zip(target[r0:r1], mirror.rows):
+                row[lo : lo + q] = new_row if self.s == 1 else map(self.ring.neg, new_row)
+
+    def block_congruence(self, lo: int, block: Matrix, active_lo: int, active_hi: int, cutoff: int = 0) -> None:
         """Congruence by the identity with `block` pasted at [lo, lo+q).
 
         Rows [lo, lo+q) are left-multiplied by the block over the active
         column range, then columns [lo, lo+q) are right-multiplied by its
         sigma-transpose over the active row range.  Of that column pass only
-        the q x q corner is a product: the congruence keeps the form
-        s-Hermitian, so the other active rows there are s times sigma of the
-        new rows, one sigma per entry.  ``rows`` are the new rows [lo, lo+q)
-        over the active columns, corner included, when the caller already has
-        them (``matrix.split_congruence``).
+        the q x q corner is a product; ``install_rows`` mirrors the rest, and
+        raises ValueError, as the products may, if the block does not fit.
         """
         if block.nrows != block.ncols:
             raise ShapeError(f"block must be square, got {block.shape}")
         q = block.nrows
-        if not (active_lo <= lo and lo + q <= active_hi <= self.dim):
-            raise ValueError("block does not fit the active window")
-        self.log.append(BlockLeft(block.copy(), lo))
         counters = self.counters
-        if rows is None:
-            new = matmul(block, self.m.submatrix(lo, lo + q, active_lo, active_hi), cutoff, counters)
-            c = lo - active_lo
-            corner = matmul(new.submatrix(0, q, c, c + q), block.sigma_transpose(counters), cutoff, counters)
-            rows = [row[:c] + left + row[c + q :] for row, left in zip(new.rows, corner.rows)]
-        target = self.m.rows
-        for row, new_row in zip(target[lo : lo + q], rows):
-            row[active_lo:active_hi] = new_row
-        for r0, r1 in ((active_lo, lo), (lo + q, active_hi)):
-            mirror = self.m.submatrix(lo, lo + q, r0, r1).sigma_transpose(counters)
-            for row, new_row in zip(target[r0:r1], mirror.rows):
-                row[lo : lo + q] = new_row if self.s == 1 else map(self.ring.neg, new_row)
+        new = matmul(block, self.m.submatrix(lo, lo + q, active_lo, active_hi), cutoff, counters)
+        c = lo - active_lo
+        corner = matmul(new.submatrix(0, q, c, c + q), block.sigma_transpose(counters), cutoff, counters)
+        rows = [row[:c] + left + row[c + q :] for row, left in zip(new.rows, corner.rows)]
+        self.install_rows(BlockLeft(block.copy(), lo), lo, rows, active_lo, active_hi)
+
+    def block_transvect(self, op: BlockTransvect, lo: int, hi: int, cutoff: int = 0) -> None:
+        """Congruence by `op` over an active window [lo, hi) holding its rows:
+        rows [t, t+n) += coeff * rows [u, u+k) is one product, and of the
+        column pass only the n x n corner is, the new rows' columns [u, u+k)
+        times sigma(coeff)^t; ``install_rows`` mirrors the rest."""
+        t, u, coeff = op.target, op.source, op.coeff
+        n, k = coeff.shape
+        if not (lo <= min(t, u) and max(t + n, u + k) <= hi <= self.dim):
+            raise ValueError("block transvection does not fit the active window")
+        counters, add = self.counters, self.ring.add
+        delta = matmul(coeff, self.m.submatrix(u, u + k, lo, hi), cutoff, counters)
+        rows = [list(map(add, row[lo:hi], drow)) for row, drow in zip(self.m.rows[t : t + n], delta.rows)]
+        sources = Matrix(self.ring, [row[u - lo : u - lo + k] for row in rows], validate=False, ncols=k)
+        corner = matmul(sources, coeff.sigma_transpose(counters), cutoff, counters)
+        c = t - lo
+        for row, drow in zip(rows, corner.rows):
+            row[c : c + n] = map(add, row[c : c + n], drow)
+        counters.additions += n * (hi - lo + n)
+        self.install_rows(op, t, rows, lo, hi)
 
 
 def detect_s_sigma(matrix: Matrix) -> Optional[int]:

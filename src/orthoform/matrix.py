@@ -31,7 +31,8 @@ products off the elimination instead of issuing them.
   (and with it numpy) is imported only once a guard has chosen it.
 
 The column passes in ``form`` go through ``col_sweep``: over GF(p) and GF(p^2)
-one sweep of the rows on Python integers, elsewhere one ``col_axpy`` per column.
+one sweep of the rows on Python integers, elsewhere one loop of ring calls per
+column.
 
 The classical product takes one of three paths:
 
@@ -105,24 +106,16 @@ def row_axpy(ring: Ring, dst: list, src: list, lam, lo: int, hi: int) -> None:
                 dst[idx] = add(dst[idx], mul(lam, s))
 
 
-def col_axpy(ring: Ring, rows: list, dst: int, src: int, lam, lo: int, hi: int) -> None:
-    """In place: rows[r][dst] += rows[r][src] * lam for r in [lo, hi).  lam multiplies from the right."""
-    add, mul, zero = ring.add, ring.mul, ring.zero
-    for row in rows[lo:hi]:
-        v = row[src]
-        if v != zero:
-            row[dst] = add(row[dst], mul(v, lam))
-
-
 def col_sweep(ring: Ring, rows: list, src: int, pairs: list, lo: int, hi: int) -> None:
     """In place: rows[r][k] += rows[r][src] * lam for each (k, lam) of ``pairs``
-    and r in [lo, hi); the targets k are distinct and not src.
+    and r in [lo, hi); the targets k are distinct and not src, and lam
+    multiplies from the right.
 
     Over GF(p) and GF(p^2) this is one sweep of the rows on Python integers:
     a row with a nonzero entry in column src updates every target, reduced
-    mod p.  That equals one ``col_axpy`` per pair, as column src is never
-    written and the updates of distinct columns commute.  Other rings run
-    the ``col_axpy`` loop.
+    mod p.  That equals one pass over the rows per pair, as column src is
+    never written and the updates of distinct columns commute.  Other rings
+    run that loop of ring calls, one pair at a time.
     """
     if isinstance(ring, PrimeField):
         p = ring.p
@@ -140,8 +133,12 @@ def col_sweep(ring: Ring, rows: list, src: int, pairs: list, lo: int, hi: int) -
                     a, b = row[k]
                     row[k] = ((a + va * la + c * vb * lb) % p, (b + va * lb + vb * la) % p)
     else:
+        add, mul, zero = ring.add, ring.mul, ring.zero
         for k, lam in pairs:
-            col_axpy(ring, rows, k, src, lam, lo, hi)
+            for row in rows[lo:hi]:
+                v = row[src]
+                if v != zero:
+                    row[k] = add(row[k], mul(v, lam))
 
 
 def eliminate(ring: Ring, rows: list, src: int, col: int, targets, pivinv, lo: int, hi: int) -> list:

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import math
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
 from orthoform import (
     BlockLeft,
+    BlockTransvect,
     HermitianForm,
     InvariantViolation,
     JBlock,
@@ -192,7 +195,7 @@ STRASSEN_CASES = {
 STRASSEN_DIGESTS = {
     "gf101+": {4: "e8b5fb30dc1b0ee2", 8: "77a2f10d1300a614"},
     "gf101-": {4: "2ca47e3e813cf4e7", 8: "f8336dcda122c06c"},
-    "gf9+": {4: "da47d87cd6f15886", 8: "a965bc666f2bce33"},
+    "gf9+": {4: "5a67c9e880e18860", 8: "14f0095278b4ec73"},
     "gf2+": {4: "33a3e2cf13990d42", 8: "3ddb1aa506923578"},
     "q-": {4: "7c86c984d62e9557", 8: "55409e4e4eff7d33"},
     "h+": {4: "7a7897d895895829", 8: "7a0b32547efa54be"},
@@ -301,15 +304,15 @@ GOLDEN_CASES = {
 GOLDEN_DIGESTS = {
     "gf101+deficient": "a9dee3847c0b264f3ca8df7f8fbe0ee7bf70f13125baed5440ad51c90ad60577",
     "gf101+full": "13fe921bc68341ab01f05adfb2c1444972bad8ac28a441b454e5fd3b2c68cf1b",
-    "gf101-deficient": "da15294a51da25c5b622c3a46a8fc1de16c2cd01d00451f7b293fea5f08b05fa",
+    "gf101-deficient": "8acb9db5f4e7f4c805051d99680302418d27bd3cbaf667c2ecaa650a5a6a00ce",
     "gf101-full": "da50a297e0fb77b83096b94636615381bd888b75b404e486013f5f1e6a31e3cc",
-    "gf101-tail": "7eb4a2f292305f1a03870a310c4268d1fbb3b03944a76314c83392dd66a54429",
+    "gf101-tail": "953245cb5a84bdd9b5e5b708faf7740312e1028cef2aff461328445de419f52f",
     "gf2-deficient": "e491e24b08f9effbcc67e14604ef5f88ae22f87561afdb7610d3a4863859c6b8",
-    "gf2-full": "8542d4f0b069691173a930dc370f1c5f5af48cf607934166fd3da6edac5d976b",
-    "gf3-corner": "652ea5c0eda8c7d7cf71baf1ddc6bc67c371a333ce1b916319a9cc8a7afbbf32",
-    "gf9+deficient": "f082617e59ed2ae0733517cf9eb31fde80e7decf8842cb9aae850a246127c561",
+    "gf2-full": "678217526dcfb99abfcbcdd26e91f142154c38966935e86b37d0a57ee38353a0",
+    "gf3-corner": "83a59d7611b7e5ea4bac26b88f45851203d1371ea663d8c27b1c04ff626580e6",
+    "gf9+deficient": "35cf5e8fdbd83274809e3afd53f7bea51faa4c5b4fd554cb849a3261bac4da41",
     "gf9+full": "8b5acde2f6c00fa3abd60b77ef03da8a7f4c04ce45c72155a0bc2193cec218ab",
-    "gf9-full": "5de71455dbe60d7f650a087b6c5b303d4cdb8d85a2780137aa3e6337b286c01f",
+    "gf9-full": "b3a094bdb2788e1da83b6b9aa620f0254ae1117ce156ab83946d7878a771d680",
     "h+deficient": "2ab8beb15aa0a8c0ef6c63a1182202506e29a2a1bfb6a353aeb9b469bd9bb16f",
     "h+full": "351c393241e470a5c2eca5966c312f7e48737e59cb8ab8986751506c885633dc",
     "h-deficient": "3760418de718ccf5d0676f9fe09f21319305d1b6832dbf5e096d9a1385ffc678",
@@ -336,24 +339,18 @@ def test_golden_logs_and_counters(case, monkeypatch):
 
 
 def _iso_branch_spy(monkeypatch) -> list:
-    """Records "tail" when ``iso`` decouples a nonzero tail (the one op it logs
-    itself) and "corner" when it applies its pair corner (its one congruence
-    whose block fills the active window)."""
+    """Records "tail" when ``iso`` decouples a nonzero tail (its one
+    ``install_rows`` call) and "corner" when it applies its pair corner (its
+    one ``block_transvect``)."""
     ran = []
-    append, congruence = TransformLog.append, HermitianForm.block_congruence
+    for name, branch in (("install_rows", "tail"), ("block_transvect", "corner")):
 
-    def log_spy(self, op):
-        if sys._getframe(1).f_code.co_name == "iso":
-            ran.append("tail")
-        append(self, op)
+        def spy(self, *args, method=getattr(HermitianForm, name), branch=branch):
+            if sys._getframe(1).f_code.co_name == "iso":
+                ran.append(branch)
+            method(self, *args)
 
-    def congruence_spy(self, lo, block, active_lo, active_hi, *args, **kwargs):
-        if sys._getframe(1).f_code.co_name == "iso" and block.nrows == active_hi - active_lo:
-            ran.append("corner")
-        congruence(self, lo, block, active_lo, active_hi, *args, **kwargs)
-
-    monkeypatch.setattr(TransformLog, "append", log_spy)
-    monkeypatch.setattr(HermitianForm, "block_congruence", congruence_spy)
+        monkeypatch.setattr(HermitianForm, name, spy)
     return ran
 
 
@@ -364,6 +361,32 @@ def test_recursion_pins_reach_the_isotropic_branches(case, branch, monkeypatch):
     ring, s, d, rank, seed = GOLDEN_CASES[case]
     decompose_blocks(random_form(ring, s, d, random.Random(seed), rank=rank))
     assert branch in ran
+
+
+def test_blocks_edits_the_form_only_through_its_methods(monkeypatch):
+    # every op of a decompose_blocks log is appended in form.py, by the
+    # HermitianForm method that also writes the rows it changes, and blocks.py
+    # assigns into no subscript, so it writes no entry of the form by hand
+    monkeypatch.setattr(blocks_module, "LEAF_ROWS", 1)
+    appended_in = set()
+    append = TransformLog.append
+
+    def spy(self, op):
+        appended_in.add(Path(sys._getframe(1).f_code.co_filename).name)
+        append(self, op)
+
+    monkeypatch.setattr(TransformLog, "append", spy)
+    for ring, s, d, rank, seed in GOLDEN_CASES.values():
+        decompose_blocks(random_form(ring, s, d, random.Random(seed), rank=rank))
+    assert appended_in == {"form.py"}
+    tree = ast.parse(Path(blocks_module.__file__).read_text(encoding="utf-8"))
+    writes = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Assign, ast.AugAssign))
+        and any(isinstance(t, ast.Subscript) for t in getattr(node, "targets", [getattr(node, "target", None)]))
+    ]
+    assert writes == []
 
 
 GOLDEN_FIELDS = ("blocks", "transform", "slp", "counters")
@@ -554,7 +577,7 @@ TRANSFORM_CASES = {
 TRANSFORM_DIGESTS = {
     "gf1009+": "a1bcc69f25373648cf079fdd6fb061752885b4ae9e6c7024fedee442d4915791",
     "gf1009-": "1e63c2e6bc96bc3d0b0a52f863e709d2a02047d7fff9d1e384997bc859148885",
-    "gf9+": "8f93df1ac183322c37d852800c0097686e2bbda2679f17c73b68df3fe617947f",
+    "gf9+": "ea043bc09bc930cbb3e28bdf3060159e0edccfcb198c31fce3bc06375f900739",
     "gf9-": "32072abffa7503b6d7a63bdc32f98573adaa189ee7c7e3043c6c4c19aa890e84",
 }
 
@@ -637,22 +660,32 @@ def test_fused_split_matches_row_reduce_then_congruence(case, monkeypatch):
 
 @pytest.mark.parametrize("case", sorted(SPLIT_RINGS))
 def test_block_congruence_matches_two_full_products(case):
-    # the column pass multiplies only the corner and mirrors the active rows
-    # above and below it; the form is zero outside the active window
+    # block_congruence and block_transvect multiply only the corner of their
+    # column pass and mirror the active rows above and below it; the form is
+    # zero outside the active window.  The transvections put the target after
+    # and before the source, and are checked against their embedded BlockLeft.
     ring, s = SPLIT_RINGS[case]
     rng = random.Random(633)
-    d, lo, q, active_lo, active_hi = 11, 3, 4, 1, 9
+    d, active_lo, active_hi = 11, 1, 9
+
+    def coeff(n, k):
+        return Matrix(ring, [[ring.random(rng) for _ in range(k)] for _ in range(n)])
+
     for cutoff in (0, 2):
-        rows = [[ring.zero] * d for _ in range(d)]
-        window = random_form(ring, s, active_hi - active_lo, rng).m.rows
-        for row, new in zip(rows[active_lo:active_hi], window):
-            row[active_lo:active_hi] = new
-        form = HermitianForm(ring, Matrix(ring, rows), s)
-        block = Matrix(ring, [[ring.random(rng) for _ in range(q)] for _ in range(q)])
-        expected = _congruence(_pasted(block, lo, d), form.m)
-        form.block_congruence(lo, block, active_lo, active_hi, cutoff)
-        assert repr(form.m.rows) == repr(expected.rows)
-        assert list(form.log) == [BlockLeft(block, lo)]
+        for op in (BlockLeft(coeff(4, 4), 3), BlockTransvect(6, 2, coeff(3, 3)), BlockTransvect(1, 4, coeff(2, 4))):
+            rows = [[ring.zero] * d for _ in range(d)]
+            window = random_form(ring, s, active_hi - active_lo, rng).m.rows
+            for row, new in zip(rows[active_lo:active_hi], window):
+                row[active_lo:active_hi] = new
+            form = HermitianForm(ring, Matrix(ring, rows), s)
+            left = op if isinstance(op, BlockLeft) else op.embedded()
+            expected = _congruence(_pasted(left.block, left.offset, d), form.m)
+            if isinstance(op, BlockLeft):
+                form.block_congruence(op.offset, op.block, active_lo, active_hi, cutoff)
+            else:
+                form.block_transvect(op, active_lo, active_hi, cutoff)
+            assert repr(form.m.rows) == repr(expected.rows)
+            assert list(form.log) == [op]
 
 
 def test_fused_split_reaches_every_row_store(monkeypatch):

@@ -34,7 +34,6 @@ from orthoform import (
 )
 from orthoform import form as form_module
 from orthoform.form import transpositions
-from orthoform.matrix import col_axpy
 from helpers import snapshot
 
 GF7 = PrimeField(7)
@@ -178,9 +177,10 @@ SWEEP_RINGS = [
 
 
 def _pairwise_col_sweep(ring, rows, src, pairs, lo, hi):
-    """The column pass as one col_axpy per (target, coefficient) pair."""
+    """The column pass as one loop of ring calls per (target, coefficient) pair."""
     for k, lam in pairs:
-        col_axpy(ring, rows, k, src, lam, lo, hi)
+        for row in rows[lo:hi]:
+            row[k] = ring.add(row[k], ring.mul(row[src], lam))
 
 
 def _zero_pair(form, r, c):

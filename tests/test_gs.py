@@ -220,19 +220,21 @@ def test_evaluate_agrees_before_and_after():
     ],
     ids=["gf1009", "gf9-frobenius", "gf9-identity", "rational"],
 )
-def test_column_pass_calls_col_axpy_only_off_the_finite_fields(ring, calls, monkeypatch):
+def test_column_pass_makes_ring_calls_only_off_the_finite_fields(ring, calls, monkeypatch):
     # over GF(p) and GF(p^2) the column pass of an isotropic pair is one row
-    # sweep; a silent fall back to the per-pair col_axpy loop must show here
-    from orthoform import matrix
+    # sweep on integers; a silent fall back to the loop of ring
+    # multiplications must show here
+    from orthoform import form as form_module
 
     seen = []
-    real = matrix.col_axpy
+    sweep_columns, mul = form_module.col_sweep, type(ring).mul
 
     def spy(*args):
-        seen.append(args)
-        return real(*args)
+        with monkeypatch.context() as patch:
+            patch.setattr(type(ring), "mul", lambda self, x, y: seen.append((x, y)) or mul(self, x, y))
+            sweep_columns(*args)
 
-    monkeypatch.setattr(matrix, "col_axpy", spy)
+    monkeypatch.setattr(form_module, "col_sweep", spy)
     dec = decompose_gs(random_form(ring, -1, 16, random.Random(7)))
     assert dec.isotropic_steps > 0
     assert bool(seen) == calls

@@ -391,7 +391,9 @@ _STORES = {
 def _mistyped(ring):
     # ops whose fields have the wrong type; Scale(0, "1") would read as 1 on
     # the kernel, and so would a coefficient or block entry that is the ring's
-    # one as a str or a float
+    # one as a str or a float.  Over GF(p) and GF(p^2) also an unreduced
+    # coefficient, the ring's one plus p * 2^k: the int64 kernel wraps on it
+    # (from about k = 56 over GF(101)) where the generic loop reduces it
     def one_as(kind):
         one = ring.one
         return tuple(map(kind, one)) if isinstance(one, tuple) else kind(one)
@@ -399,7 +401,14 @@ def _mistyped(ring):
     def block(kind):
         return Matrix(ring, [[one_as(kind)]], validate=False)
 
+    def unreduced(k):
+        big = ring.one[0] if isinstance(ring.one, tuple) else ring.one
+        big += ring.characteristic * 2**k
+        return (big, *ring.one[1:]) if isinstance(ring.one, tuple) else big
+
+    unreduced_cases = {f"eliminate-unreduced-2^{k}": Eliminate(0, (1,), (unreduced(k),)) for k in (40, 58)}
     return {
+        **(unreduced_cases if ring.characteristic else {}),
         "swap-float-row": Swap(0.5, 1),
         "scale-none": Scale(0, None),
         "scale-string": Scale(0, "1"),
@@ -414,8 +423,9 @@ def _mistyped(ring):
     }
 
 
-@pytest.mark.parametrize("op_case", list(_mistyped(QQ)))
-@pytest.mark.parametrize("store", list(_STORES))
+@pytest.mark.parametrize(
+    "store,op_case", [(store, case) for store, (ring, _, _) in _STORES.items() for case in _mistyped(ring)]
+)
 def test_a_mistyped_log_op_fails_the_first_two_clauses(store, op_case):
     ring, d, store_name = _STORES[store]
     job = matrix._augmented(Matrix.zeros(ring, d, 0), d * d, terms=d)
