@@ -1,17 +1,26 @@
 """Independent checks of decompositions and their cost claims.
 
 check_decomposition re-derives everything from the input matrix and the log:
-the materialized transform must be invertible, must actually congruate the
-input to the direct sum of the claimed blocks (``matrix.congruates``), the
-blocks must be standard, and the number of zero blocks must match d minus
-the rank of the input.  When the first two clauses hold and s = +-1, that
-corank is the zero-block count itself: congruence by an invertible transform
-keeps the rank, and the direct sum has rank 1 per nonzero scalar and 2 per
-J block.  Otherwise the input's rank is computed by elimination.  A log op
-that does not fit the form fails the first two clauses, a decomposition of
-the other sign s fails the congruence clause, and a scalar block whose value
-is not a scalar of the ring is not standard.  Nothing here reuses
-intermediate state from the decomposition run.
+the materialized transform T must be invertible, must actually congruate the
+input B to the direct sum D of the claimed blocks (``matrix.congruates``),
+the blocks must be standard, and the number of zero blocks must match d
+minus the rank of the input.
+
+When the congruence clause holds and s = +-1 it certifies the other two,
+from one scan for the positions Z of the z zero blocks.  D restricted to the
+other positions N is nonsingular and its rows at Z are zero, so a vanishing
+combination of the rows of T, times B * sigma(T)^t, has no part in the rows
+T_N: T is invertible exactly when rank(T_Z) = z.  A nonsingular D thus needs
+no elimination and a singular one the rank of a z x d matrix.  An invertible
+T keeps the rank, and D has rank 1 per nonzero scalar and 2 per J block, so
+the corank is z; after a singular T the input's rank is computed.  When the
+congruence fails, or s is not +-1, rank(T) and the input's rank are both
+computed by elimination.
+
+A log op that does not fit the form fails the first two clauses, a
+decomposition of the other sign s fails the congruence clause, and a scalar
+block whose value is not a scalar of the ring is not standard.  Nothing here
+reuses intermediate state from the decomposition run.
 """
 
 from __future__ import annotations
@@ -82,10 +91,6 @@ def check_decomposition(original: Matrix, s: int, dec: Decomposition) -> CheckRe
             report.transform_invertible = False
             report.congruence_matches = False
             report.details.append(f"log does not materialize: {exc}")
-        else:
-            if rank(transform) != d:
-                report.transform_invertible = False
-                report.details.append("materialized transform is singular")
     if dec.s != s:
         report.congruence_matches = False
         report.details.append(f"decomposition of sign {dec.s} does not fit a form of sign {s}")
@@ -94,7 +99,6 @@ def check_decomposition(original: Matrix, s: int, dec: Decomposition) -> CheckRe
         report.blocks_standard = False
         report.details.append(f"blocks cover {sizes} of {d} positions")
         report.congruence_matches = False
-        return report
     if transform is not None and report.congruence_matches:
         try:
             direct_sum = dec.direct_sum_matrix()
@@ -105,6 +109,14 @@ def check_decomposition(original: Matrix, s: int, dec: Decomposition) -> CheckRe
             if not congruates(transform, original, direct_sum):
                 report.congruence_matches = False
                 report.details.append("transformed matrix is not the claimed direct sum")
+    zero_at = _zero_positions(dec)
+    certified = _certified(report, s)
+    if transform is not None and not _invertible(transform, certified, zero_at):
+        report.transform_invertible = False
+        # every detail written so far leaves the transform None, so this one leads
+        report.details.insert(0, "materialized transform is singular")
+    if sizes != d:
+        return report
     for idx, block in enumerate(dec.blocks):
         if isinstance(block, ScalarBlock):
             value = block.value
@@ -120,10 +132,9 @@ def check_decomposition(original: Matrix, s: int, dec: Decomposition) -> CheckRe
         elif not isinstance(block, JBlock):
             report.blocks_standard = False
             report.details.append(f"block {idx} has unknown type {type(block).__name__}")
-    zero_blocks = _zero_blocks(dec)
-    corank = _certified_corank(report, dec)
-    if corank is None:
-        corank = d - rank(original)
+    zero_blocks = len(zero_at)
+    # an invertible transform keeps the rank, and D has rank d minus its zero blocks
+    corank = zero_blocks if certified and report.transform_invertible else d - rank(original)
     if not (dec.radical_dim == zero_blocks == corank):
         report.radical_matches = False
         report.details.append(
@@ -133,24 +144,46 @@ def check_decomposition(original: Matrix, s: int, dec: Decomposition) -> CheckRe
     return report
 
 
-def _zero_blocks(dec: Decomposition) -> int:
+def _zero_positions(dec: Decomposition) -> list:
+    """The positions of the zero scalar blocks; a block without a size covers none."""
     zero = dec.ring.zero
-    return sum(1 for b in dec.blocks if isinstance(b, ScalarBlock) and b.value == zero)
+    positions, pos = [], 0
+    for b in dec.blocks:
+        if isinstance(b, ScalarBlock) and b.value == zero:
+            positions.append(pos)
+        pos += getattr(b, "size", 0)
+    return positions
 
 
-def _certified_corank(report: CheckReport, dec: Decomposition) -> Optional[int]:
-    """d - rank(original) read off a certificate whose first two clauses hold.
+def _certified(report: CheckReport, s: int) -> bool:
+    """Whether the congruence clause certifies the other two: it holds and s = +-1.
 
-    Then an invertible d x d transform T gives T * original * sigma(T)^t = D,
-    the direct sum of known blocks covering d positions, so rank(original) =
-    rank(D): 1 per nonzero scalar and, as s = +-1 is a unit, 2 per J block,
-    which leaves the zero blocks as the corank.  None when either clause
-    failed or s is not +-1 (with s = 0 a J block has rank 1); the caller then
-    computes the rank exactly.
+    Then T * original * sigma(T)^t = D for the materialized T and the direct
+    sum D of known blocks covering d positions, and D restricted to the
+    positions N of its nonzero blocks is nonsingular: a nonzero scalar is a
+    unit, and a J block [[0, 1], [s, 0]] is invertible.  With s = 0 a J block
+    has rank 1, and both clauses are decided by elimination.
     """
-    if not (report.transform_invertible and report.congruence_matches and dec.s in (1, -1)):
-        return None
-    return _zero_blocks(dec)
+    return report.congruence_matches and s in (1, -1)
+
+
+def _invertible(t: Matrix, certified: bool, zero_at: list) -> bool:
+    """Whether the materialized transform t is invertible: by rank(t), or,
+    when `_certified`, by the rank of its rows t_Z at the z positions
+    ``zero_at`` of the zero blocks.
+
+    Then t is invertible exactly when rank(t_Z) = z.  Let x * t_N + y * t_Z =
+    0, with t_N the rows of t at the other positions N.  Times original *
+    sigma(t)^t this reads x * D_N + y * D_Z = 0 for the rows D_N and D_Z of
+    D.  The rows D_Z are zero, and D_N restricted to the columns N is the
+    nonsingular D_NN, so x = 0 and then y * t_Z = 0.  So a nonsingular D
+    needs no elimination, and a singular one the rank of a z x d matrix.
+    """
+    if not certified:
+        return rank(t) == t.nrows
+    if not zero_at:
+        return True
+    return rank(Matrix(t.ring, [t.rows[i] for i in zero_at], validate=False)) == len(zero_at)
 
 
 @dataclass(frozen=True)
@@ -171,7 +204,7 @@ def invariants_of(dec: Decomposition) -> InvariantSummary:
     given form, which is what makes the summary comparable across algorithms.
     """
     ring = dec.ring
-    zero_blocks = _zero_blocks(dec)
+    zero_blocks = len(_zero_positions(dec))
     j_blocks = sum(1 for b in dec.blocks if isinstance(b, JBlock))
     square_classes = None
     if isinstance(ring, PrimeField) and ring.involution == "identity":

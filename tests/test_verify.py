@@ -26,6 +26,7 @@ from orthoform import (
     brute_force_congruence,
     check_decomposition,
     counter_report,
+    decompose_blocks,
     decompose_gs,
     invariants_of,
     random_form,
@@ -40,9 +41,9 @@ QQ = RationalField()
 HH = RationalQuaternions()
 
 
-def fresh_decomposition(ring=GF7, s=1, d=4, seed=70):
+def fresh_decomposition(ring=GF7, s=1, d=4, seed=70, rank=None):
     rng = random.Random(seed)
-    form = random_form(ring, s, d, rng)
+    form = random_form(ring, s, d, rng, rank=rank)
     original = snapshot(form.m)
     return original, decompose_gs(form)
 
@@ -85,6 +86,11 @@ def test_singular_log_fails_invertibility(d):
     report = check_decomposition(original, 1, dec)
     assert not report.transform_invertible
     assert not report.congruence_matches
+    # rank(T) runs after the failed congruence, but its detail still leads
+    assert report.details == [
+        "materialized transform is singular",
+        "transformed matrix is not the claimed direct sum",
+    ]
 
 
 def test_non_fixed_scalar_fails_the_standard_blocks_clause():
@@ -158,19 +164,21 @@ def test_unknown_one_position_block_fails_two_clauses():
     ]
 
 
-def _form_with_blocks(ring, s, rng):
-    """A rank-4 form of dimension 6: scalar blocks for s = 1, J blocks for s = -1
-    (over GF(9) and the quaternions an alternating form on GF(3) or Q entries)."""
+def _form_with_blocks(ring, s, rng, rank=4):
+    """A form of dimension 6 and the given rank (None: dense): scalar blocks
+    for s = 1, J blocks for s = -1 (over GF(9) and the quaternions an
+    alternating form on GF(3) or Q entries)."""
     if s == 1:
-        return random_form(ring, 1, 6, rng, rank=4)
+        return random_form(ring, 1, 6, rng, rank=rank)
     base, embed = {GF9: (GF3, lambda v: (v, 0)), HH: (QQ, lambda v: (v, 0, 0, 0))}.get(ring, (ring, None))
-    form = random_form(base, -1, 6, rng, rank=4)
+    form = random_form(base, -1, 6, rng, rank=rank)
     if embed is None:
         return form
     return HermitianForm.from_rows(ring, [[embed(v) for v in row] for row in form.m.rows], -1)
 
 
 def _tamper(kind, dec, ring):
+    zeros = verify._zero_positions(dec)
     if kind in ("value", "value+radical"):
         idx = next(i for i, b in enumerate(dec.blocks) if isinstance(b, ScalarBlock))
         dec.blocks[idx] = ScalarBlock(ring.add(dec.blocks[idx].value, ring.one))
@@ -184,6 +192,17 @@ def _tamper(kind, dec, ring):
         dec.blocks.append(ScalarBlock(ring.one))
     if kind == "unknown":
         dec.blocks[dec.blocks.index(JBlock())] = _Unknown()
+    # the last three keep the congruence: they only touch rows at zero blocks
+    if kind == "scale-zero":  # the transform becomes singular
+        dec.log.append(Scale(zeros[0], ring.zero))
+    if kind == "swap-zeros":
+        dec.log.append(Swap(zeros[0], zeros[1]))
+    if kind == "eliminate-zeros":
+        dec.log.append(Eliminate(zeros[0], (zeros[1],), (ring.from_int(2),)))
+
+
+_KINDS = [None, "value", "swap", "singular", "radical", "extra", "value+radical"]
+_ZERO_BLOCK_KINDS = ["scale-zero", "swap-zeros", "eliminate-zeros"]
 
 
 @pytest.mark.parametrize("s", [1, -1])
@@ -194,22 +213,103 @@ def test_certificate_rank_matches_the_exact_rank(ring, s, monkeypatch):
     real_rank = verify.rank
     calls = []
     monkeypatch.setattr(verify, "rank", lambda m, counters=None: calls.append(m) or real_rank(m, counters))
-    kinds = [None, "value", "swap", "singular", "radical", "extra", "value+radical"]
-    for kind in kinds + (["unknown"] if s == -1 else []):
+    for kind in _KINDS + (["unknown"] if s == -1 else []):
         form = _form_with_blocks(ring, s, random.Random(76))
         original = snapshot(form.m)
         dec = decompose_gs(form)
         _tamper(kind, dec, ring)
         calls.clear()
         report = check_decomposition(original, s, dec)
-        # the rank clause is skipped after a size mismatch and certified while clauses 1-2 hold
+        # while the congruence holds, invertibility needs only the rank of the
+        # 2 x 6 rows at the zero blocks and the corank none; after a size
+        # mismatch the rank clause is skipped and rank(T) runs alone
         assert len(calls) == (1 if kind in (None, "radical", "extra") else 2), kind
         assert report.passed == (kind is None)
         with monkeypatch.context() as exact:
-            exact.setattr(verify, "_certified_corank", lambda report, dec: None)
+            exact.setattr(verify, "_certified", lambda report, s: False)
             reference = check_decomposition(original, s, dec)
         assert report.as_dict() == reference.as_dict(), kind
         assert report.details == reference.details, kind
+
+
+@pytest.mark.parametrize("rank", [4, None], ids=["deficient", "dense"])
+@pytest.mark.parametrize("decompose", [decompose_gs, decompose_blocks], ids=["gs", "blocks"])
+@pytest.mark.parametrize("s", [1, -1])
+@pytest.mark.parametrize("ring", [GF7, GF9, QQ, HH], ids=repr)
+def test_certified_invertibility_matches_the_rank_of_the_transform(ring, s, decompose, rank, monkeypatch):
+    # with the congruence holding, invertibility is read off the certificate;
+    # the report must equal one that always computes rank(T) and rank(original)
+    kinds = _KINDS + (["unknown"] if s == -1 else []) + (_ZERO_BLOCK_KINDS if rank else [])
+    for kind in kinds:
+        form = _form_with_blocks(ring, s, random.Random(77), rank)
+        original = snapshot(form.m)
+        dec = decompose(form)
+        if kind in ("value", "value+radical") and ScalarBlock not in map(type, dec.blocks):
+            continue  # a dense alternating form has J blocks only
+        _tamper(kind, dec, ring)
+        report = check_decomposition(original, s, dec)
+        with monkeypatch.context() as exact:
+            exact.setattr(verify, "_certified", lambda report, s: False)
+            reference = check_decomposition(original, s, dec)
+        assert report.as_dict() == reference.as_dict(), kind
+        assert report.details == reference.details, kind
+        if kind in (None, "swap-zeros", "eliminate-zeros"):
+            assert report.passed, kind
+
+
+def _spy_on_the_checker(monkeypatch):
+    """Record each congruence check (True when it held) and each ranked matrix, in order."""
+    events = []
+
+    def congruates(t, source, target):
+        held = matrix.congruates(t, source, target)
+        events.append(("congruates", held))
+        return held
+
+    monkeypatch.setattr(verify, "congruates", congruates)
+    monkeypatch.setattr(verify, "rank", lambda m: events.append(("rank", m)) or matrix.rank(m))
+    return events
+
+
+def test_rank_runs_on_the_transform_only_after_the_congruence_fails(monkeypatch):
+    events = _spy_on_the_checker(monkeypatch)
+    original, dec = fresh_decomposition(d=6, rank=6)
+    assert check_decomposition(original, 1, dec).passed
+    assert events == [("congruates", True)]  # a nonsingular D needs no elimination
+
+    events.clear()
+    original, dec = fresh_decomposition(d=6, rank=4)
+    assert dec.radical_dim == 2
+    assert check_decomposition(original, 1, dec).passed
+    assert [e if e[0] == "congruates" else e[1].shape for e in events] == [("congruates", True), (2, 6)]
+
+    transform = dec.log.materialize(GF7)
+    dec.blocks[0] = ScalarBlock(GF7.add(dec.blocks[0].value, 1))
+    events.clear()
+    assert not check_decomposition(original, 1, dec).congruence_matches
+    assert events == [("congruates", False), ("rank", transform), ("rank", original)]
+
+
+def test_a_zeroed_row_at_a_zero_block_keeps_the_congruence_but_not_invertibility(monkeypatch):
+    # row z of T at a zero block of D meets only zeros, so scaling it by 0
+    # leaves T * B * sigma(T)^t = D; the radical clause then computes rank(B)
+    events = _spy_on_the_checker(monkeypatch)
+    original, dec = fresh_decomposition(d=6, rank=4)
+    dec.log.append(Scale(verify._zero_positions(dec)[0], GF7.zero))
+    report = check_decomposition(original, 1, dec)
+    assert report.as_dict() == {
+        "transform_invertible": False,
+        "congruence_matches": True,
+        "blocks_standard": True,
+        "radical_matches": True,
+    }
+    assert report.details == ["materialized transform is singular"]
+    assert [e if e[0] == "congruates" else e[1].shape for e in events] == [
+        ("congruates", True),
+        (2, 6),
+        (6, 6),
+    ]
+    assert events[-1] == ("rank", original)
 
 
 def test_dim_zero_is_vacuously_fine():
