@@ -168,7 +168,7 @@ class TransformLog:
             if not fits:
                 kind = type(op).__name__
                 raise ValueError(f"log op {idx} ({kind}) does not fit a {d}-dimensional log over {ring!r}")
-        return Matrix(ring, acc.transform(), validate=False)
+        return acc.transform_matrix()  # on the int64 kernel, a PlaneMatrix
 
     def slp_lines(self, ring: Ring) -> list[str]:
         """Line-oriented rendering, one elementary matrix per line, 0-based indices."""
@@ -394,12 +394,14 @@ class HermitianForm:
         rows = self.m.rows
         lo, hi = self._window(lo, hi)
         pivot = rows[i][j]
-        if pivot == ring.zero:
+        zero = ring.zero
+        if pivot == zero:
             raise ValueError(f"pivot entry ({i}, {j}) is zero")
-        pivinv = self._pivot_inverse(pivot)
         c = self.counters
         width = hi - lo
         targets = [k for k in range(lo, hi) if k != i and k != j]
+        # a pivot with nothing to clear costs no inversion
+        pivinv = self._pivot_inverse(pivot) if any(rows[k][j] != zero for k in targets) else None
         pairs = eliminate(ring, rows, i, j, targets, pivinv, lo, hi)
         if pairs:
             self.log.append(Eliminate(i, *zip(*pairs)))
@@ -408,7 +410,7 @@ class HermitianForm:
         c.additions += len(pairs) * width
         if i == j:
             for k in targets:
-                rows[i][k] = ring.zero
+                rows[i][k] = zero
             return
         col_sweep(ring, rows, i, [(k, ring.sigma(lam)) for k, lam in pairs], lo, hi)
         c.sigma_applications += len(pairs)

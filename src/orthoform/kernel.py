@@ -9,20 +9,28 @@ Entries are packed as int64 planes of shape (planes, n, m): the residues over
 GF(p), the a and the b of a + b*x over GF(p^2).  Products are summed in int64
 and reduced mod p afterwards; the caller's guard keeps every sum below 2**62.
 ``verify.brute_force_congruence`` runs its enumeration here as well.
+
+A transform that ``TransformLog.materialize`` replays here stays in its
+planes as a ``PlaneMatrix``, and ``congruates`` checks t * B * sigma(t)^t = D
+on them: two products reduced mod p, sigma(t)^t a transpose of the planes
+(the b plane negated under the Frobenius involution), and one comparison with
+D, packed once.  No row of t becomes a Python row unless a caller reads it
+(``rows``, or the rows that ``rows_at`` picks, once they are read).
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Optional
 
 import numpy as np
 
-from .matrix import Matrix
+from .matrix import Matrix, _check_pair
 from .rings import PrimeField, QuadraticField, Ring
 
 
-def _pack(ring: Ring, rows: list) -> np.ndarray:
-    """Nonempty rows as int64 planes of shape (planes, n, m)."""
+def _pack(ring: Ring, rows) -> np.ndarray:
+    """Nonempty rows (a list of rows or an array) as int64 planes of shape (planes, n, m)."""
     a = np.array(rows, dtype=np.int64)
     return a[None] if isinstance(ring, PrimeField) else a.transpose(2, 0, 1)
 
@@ -50,6 +58,84 @@ def matmul(ring: Ring, left: list, right: list) -> list:
     """Rows of the product of two nonempty row lists, reduced mod p."""
     prod = _plane_product(ring, _pack(ring, left), _pack(ring, right), np.matmul)
     return _unpack(prod % ring.p)
+
+
+class PlaneMatrix(Matrix):
+    """A matrix held as int64 planes: the transform that
+    ``TransformLog.materialize`` replays on ``PlaneRows``.  ``congruates``
+    checks it on the planes.  The first read of ``rows`` unpacks them and
+    drops them, so from then on the rows are the matrix and an edit to them
+    is never checked against stale planes."""
+
+    __slots__ = ("planes", "_rows")
+
+    def __init__(self, ring: Ring, planes: np.ndarray):
+        self.ring = ring
+        self.nrows, self.ncols = planes.shape[1:]
+        self.planes = planes
+        self._rows = None
+
+    @property
+    def rows(self) -> list:
+        if self._rows is None:
+            self._rows = _unpack(self.planes)
+            self.planes = None
+        return self._rows
+
+    def rows_at(self, index: list) -> Matrix:
+        """The rows at ``index``, still as planes while this matrix holds them."""
+        if self.planes is None:
+            return super().rows_at(index)
+        return PlaneMatrix(self.ring, self.planes[:, index])
+
+
+def _sigma_transpose(ring: Ring, planes: np.ndarray) -> np.ndarray:
+    """sigma(m)^t on planes: the transpose, with the b plane negated mod p
+    under the Frobenius involution of GF(p^2)."""
+    out = planes.transpose(0, 2, 1)
+    if ring.involution == "frobenius":
+        out = np.stack((out[0], -out[1] % ring.p))
+    return out
+
+
+def _pack_residues(ring: Ring, rows: list) -> Optional[np.ndarray]:
+    """``rows`` as planes when each entry is a scalar in the form ``_unpack``
+    gives, an int in [0, p) (over GF(p^2) a tuple of two), else None.  Only
+    such rows equal unpacked planes exactly when their planes are equal; a
+    float, a str or an int outside [0, p) would pack to another value, or
+    raise.  numpy infers int64 only when every entry is an int that fits, so
+    the one conversion also checks the types."""
+    quadratic = isinstance(ring, QuadraticField)
+    if quadratic and set(map(type, chain.from_iterable(rows))) != {tuple}:
+        return None  # a list [a, b] packs as (a, b) but does not equal it
+    try:
+        values = np.array(rows)
+    except ValueError:  # entries of unequal shape
+        return None
+    shape = (len(rows), len(rows[0])) + ((2,) if quadratic else ())
+    if values.dtype != np.int64 or values.shape != shape or values.min() < 0 or values.max() >= ring.p:
+        return None
+    return _pack(ring, values)
+
+
+def congruates(t: PlaneMatrix, source: Matrix, target: Matrix) -> bool:
+    """``matrix.congruates`` for t held as planes: t * source and then that
+    times sigma(t)^t, each one int64 product reduced mod p, compared with
+    the target packed once.  The caller's guard is the one that put t in
+    planes, ``_int64_ok`` for d terms, which bounds both products' sums.  A
+    target entry that is not a reduced scalar is compared on the unpacked
+    product, as Python values, the way the list path compares it."""
+    _check_pair(t, source)
+    _check_pair(source, t)
+    ring, p = t.ring, t.ring.p
+    if not isinstance(target, Matrix) or target.ring != ring or target.shape != (t.nrows, t.nrows):
+        return False
+    prod = _plane_product(ring, t.planes, _pack(ring, source.rows), np.matmul) % p
+    prod = _plane_product(ring, prod, _sigma_transpose(ring, t.planes), np.matmul) % p
+    want = _pack_residues(ring, target.rows)
+    if want is None:
+        return _unpack(prod) == target.rows
+    return np.array_equal(prod, want)
 
 
 class PlaneRows:
@@ -125,10 +211,13 @@ class PlaneRows:
         pivot loop is done."""
         return _unpack(self.w[:, :, c0 : self.cols])
 
-    def transform(self) -> list:
+    def transform_matrix(self) -> PlaneMatrix:
         out = np.empty_like(self.w[:, :, self.cols :])
         out[:, :, self.perm] = self.w[:, :, self.cols :]
-        return _unpack(out)
+        return PlaneMatrix(self.ring, out)
+
+    def transform(self) -> list:
+        return self.transform_matrix().rows
 
 
 _GL_DET_CHUNK = 1 << 20

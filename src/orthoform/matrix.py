@@ -30,6 +30,13 @@ products off the elimination instead of issuing them.
   < 2**62, with c the non-residue of GF(p^2) and 0 over GF(p).  ``kernel``
   (and with it numpy) is imported only once a guard has chosen it.
 
+``congruates`` is the one check of t * B * sigma(t)^t = D, for the
+certificate and every post-pass identity.  A transform that
+``TransformLog.materialize`` replayed on the kernel is a ``kernel.PlaneMatrix``
+and is checked on its int64 planes (``kernel.congruates``), under the same
+guard that chose the kernel for the replay; every other t is checked with
+two ``matmul`` products and a comparison of the rows.
+
 The column passes in ``form`` go through ``col_sweep``: over GF(p) and GF(p^2)
 one sweep of the rows on Python integers, elsewhere one loop of ring calls per
 column.
@@ -191,6 +198,7 @@ class Matrix:
     """Row-major dense matrix; entries are the ring's raw scalar values."""
 
     __slots__ = ("ring", "nrows", "ncols", "rows")
+    planes = None  # the int64 planes of a ``kernel.PlaneMatrix``, which holds no rows until they are read
 
     def __init__(self, ring: Ring, rows: list[list], validate: bool = True, ncols: int = 0):
         """``ncols`` is the width of a matrix with no rows; otherwise the rows set it."""
@@ -241,6 +249,10 @@ class Matrix:
     def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "Matrix":
         rows = [row[c0:c1] for row in self.rows[r0:r1]]
         return Matrix(self.ring, rows, validate=False, ncols=len(range(self.ncols)[c0:c1]))
+
+    def rows_at(self, index: list) -> "Matrix":
+        """The matrix of the rows at the positions ``index``, in that order."""
+        return Matrix(self.ring, _pick(self.rows, index), validate=False, ncols=self.ncols)
 
     def is_zero(self) -> bool:
         z = self.ring.zero
@@ -430,7 +442,15 @@ def matmul(left: Matrix, right: Matrix, cutoff: Optional[int] = None, counters=N
 
 
 def congruates(t: Matrix, source: Matrix, target: Matrix) -> bool:
-    """True iff t * source * sigma(t)^t == target: t takes the form source to target."""
+    """True iff t * source * sigma(t)^t == target: t takes the form source to target.
+
+    A t still held as int64 planes, as ``TransformLog.materialize`` returns
+    a transform it replayed on the kernel, is checked on them
+    (``kernel.congruates``); every other t on its rows."""
+    if t.planes is not None:
+        from . import kernel
+
+        return kernel.congruates(t, source, target)
     return matmul(matmul(t, source), t.sigma_transpose()) == target
 
 
@@ -493,6 +513,9 @@ class _ListRows:
     def transform(self) -> list:
         return [row[self.cols :] for row in self.rows]
 
+    def transform_matrix(self) -> Matrix:
+        return Matrix(self.ring, self.transform(), validate=False)
+
 
 def _lowest(den: int, parts: tuple) -> tuple:
     """(den, parts) divided by the gcd of den and every part."""
@@ -520,8 +543,8 @@ class _IntRows:
 
     def __init__(self, m: Matrix, identity: bool):
         n = m.nrows
+        self.ring = m.ring
         self.cols = m.ncols
-        self.zero = m.ring.zero
         self.rows = list(map(self._clear_row, m.rows))
         if identity:
             for i, (den, parts) in enumerate(self.rows):
@@ -567,7 +590,7 @@ class _IntRows:
 
     def add_multiples(self, sources, targets, lams: list) -> None:
         """Row targets[a] += lams[b][a] * row sources[b]; disjoint lists or slices of rows."""
-        rows, zero = self.rows, self.zero
+        rows, zero = self.rows, self.ring.zero
         srcs = _pick(rows, sources)
         for a, t in enumerate(range(len(rows))[targets] if isinstance(targets, slice) else targets):
             den, parts = rows[t]
@@ -601,6 +624,9 @@ class _IntRows:
 
     def transform(self) -> list:
         return self._values(slice(self.cols, None))
+
+    def transform_matrix(self) -> Matrix:
+        return Matrix(self.ring, self.transform(), validate=False)
 
     def corner(self, h: int) -> list:
         """(A*m1) * sigma(A)^t for the square transform A and the first h

@@ -17,6 +17,11 @@ the corank is z; after a singular T the input's rank is computed.  When the
 congruence fails, or s is not +-1, rank(T) and the input's rank are both
 computed by elimination.
 
+Over GF(p) and GF(p^2) a transform replayed on the int64 kernel stays in its
+int64 planes through the congruence clause (``kernel.congruates``).  Only a
+rank turns rows of T into Python rows: the rows T_Z for a singular D, or all
+of T after the congruence fails.
+
 A log op that does not fit the form fails the first two clauses, a
 decomposition of the other sign s fails the congruence clause, and a scalar
 block whose value is not a scalar of the ring is not standard.  Nothing here
@@ -183,7 +188,7 @@ def _invertible(t: Matrix, certified: bool, zero_at: list) -> bool:
         return rank(t) == t.nrows
     if not zero_at:
         return True
-    return rank(Matrix(t.ring, [t.rows[i] for i in zero_at], validate=False)) == len(zero_at)
+    return rank(t.rows_at(zero_at)) == len(zero_at)
 
 
 @dataclass(frozen=True)

@@ -193,12 +193,12 @@ STRASSEN_CASES = {
 }
 
 STRASSEN_DIGESTS = {
-    "gf101+": {4: "e8b5fb30dc1b0ee2", 8: "77a2f10d1300a614"},
+    "gf101+": {4: "cf02e3aa09c7179f", 8: "eac58b59507433fc"},
     "gf101-": {4: "2ca47e3e813cf4e7", 8: "f8336dcda122c06c"},
     "gf9+": {4: "5a67c9e880e18860", 8: "14f0095278b4ec73"},
     "gf2+": {4: "33a3e2cf13990d42", 8: "3ddb1aa506923578"},
     "q-": {4: "7c86c984d62e9557", 8: "55409e4e4eff7d33"},
-    "h+": {4: "7a7897d895895829", 8: "7a0b32547efa54be"},
+    "h+": {4: "4c1d0a5c7c464a36", 8: "1a2cd3732d68f5a6"},
 }
 
 
@@ -302,8 +302,8 @@ GOLDEN_CASES = {
 }
 
 GOLDEN_DIGESTS = {
-    "gf101+deficient": "a9dee3847c0b264f3ca8df7f8fbe0ee7bf70f13125baed5440ad51c90ad60577",
-    "gf101+full": "13fe921bc68341ab01f05adfb2c1444972bad8ac28a441b454e5fd3b2c68cf1b",
+    "gf101+deficient": "c5d0e6e15de83abd723be2c2e9cd23f13be49dd59169cdbe6140ffc8a26df9eb",
+    "gf101+full": "3e5885100f6e15414c77715f548c734d4e9cef52cd8c635fcfc6ea29767eab4c",
     "gf101-deficient": "8acb9db5f4e7f4c805051d99680302418d27bd3cbaf667c2ecaa650a5a6a00ce",
     "gf101-full": "da50a297e0fb77b83096b94636615381bd888b75b404e486013f5f1e6a31e3cc",
     "gf101-tail": "953245cb5a84bdd9b5e5b708faf7740312e1028cef2aff461328445de419f52f",
@@ -312,12 +312,12 @@ GOLDEN_DIGESTS = {
     "gf3-corner": "83a59d7611b7e5ea4bac26b88f45851203d1371ea663d8c27b1c04ff626580e6",
     "gf9+deficient": "35cf5e8fdbd83274809e3afd53f7bea51faa4c5b4fd554cb849a3261bac4da41",
     "gf9+full": "8b5acde2f6c00fa3abd60b77ef03da8a7f4c04ce45c72155a0bc2193cec218ab",
-    "gf9-full": "b3a094bdb2788e1da83b6b9aa620f0254ae1117ce156ab83946d7878a771d680",
-    "h+deficient": "2ab8beb15aa0a8c0ef6c63a1182202506e29a2a1bfb6a353aeb9b469bd9bb16f",
-    "h+full": "351c393241e470a5c2eca5966c312f7e48737e59cb8ab8986751506c885633dc",
-    "h-deficient": "3760418de718ccf5d0676f9fe09f21319305d1b6832dbf5e096d9a1385ffc678",
-    "q+deficient": "6ef6c05928355908688e1abc0095565d1c007c5973f862697f6d61eca634947b",
-    "q+full": "e1b8ee24d01d5f662d84229a101c8176c7b38ebb506d3ad7007aeb4d76133298",
+    "gf9-full": "7a1b23b3034e487a53c571eeb36cfd32b6c7ecfe4d0691246f223c7a51e593ad",
+    "h+deficient": "570ba1c069a42e02999cd090e63e6e363d677bd8512d1aae7423ec7f9d8b76b9",
+    "h+full": "b507cf06d6352f1bf6f57427e868dc0f5bbfa52719d6d5def6e96b9524a3ce3e",
+    "h-deficient": "f53235db70cfb9d1c69bac624937b9a6e5a136108a121a805bc4e0754dd28109",
+    "q+deficient": "411981f065d11ea4d1a2009416f691918b1f58caab53789a1742331da06ece08",
+    "q+full": "13eea427d4007aeba44485aa0cf603d7b9fdae30813f6d235efdc847e8618ae5",
     "q-deficient": "bd8cfc04723e7232aab07fd23fd3ee6d8a3bb0e2e87e9a6870b187b06b77b27b",
     "q-full": "52a43fd981da85dca8553cb5a055024141f22ca243fba72f4bca492e02d22d32",
 }
@@ -399,13 +399,13 @@ GOLDEN_FIELD_DIGESTS = {
         "9014928b774e5c47", "a2c9e8b90dec9d45", "c0a135eac70cd183", "9404bc29593b4612",
     ),
     ("gf101+deficient", "blocks"): (
-        "79b340f41496794f", "45e897f38420714d", "5b01cfed4062473b", "dc9738d97a9d02d8",
+        "79b340f41496794f", "45e897f38420714d", "5b01cfed4062473b", "ed37785988c0c0be",
     ),
     ("gf101+full", "gs"): (
-        "26849095620d1f58", "23fcbdba3751c115", "687f438fb5c37625", "f8c95829b6d71242",
+        "26849095620d1f58", "23fcbdba3751c115", "687f438fb5c37625", "5add6920e11c93f5",
     ),
     ("gf101+full", "blocks"): (
-        "26849095620d1f58", "23fcbdba3751c115", "48f8b4d9ac77fef6", "347fe71f4c22657e",
+        "26849095620d1f58", "23fcbdba3751c115", "48f8b4d9ac77fef6", "9f913804e8947ebf",
     ),
     ("gf101-deficient", "gs"): (
         "e4125d09d60b5f7f", "60b41f7fde97277a", "15b6248d94485c02", "48b5b401886e71a7",
@@ -456,40 +456,40 @@ GOLDEN_FIELD_DIGESTS = {
         "ed5a6873f6f6357e", "164e8d166dcd5f45", "87c7fbbe12cb6b19", "dd563bb54f86ca34",
     ),
     ("gf9-full", "gs"): (
-        "a1325ed6c6f3a97d", "cd2373a50e19c690", "61bea0e7374d44cf", "64d8ea249970180c",
+        "a1325ed6c6f3a97d", "cd2373a50e19c690", "61bea0e7374d44cf", "04092f144515bbc6",
     ),
     ("gf9-full", "blocks"): (
-        "a8eb4a9ae736b826", "6bebb24cb1e3ceae", "f61a04095b4f0f5f", "bf1426d11321ca65",
+        "a8eb4a9ae736b826", "6bebb24cb1e3ceae", "f61a04095b4f0f5f", "8a89c95b20d483f2",
     ),
     ("h+deficient", "gs"): (
-        "fa4efd8a12b15b1d", "cada9683740cdee2", "b7c1d68d30efc286", "c66b769feb348bb1",
+        "fa4efd8a12b15b1d", "cada9683740cdee2", "b7c1d68d30efc286", "8618ab181dc639a8",
     ),
     ("h+deficient", "blocks"): (
-        "fa4efd8a12b15b1d", "3fa3c2276a3de59f", "f79ce1c67e5fb50e", "568c41d804f1532f",
+        "fa4efd8a12b15b1d", "3fa3c2276a3de59f", "f79ce1c67e5fb50e", "2ca5a12d5d039f23",
     ),
     ("h+full", "gs"): (
-        "c3f0e3e4ff5a3854", "9ecb421e917ec920", "46b52d1ee9f3cd2b", "a0d4b75da842899a",
+        "c3f0e3e4ff5a3854", "9ecb421e917ec920", "46b52d1ee9f3cd2b", "f7fb5c6fa7968bb4",
     ),
     ("h+full", "blocks"): (
-        "7680cca503e5b986", "ae6c11929c716b9f", "5c126304510f4510", "29b4bb9d4b97ccc6",
+        "7680cca503e5b986", "ae6c11929c716b9f", "5c126304510f4510", "a9deeefd814ff29f",
     ),
     ("h-deficient", "gs"): (
-        "453306cf1d4ee0b7", "6327a008b740f72f", "b959b32bbcbfb70b", "9c9f85546c8d0dec",
+        "453306cf1d4ee0b7", "6327a008b740f72f", "b959b32bbcbfb70b", "3e9f82cc6d044ba1",
     ),
     ("h-deficient", "blocks"): (
-        "453306cf1d4ee0b7", "563e230907b7aa18", "5c828ec56f0c1bb9", "28bc932e6a450fe5",
+        "453306cf1d4ee0b7", "563e230907b7aa18", "5c828ec56f0c1bb9", "293be3eb19664ce5",
     ),
     ("q+deficient", "gs"): (
         "5b0ba4f713f80b49", "aaad8374d89361a0", "8a456083b68175c1", "f70ae99a468849a9",
     ),
     ("q+deficient", "blocks"): (
-        "5b0ba4f713f80b49", "39a776fe9e2d3389", "5f223b46fceb3c92", "d991d847039a7568",
+        "5b0ba4f713f80b49", "39a776fe9e2d3389", "5f223b46fceb3c92", "1218b3636c232963",
     ),
     ("q+full", "gs"): (
-        "307ef5333463e12d", "ee0f49b55b1b0921", "4b85b13347b2b92a", "308d150651ae0639",
+        "307ef5333463e12d", "ee0f49b55b1b0921", "4b85b13347b2b92a", "520e5e10917191ab",
     ),
     ("q+full", "blocks"): (
-        "307ef5333463e12d", "ee0f49b55b1b0921", "7e5dff241165b74b", "88c901425a2f0eb5",
+        "307ef5333463e12d", "ee0f49b55b1b0921", "7e5dff241165b74b", "371f8a81f8adf229",
     ),
     ("q-deficient", "gs"): (
         "45e47a46df6d9c0c", "58209b98561dda61", "10e9ea94da0c5358", "9a67e6a9a363dffd",
@@ -575,10 +575,10 @@ TRANSFORM_CASES = {
 }
 
 TRANSFORM_DIGESTS = {
-    "gf1009+": "a1bcc69f25373648cf079fdd6fb061752885b4ae9e6c7024fedee442d4915791",
+    "gf1009+": "752699ae93be95388f00ee9ed9fdc3b5baf05510bc281d28544e978da23e0db8",
     "gf1009-": "1e63c2e6bc96bc3d0b0a52f863e709d2a02047d7fff9d1e384997bc859148885",
     "gf9+": "ea043bc09bc930cbb3e28bdf3060159e0edccfcb198c31fce3bc06375f900739",
-    "gf9-": "32072abffa7503b6d7a63bdc32f98573adaa189ee7c7e3043c6c4c19aa890e84",
+    "gf9-": "f9507dfb18349d9288c440c6a60fc0299dffd6e53021dcffc0427f47a4e7f5dc",
 }
 
 

@@ -350,6 +350,10 @@ def test_import_leaves_numpy_unloaded():
         pytest.param("gfp:1000000000000000003", 8, False, "gs", [], id="gfp:1000000000000000003-8-False"),
         # 32x32 eliminations run on the kernel
         pytest.param("gfp:1009", 32, True, "gs", [], id="gfp:1009-32-True"),
+        # at the kernel's threshold of 576 entries: 23x23 eliminations,
+        # products and the --verify replay stay on lists, 24x24 ones do not
+        pytest.param("gfp:1009", 23, False, "gs", [], id="gfp:1009-23-False"),
+        pytest.param("gfp:1009", 24, True, "gs", [], id="gfp:1009-24-True"),
         # block_congruence and the coupling products run the integer product
         pytest.param("rational", 8, False, "blocks", [], id="rational-8-blocks-False"),
         pytest.param("quaternion", 8, False, "blocks", [], id="quaternion-8-blocks-False"),

@@ -183,16 +183,19 @@ def test_each_pivot_logs_one_elimination():
         assert sum(len(op.targets) for op in elims) > 2 * d
 
 
-def test_all_anisotropic_equality_count_is_exact():
+@pytest.mark.parametrize("diagonal", [[1] * 12, list(range(2, 10))], ids=["identity", "diag-2-to-9"])
+def test_all_anisotropic_equality_count_is_exact(diagonal):
     # every step takes the diagonal branch: one diagonal test per step and
-    # one test per unordered pair during the clears, no more
-    d = 12
+    # one test per unordered pair during the clears, no more.  A pivot with
+    # nothing to clear is never inverted, whatever its value
+    d = len(diagonal)
     form = HermitianForm.from_rows(
-        PrimeField(101), [[(1 if i == j else 0) for j in range(d)] for i in range(d)], 1
+        PrimeField(101), [[(v if i == j else 0) for j in range(d)] for i, v in enumerate(diagonal)], 1
     )
     dec = decompose_gs(form)
+    assert len(dec.log) == 0
     assert dec.counters.equality_tests == d * (d - 1) // 2 + d
-    assert dec.counters.inversions == 0  # pivots are 1, shortcut applies
+    assert dec.counters.inversions == 0
     assert dec.counters.sigma_applications == 0
 
 

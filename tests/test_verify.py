@@ -164,14 +164,14 @@ def test_unknown_one_position_block_fails_two_clauses():
     ]
 
 
-def _form_with_blocks(ring, s, rng, rank=4):
-    """A form of dimension 6 and the given rank (None: dense): scalar blocks
+def _form_with_blocks(ring, s, rng, rank=4, dim=6):
+    """A form of the given dimension and rank (None: dense): scalar blocks
     for s = 1, J blocks for s = -1 (over GF(9) and the quaternions an
     alternating form on GF(3) or Q entries)."""
     if s == 1:
-        return random_form(ring, 1, 6, rng, rank=rank)
+        return random_form(ring, 1, dim, rng, rank=rank)
     base, embed = {GF9: (GF3, lambda v: (v, 0)), HH: (QQ, lambda v: (v, 0, 0, 0))}.get(ring, (ring, None))
-    form = random_form(base, -1, 6, rng, rank=rank)
+    form = random_form(base, -1, dim, rng, rank=rank)
     if embed is None:
         return form
     return HermitianForm.from_rows(ring, [[embed(v) for v in row] for row in form.m.rows], -1)
@@ -185,7 +185,7 @@ def _tamper(kind, dec, ring):
     if kind in ("radical", "value+radical"):
         dec.radical_dim += 1
     if kind == "swap":
-        dec.log.append(Swap(0, 5))  # a nonzero block with a radical one
+        dec.log.append(Swap(0, dec.dim - 1))  # a nonzero block with a radical one, if there is one
     if kind == "singular":
         dec.log.append(BlockLeft(Matrix.zeros(ring, 1, 1), 0))
     if kind == "extra":
@@ -255,6 +255,70 @@ def test_certified_invertibility_matches_the_rank_of_the_transform(ring, s, deco
         assert report.details == reference.details, kind
         if kind in (None, "swap-zeros", "eliminate-zeros"):
             assert report.passed, kind
+
+
+GF101 = PrimeField(101)
+
+
+@pytest.mark.parametrize("rank", [26, None], ids=["deficient", "dense"])
+@pytest.mark.parametrize("decompose", [decompose_gs, decompose_blocks], ids=["gs", "blocks"])
+@pytest.mark.parametrize("s", [1, -1])
+@pytest.mark.parametrize("ring", [GF101, GF9], ids=repr)
+def test_the_plane_check_reports_as_the_list_check(ring, s, decompose, rank, monkeypatch):
+    # at d=30 the log is replayed on the int64 kernel and the congruence is
+    # checked on its planes; with the kernel's threshold above d^2 both run
+    # on lists, and every report must read the same
+    kinds = _KINDS + (["unknown"] if s == -1 else []) + (_ZERO_BLOCK_KINDS if rank else [])
+    for kind in kinds:
+        form = _form_with_blocks(ring, s, random.Random(78), rank, dim=30)
+        original = snapshot(form.m)
+        dec = decompose(form)
+        if kind in ("value", "value+radical") and ScalarBlock not in map(type, dec.blocks):
+            continue  # a dense alternating form has J blocks only
+        _tamper(kind, dec, ring)
+        assert dec.log.materialize(ring).planes is not None
+        report = check_decomposition(original, s, dec)
+        with monkeypatch.context() as lists:
+            lists.setattr(matrix, "_KERNEL_MIN_ENTRIES", 30 * 30 + 1)
+            assert dec.log.materialize(ring).planes is None
+            reference = check_decomposition(original, s, dec)
+        assert report.as_dict() == reference.as_dict(), kind
+        assert report.details == reference.details, kind
+        if kind in (None, "swap-zeros", "eliminate-zeros"):
+            assert report.passed, kind
+
+
+@pytest.mark.parametrize("rank", [None, 26], ids=["nonsingular", "singular"])
+def test_a_plane_check_packs_the_forms_once_and_unpacks_no_more_of_t_than_it_ranks(rank, monkeypatch):
+    # the transform stays in the planes it was replayed on: the check packs
+    # B and D once each, and unpacks of T only its rows at the zero blocks,
+    # for their rank
+    import numpy as np
+
+    from orthoform import kernel
+
+    original, dec = fresh_decomposition(ring=GF101, d=30, rank=rank)
+    zero_blocks = 30 - (rank or 30)
+    assert dec.radical_dim == zero_blocks
+    direct_sum = dec.direct_sum_matrix()
+    packed, unpacked = [], []
+    pack, unpack = kernel._pack, kernel._unpack
+    monkeypatch.setattr(kernel, "_pack", lambda ring, rows: packed.append(rows) or pack(ring, rows))
+    monkeypatch.setattr(kernel, "_unpack", lambda planes: unpacked.append(planes.shape) or unpack(planes))
+    assert check_decomposition(original, 1, dec).passed
+    assert unpacked == ([(1, zero_blocks, 30)] if zero_blocks else [])
+    assert sum(rows is original.rows for rows in packed) == 1
+    assert sum(np.array_equal(rows, direct_sum.rows) for rows in packed) == 1
+
+
+@pytest.mark.parametrize("p, planes", [(2**31 - 1, False), (10**8 + 7, True)])
+def test_the_overflow_guard_picks_the_replay_and_both_certify(p, planes):
+    # at d=30 the guard _int64_ok fails for GF(2^31 - 1), whose check stays on
+    # lists, and holds for GF(10^8 + 7), whose check runs on planes
+    original, dec = fresh_decomposition(ring=PrimeField(p), d=30)
+    assert matrix._int64_ok(dec.ring, 30) == planes
+    assert (dec.log.materialize(dec.ring).planes is not None) == planes
+    assert check_decomposition(original, 1, dec).passed
 
 
 def _spy_on_the_checker(monkeypatch):
@@ -544,11 +608,15 @@ def test_a_mistyped_log_op_fails_the_first_two_clauses(store, op_case):
     assert report.details[0] == f"log does not materialize: {message}"
 
 
-@pytest.mark.parametrize("value", ["x", None, 9, -1, (1, 2)], ids=repr)
-def test_a_scalar_block_outside_the_ring_is_not_standard(value):
+@pytest.mark.parametrize("d", [4, 30])
+@pytest.mark.parametrize("value", ["x", None, 9, -1, (1, 2), 2**70], ids=repr)
+def test_a_scalar_block_outside_the_ring_is_not_standard(value, d, monkeypatch):
     # each value equals s * sigma(value) under the identity involution, so
-    # only the ring's own scalar check tells it apart
-    original, dec = fresh_decomposition()
+    # only the ring's own scalar check tells it apart.  At d=30 the
+    # congruence is checked on int64 planes, where the value must not be
+    # packed, and the report must read as the list check's
+    original, dec = fresh_decomposition(d=d)
+    assert (dec.log.materialize(GF7).planes is not None) == (d == 30)
     assert isinstance(dec.blocks[1], ScalarBlock)
     dec.blocks[1] = ScalarBlock(value)
     report = check_decomposition(original, 1, dec)
@@ -557,6 +625,27 @@ def test_a_scalar_block_outside_the_ring_is_not_standard(value):
     with pytest.raises(ValueError) as caught:
         GF7.validate_scalar(value)
     assert f"block 1 value: {caught.value}" in report.details
+    with monkeypatch.context() as lists:
+        lists.setattr(matrix, "_KERNEL_MIN_ENTRIES", d * d + 1)
+        reference = check_decomposition(original, 1, dec)
+    assert report.as_dict() == reference.as_dict()
+    assert report.details == reference.details
+
+
+@pytest.mark.parametrize("d", [4, 30])
+def test_a_block_value_equal_to_its_residue_keeps_the_congruence(d, monkeypatch):
+    # float(v) == v, so D still equals the product as Python values, on the
+    # int64 planes at d=30 as on lists; the value is still not standard
+    original, dec = fresh_decomposition(d=d)
+    dec.blocks[1] = ScalarBlock(float(dec.blocks[1].value))
+    report = check_decomposition(original, 1, dec)
+    assert report.congruence_matches
+    assert not report.blocks_standard
+    with monkeypatch.context() as lists:
+        lists.setattr(matrix, "_KERNEL_MIN_ENTRIES", d * d + 1)
+        reference = check_decomposition(original, 1, dec)
+    assert report.as_dict() == reference.as_dict()
+    assert report.details == reference.details
 
 
 def test_a_decomposition_of_the_other_sign_fails_the_congruence_clause(monkeypatch):
