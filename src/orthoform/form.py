@@ -400,9 +400,7 @@ class HermitianForm:
         c = self.counters
         width = hi - lo
         targets = [k for k in range(lo, hi) if k != i and k != j]
-        # a pivot with nothing to clear costs no inversion
-        pivinv = self._pivot_inverse(pivot) if any(rows[k][j] != zero for k in targets) else None
-        pairs = eliminate(ring, rows, i, j, targets, pivinv, lo, hi)
+        pairs = eliminate(ring, rows, i, j, targets, lo, hi, self._pivot_inverse)
         if pairs:
             self.log.append(Eliminate(i, *zip(*pairs)))
         c.equality_tests += len(targets)

@@ -182,16 +182,21 @@ class PlaneRows:
     def scale(self, r: int, lam) -> None:
         self.w[:, r] = _plane_product(self.ring, _pack_scalar(self.ring, lam), self.w[:, r]) % self.p
 
-    def eliminate(self, src: int, col: int, first: int, pivinv) -> int:
-        w, p = self.w, self.p
-        lam = -_plane_product(self.ring, w[:, first:, col], _pack_scalar(self.ring, pivinv)) % p
+    def eliminate(self, src: int, col: int, first: int) -> int:
+        """Clear column ``col`` of rows [first, n) other than src against the
+        pivot at (src, col), which is inverted only when a row needs it."""
+        ring, w, p = self.ring, self.w, self.p
+        hit = w[:, first:, col].any(axis=0)
         if first <= src:
-            lam[:, src - first] = 0
-        pairs = int(np.count_nonzero(lam.any(axis=0)))
+            hit[src - first] = False
+        pairs = int(np.count_nonzero(hit))
         if pairs:
+            lam = -_plane_product(ring, w[:, first:, col], _pack_scalar(ring, ring.inv(self.entry(src, col)))) % p
+            if first <= src:
+                lam[:, src - first] = 0
             hi = self.cols + src + 1 if self.identity else self.cols
             block = w[:, first:, col:hi]
-            block += _plane_product(self.ring, lam[:, :, None], w[:, src, None, col:hi])
+            block += _plane_product(ring, lam[:, :, None], w[:, src, None, col:hi])
             block %= p
         return pairs
 

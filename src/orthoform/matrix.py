@@ -5,15 +5,23 @@ congruence check ``congruates``, one-sided eliminations that return their
 transform as an invertible witness matrix, and inversion.  Everything is
 exact.
 
-``row_reduce``, ``invert`` and ``TransformLog.materialize`` work on one
-stacked ``[work | identity]`` row store, and ``rank`` on the ``[work]`` half
-alone.  ``_augmented`` picks one of three stores; all three choose the same
-pivots and return the same transforms and counts.  Each store also hands back
-its reduced half (``reduced``), which after the pivot loop is A*m for the
-transform A: ``row_reduce`` and its sigma-mirror ``column_reduce`` return A*m
-and m*A beside A, and ``split_congruence`` (the split step of ``blocks``) the
-top rows of a congruence with one product, so their callers read those
-products off the elimination instead of issuing them.
+One pivot loop, ``_row_echelon``, runs every one-sided elimination:
+``row_reduce``, ``rank``, ``split_congruence`` and ``invert``, which also
+clears above each pivot (Gauss-Jordan), so A*m ends diagonal, and then scales
+each row of A by its pivot's inverse.  The loop works on one stacked
+``[work | identity]`` row store (``rank`` on the ``[work]`` half alone), and
+``TransformLog.materialize`` replays a log on one.  ``_augmented`` picks one
+of three stores; all three choose the same pivots and return the same
+transforms and counts.  A store's ``eliminate(src, col, first)`` clears
+column col of the rows from ``first`` on against the pivot at (src, col) and
+returns the number of rows it cleared; it reads the pivot itself and inverts
+it only at the first row to clear, so an inversion is counted only where one
+is used.  Each store also hands back its reduced half (``reduced``), which
+after the pivot loop is A*m for the transform A: ``row_reduce`` and its
+sigma-mirror ``column_reduce`` return A*m and m*A beside A, and
+``split_congruence`` (the split step of ``blocks``) the top rows of a
+congruence with one product, so their callers read those products off the
+elimination instead of issuing them.
 
 - The generic loop (``_ListRows``) clears rows through ``eliminate``, one
   pivot's row pass on ``row_axpy``.  It is valid over every ring and is the
@@ -22,7 +30,9 @@ products off the elimination instead of issuing them.
   quaternions) hold each row as a positive integer denominator and integer
   part vectors in lowest terms, and do each pivot as a fraction-free row
   update in the style of Bareiss: one gcd per updated row instead of one per
-  Fraction operation.  They run every job over Q and the quaternions.
+  Fraction operation.  They run every job over Q and the quaternions.  They
+  share ``swap`` and ``transform_matrix`` with the generic loop
+  (``_PyRows``).
 - The int64 numpy kernel (``kernel.PlaneRows``) does each pivot as one rank-1
   update reduced mod p.  It runs over GF(p) and GF(p^2) (two planes, a and b
   of a + b*x) when the job has at least ``_KERNEL_MIN_ENTRIES`` entries and
@@ -51,12 +61,14 @@ The classical product takes one of three paths:
 - ``_field_product`` for the other products over GF(p) and GF(p^2): one
   dot product on Python integers per entry (two over GF(p^2)), reduced mod
   p, exact for every modulus.
-- Over Q and the quaternions the product clears denominators: each row of
-  the left factor and each column of the right one is scaled by the lcm of
-  its denominators, the dot products are summed on Python integers (the
-  Hamilton formula on four part vectors over the quaternions), and entry
-  (i, j) is divided by the two scales, which are central.  That gives the
-  ring loop's canonical Fractions without a gcd per multiply and add.
+- Over Q and the quaternions it is the integer rows' ``product``, the one
+  exact-ring path: each row of the left factor and each column of the right
+  one is scaled by the lcm of its denominators, the dot products are summed
+  on Python integers (the Hamilton formula on four part vectors over the
+  quaternions), and entry (i, j) is divided by the two scales, which are
+  central.  That gives the ring loop's canonical Fractions without a gcd per
+  multiply and add.  The entry loop (``_entries``) is written once per ring
+  and shared with the corner of ``split_congruence``.
 
 Strassen's recursion pads each factor to even dimensions, cuts it into
 quarters (``_quarters``) and forms its sums and differences with
@@ -148,17 +160,22 @@ def col_sweep(ring: Ring, rows: list, src: int, pairs: list, lo: int, hi: int) -
                     row[k] = add(row[k], mul(v, lam))
 
 
-def eliminate(ring: Ring, rows: list, src: int, col: int, targets, pivinv, lo: int, hi: int) -> list:
+def eliminate(ring: Ring, rows: list, src: int, col: int, targets, lo: int, hi: int, inverse=None) -> list:
     """Row k += lam * row src over [lo, hi) for each target k with rows[k][col] nonzero.
 
-    lam = -rows[k][col] * pivinv, pivinv being the inverse of rows[src][col].
-    Returns the (k, lam) pairs in target order, for callers to replay and count.
+    lam = -rows[k][col] * pivinv, pivinv being the inverse of rows[src][col],
+    which ``inverse`` (``ring.inv`` by default) takes at the first such target,
+    so a pivot with nothing to clear is never inverted.  Returns the (k, lam)
+    pairs in target order, for callers to replay and count.
     """
     zero = ring.zero
     pairs = []
+    pivinv = None
     for k in targets:
         f = rows[k][col]
         if f != zero:
+            if pivinv is None:
+                pivinv = (inverse or ring.inv)(rows[src][col])
             lam = ring.neg(ring.mul(f, pivinv))
             row_axpy(ring, rows[k], rows[src], lam, lo, hi)
             pairs.append((k, lam))
@@ -290,10 +307,8 @@ def matmul_classical(left: Matrix, right: Matrix, counters=None) -> Matrix:
         from . import kernel
 
         return Matrix(ring, kernel.matmul(ring, left.rows, right.rows), validate=False)
-    if isinstance(ring, RationalField):
-        return Matrix(ring, _rational_product(left.rows, right.rows), validate=False)
-    if isinstance(ring, RationalQuaternions):
-        return Matrix(ring, _quaternion_product(left.rows, right.rows), validate=False)
+    if type(ring) in _INT_ROWS:
+        return Matrix(ring, _INT_ROWS[type(ring)].product(left.rows, right.rows), validate=False)
     return Matrix(ring, _field_product(ring, left.rows, right.rows), validate=False)
 
 
@@ -330,14 +345,6 @@ def _dot(u: list, v: list) -> int:
     return sum(map(operator.mul, u, v))
 
 
-def _rational_product(left: list, right: list) -> list:
-    """The product over Q on integers: row i of ``left`` times a_i and column j
-    of ``right`` times c_j are integer vectors, and entry (i, j) is their dot
-    product over a_i * c_j, the same canonical Fraction as the ring loop's."""
-    cols = [_clear(col) for col in zip(*right)]
-    return [[Fraction(_dot(lrow, col), a * c) for c, col in cols] for a, lrow in map(_clear, left)]
-
-
 def _hamilton_dot(left: tuple, right: tuple) -> tuple:
     """The integer parts of sum_t left[t] * right[t] for two quaternion vectors
     given as (w, x, y, z) part vectors: the Hamilton product of
@@ -350,21 +357,6 @@ def _hamilton_dot(left: tuple, right: tuple) -> tuple:
         _dot(w1, y2) - _dot(x1, z2) + _dot(y1, w2) + _dot(z1, x2),
         _dot(w1, z2) + _dot(x1, y2) - _dot(y1, x2) + _dot(z1, w2),
     )
-
-
-def _quaternion_product(left: list, right: list) -> list:
-    """The product over the quaternions on integers, as ``_rational_product``,
-    with ``_hamilton_dot`` on the part vectors (a_i and c_j are central)."""
-    cols = [_clear_parts(col) for col in zip(*right)]
-    out = []
-    for a, lrow in map(_clear_parts, left):
-        orow = []
-        for c, col in cols:
-            den = a * c
-            w, x, y, z = _hamilton_dot(lrow, col)
-            orow.append((Fraction(w, den), Fraction(x, den), Fraction(y, den), Fraction(z, den)))
-        out.append(orow)
-    return out
 
 
 def _combine(op, a: Matrix, b: Matrix, counters) -> Matrix:
@@ -458,7 +450,18 @@ def _pick(rows: list, index) -> list:
     return rows[index] if isinstance(index, slice) else [rows[i] for i in index]
 
 
-class _ListRows:
+class _PyRows:
+    """What the two stores on Python rows share: a swap exchanges two row
+    entries, and the transform is the identity half as a ``Matrix``."""
+
+    def swap(self, i: int, j: int) -> None:
+        self.rows[i], self.rows[j] = self.rows[j], self.rows[i]
+
+    def transform_matrix(self) -> Matrix:
+        return Matrix(self.ring, self.transform(), validate=False)
+
+
+class _ListRows(_PyRows):
     """Rows [work | identity] as Python lists: the generic loop, valid over every ring."""
 
     def __init__(self, m: Matrix, identity: bool):
@@ -482,17 +485,14 @@ class _ListRows:
     def entry(self, r: int, c: int):
         return self.rows[r][c]
 
-    def swap(self, i: int, j: int) -> None:
-        self.rows[i], self.rows[j] = self.rows[j], self.rows[i]
-
     def scale(self, r: int, lam) -> None:
         mul = self.ring.mul
         self.rows[r] = [mul(lam, v) for v in self.rows[r]]
 
-    def eliminate(self, src: int, col: int, first: int, pivinv) -> int:
+    def eliminate(self, src: int, col: int, first: int) -> int:
         rows = self.rows
         targets = [k for k in range(first, len(rows)) if k != src]
-        return len(eliminate(self.ring, rows, src, col, targets, pivinv, col, len(rows[src])))
+        return len(eliminate(self.ring, rows, src, col, targets, col, len(rows[src])))
 
     def add_multiples(self, sources, targets, lams: list) -> None:
         """Row targets[a] += lams[b][a] * row sources[b]; disjoint lists or slices of rows."""
@@ -513,9 +513,6 @@ class _ListRows:
     def transform(self) -> list:
         return [row[self.cols :] for row in self.rows]
 
-    def transform_matrix(self) -> Matrix:
-        return Matrix(self.ring, self.transform(), validate=False)
-
 
 def _lowest(den: int, parts: tuple) -> tuple:
     """(den, parts) divided by the gcd of den and every part."""
@@ -525,7 +522,7 @@ def _lowest(den: int, parts: tuple) -> tuple:
     return den // g, tuple([v // g for v in part] for part in parts)
 
 
-class _IntRows:
+class _IntRows(_PyRows):
     """Rows [work | identity] over Q or the quaternions, on Python integers.
 
     Row k is a pair (den, parts): a positive integer den and the part vectors
@@ -537,8 +534,14 @@ class _IntRows:
     of target row k, row k becomes (m*N_k - (f*conj(u))*N_s) / (m*den_k), so
     den_s cancels, and f*conj(u) multiplies N_s from the left as the generic
     loop's multiplier does.  ``entry``, ``reduced`` and ``transform`` return
-    the generic loop's canonical Fractions.  The subclasses supply the ring's
-    products.
+    the generic loop's canonical Fractions.
+
+    ``product`` is the classical product over the ring on integers: each row
+    of the left factor and each column of the right one is cleared of
+    denominators (``_clear_row``), and ``_entries`` sums each entry's dot
+    product on integers and divides it by the two scales, which are central.
+    ``corner`` hands ``_entries`` the store's own integer rows.  The
+    subclasses supply the ring's part layout and products.
     """
 
     def __init__(self, m: Matrix, identity: bool):
@@ -552,6 +555,18 @@ class _IntRows:
                     part += [0] * n
                 parts[0][m.ncols + i] = den
 
+    @classmethod
+    def product(cls, left: list, right: list) -> list:
+        """The rows of left * right for two nonempty lists of rows of ring
+        values: the ring loop's canonical values, without a gcd per multiply
+        and add."""
+        return cls._entries(list(map(cls._clear_row, left)), list(map(cls._clear_row, zip(*right))))
+
+    def _clear_scalar(self, x) -> tuple:
+        """(a, the integer parts of a * x) for a scalar x, a the lcm of its denominators."""
+        a, parts = self._clear_row([x])
+        return a, tuple(part[0] for part in parts)
+
     def nonzero_from(self, col: int, start: int) -> Optional[int]:
         for k in range(start, len(self.rows)):
             if any(part[col] for part in self.rows[k][1]):
@@ -562,28 +577,27 @@ class _IntRows:
         den, parts = self.rows[r]
         return self._join([Fraction(part[c], den) for part in parts])
 
-    def swap(self, i: int, j: int) -> None:
-        self.rows[i], self.rows[j] = self.rows[j], self.rows[i]
-
     def scale(self, r: int, lam) -> None:
         a, q = self._clear_scalar(lam)
         den, parts = self.rows[r]
         self.rows[r] = _lowest(a * den, self._axpy(0, parts, q, parts))
 
-    def eliminate(self, src: int, col: int, first: int, pivinv) -> int:
-        """The generic loop's pivot step; the pivot's inverse is read off row src."""
+    def eliminate(self, src: int, col: int, first: int) -> int:
+        """The generic loop's pivot step; the pivot's gcd, unit part and norm
+        are read off row src at the first target to clear."""
         rows = self.rows
         pivot = rows[src][1]
-        piv = tuple(part[col] for part in pivot)
-        g = gcd(*piv)
-        u = tuple(v // g for v in piv)
-        m = g * sum(v * v for v in u)
-        conj = (u[0], *(-v for v in u[1:]))
         pairs = 0
         for k in range(first, len(rows)):
             den, parts = rows[k]
             f = tuple(-part[col] for part in parts)  # minus the target's entry
             if k != src and any(f):
+                if not pairs:
+                    piv = tuple(part[col] for part in pivot)
+                    g = gcd(*piv)
+                    u = tuple(v // g for v in piv)
+                    m = g * sum(v * v for v in u)
+                    conj = (u[0], *(-v for v in u[1:]))
                 rows[k] = _lowest(m * den, self._axpy(m, parts, self._mul(f, conj), pivot))
                 pairs += 1
         return pairs
@@ -605,11 +619,16 @@ class _IntRows:
             rows[t] = _lowest(den, parts)
 
     def left_multiply(self, offset: int, block: Matrix) -> None:
+        """Rows [offset, offset+q) become block times them, on integers: row
+        j of the block, cleared to scale a, times the rows brought to their
+        common denominator den, over a * den."""
         span = self.rows[offset : offset + block.nrows]
         den = lcm(*[d for d, _ in span])
-        right = [tuple([den // d * v for v in part] for part in parts) for d, parts in span]
+        right = [[[den // d * v for v in part] for part in parts] for d, parts in span]
+        cols = list(zip(*[zip(*part) for part in zip(*right)]))  # per column, its part vectors
         self.rows[offset : offset + block.nrows] = [
-            _lowest(a * den, parts) for a, parts in self._product(block.rows, right)
+            _lowest(a * den, self._row_dots(u, cols))
+            for a, u in map(self._clear_row, block.rows)
         ]
 
     def _values(self, columns: slice) -> list:
@@ -625,35 +644,26 @@ class _IntRows:
     def transform(self) -> list:
         return self._values(slice(self.cols, None))
 
-    def transform_matrix(self) -> Matrix:
-        return Matrix(self.ring, self.transform(), validate=False)
-
     def corner(self, h: int) -> list:
         """(A*m1) * sigma(A)^t for the square transform A and the first h
-        columns m1 of m: entry (i, j) is the integer dot product of the first
-        h columns of row i with sigma of row j's identity half, over
-        den_i * den_j (central), as the generic loop's canonical Fractions.
-        Over Q there is one part, so negating the x, y and z parts is sigma
-        of both rings."""
+        columns m1 of m: ``_entries`` of the first h columns of each row and
+        sigma of each row's identity half.  Over Q there is one part, so
+        negating the x, y and z parts is sigma of both rings."""
         left = [(den, [part[:h] for part in parts]) for den, parts in self.rows]
         right = [
             (den, [parts[0][self.cols :], *([-v for v in part[self.cols :]] for part in parts[1:])])
             for den, parts in self.rows
         ]
-        return [[self._join([Fraction(v, a * b) for v in self._dot_parts(u, w)]) for b, w in right] for a, u in left]
+        return self._entries(left, right)
 
 
 class _RationalRows(_IntRows):
     """``_IntRows`` over Q: one part vector per row."""
 
     @staticmethod
-    def _clear_row(row: list) -> tuple:
+    def _clear_row(row) -> tuple:
         den, ints = _clear(row)
         return den, (ints,)
-
-    @staticmethod
-    def _clear_scalar(x: Fraction) -> tuple:
-        return x.denominator, (x.numerator,)
 
     @staticmethod
     def _join(parts: list) -> Fraction:
@@ -664,21 +674,22 @@ class _RationalRows(_IntRows):
         return (x[0] * y[0],)
 
     @staticmethod
-    def _dot_parts(x: list, y: list) -> tuple:
-        return (_dot(x[0], y[0]),)
-
-    @staticmethod
     def _axpy(m: int, x: tuple, q: tuple, y: tuple) -> tuple:
         """m*x + q*y on part vectors."""
         (q,) = q
         return ([m * a + q * b for a, b in zip(x[0], y[0])],)
 
     @staticmethod
-    def _product(left: list, right: list) -> list:
-        """Per row of ``left`` (Fractions), its scale a from ``_clear`` and the
-        integer parts of (a * row) times the integer rows ``right``."""
-        cols = list(zip(*[parts[0] for parts in right]))
-        return [(a, ([_dot(row, col) for col in cols],)) for a, row in map(_clear, left)]
+    def _row_dots(u: tuple, cols: list) -> tuple:
+        """The part vectors of the integer row u times each integer column."""
+        return ([_dot(u[0], w[0]) for w in cols],)
+
+    @staticmethod
+    def _entries(left: list, right: list) -> list:
+        """Entry (i, j) for the (scale, parts) rows ``left`` and columns
+        ``right``: the integer dot product over the two scales."""
+        right = [(c, w) for c, (w,) in right]
+        return [[Fraction(_dot(u, w), a * c) for c, w in right] for a, (u,) in left]
 
 
 class _QuaternionRows(_IntRows):
@@ -687,16 +698,10 @@ class _QuaternionRows(_IntRows):
     _clear_row = staticmethod(_clear_parts)
 
     @staticmethod
-    def _clear_scalar(x: tuple) -> tuple:
-        den, ints = _clear(x)
-        return den, tuple(ints)
-
-    @staticmethod
     def _join(parts: list) -> tuple:
         return tuple(parts)
 
     _mul = staticmethod(RationalQuaternions().mul)  # the Hamilton product, here on integer parts
-    _dot_parts = staticmethod(_hamilton_dot)
 
     @staticmethod
     def _axpy(m: int, x: tuple, q: tuple, y: tuple) -> tuple:
@@ -711,13 +716,26 @@ class _QuaternionRows(_IntRows):
         )
 
     @staticmethod
-    def _product(left: list, right: list) -> list:
-        """As ``_RationalRows._product``, with ``_hamilton_dot`` on the part vectors."""
-        cols = list(zip(*[zip(*part) for part in zip(*right)]))
-        return [
-            (a, tuple(map(list, zip(*[_hamilton_dot(row, col) for col in cols]))))
-            for a, row in map(_clear_parts, left)
-        ]
+    def _row_dots(u: tuple, cols: list) -> tuple:
+        """As ``_RationalRows._row_dots``, with ``_hamilton_dot`` on the part vectors."""
+        return tuple(map(list, zip(*[_hamilton_dot(u, w) for w in cols])))
+
+    @staticmethod
+    def _entries(left: list, right: list) -> list:
+        """As ``_RationalRows._entries``, with ``_hamilton_dot`` on the part vectors."""
+        out = []
+        for a, u in left:
+            row = []
+            for c, w in right:
+                den = a * c
+                x0, x1, x2, x3 = _hamilton_dot(u, w)
+                row.append((Fraction(x0, den), Fraction(x1, den), Fraction(x2, den), Fraction(x3, den)))
+            out.append(row)
+        return out
+
+
+# the integer row store, and with it the classical product, of each exact ring
+_INT_ROWS = {RationalField: _RationalRows, RationalQuaternions: _QuaternionRows}
 
 
 def _augmented(m: Matrix, entries: int, terms: int = 1, identity: bool = True):
@@ -732,11 +750,7 @@ def _augmented(m: Matrix, entries: int, terms: int = 1, identity: bool = True):
         from . import kernel
 
         return kernel.PlaneRows(m, identity)
-    if isinstance(ring, RationalField):
-        return _RationalRows(m, identity)
-    if isinstance(ring, RationalQuaternions):
-        return _QuaternionRows(m, identity)
-    return _ListRows(m, identity)
+    return _INT_ROWS.get(type(ring), _ListRows)(m, identity)
 
 
 def row_reduce(m: Matrix, counters=None) -> tuple[Matrix, int, Matrix]:
@@ -759,16 +773,18 @@ def rank(m: Matrix, counters=None) -> int:
     return _row_echelon(m, False, counters)[1]
 
 
-def _row_echelon(m: Matrix, identity: bool, counters, pivots: Optional[int] = None) -> tuple:
+def _row_echelon(m: Matrix, identity: bool, counters, pivots: Optional[int] = None, jordan: bool = False) -> tuple:
     """(row store, rank, moved) after the pivot loop of ``row_reduce`` on
-    [m | I], or on m alone without ``identity``.  With ``pivots`` the loop
-    pivots in the leading ``pivots`` columns only; the row operations still
-    run over every column, so the store's reduced half is A*m for the A of
-    ``row_reduce`` on those columns.  ``moved`` is False when the loop
-    made no swap and cleared no nonzero entry, which holds exactly when A is
+    [m | I], or on m alone without ``identity``: the one pivot loop of this
+    module.  With ``pivots`` the loop pivots in the leading ``pivots``
+    columns only; the row operations still run over every column, so the
+    store's reduced half is A*m for the A of ``row_reduce`` on those columns.
+    With ``jordan`` each pivot also clears the rows above it, as ``invert``
+    needs.  The store inverts a pivot only when it clears a row, and each
+    inversion is counted.  ``moved`` is False when the loop made no swap and
+    cleared no nonzero entry; without ``jordan`` that holds exactly when A is
     the identity: each swap takes a later row and each clear works below its
     pivot, so A is a unit lower triangular matrix times a permutation."""
-    ring = m.ring
     n, cols = m.nrows, m.ncols
     rows = _augmented(m, n * cols, identity=identity)
     width = n if identity else 0
@@ -784,11 +800,11 @@ def _row_echelon(m: Matrix, identity: bool, counters, pivots: Optional[int] = No
             continue
         if pivot != r:
             rows.swap(r, pivot)
-        pairs = rows.eliminate(r, c, r + 1, ring.inv(rows.entry(r, c)))
+        pairs = rows.eliminate(r, c, 0 if jordan else r + 1)
         moved = moved or pivot != r or pairs > 0
         if counters is not None:
-            counters.inversions += 1
-            counters.equality_tests += n - r - 1
+            counters.inversions += 1 if pairs else 0
+            counters.equality_tests += n - 1 if jordan else n - r - 1
             counters.multiplications += pairs * (1 + (cols - c) + width)
             counters.additions += pairs * ((cols - c) + width)
         r += 1
@@ -837,7 +853,9 @@ def column_reduce(m: Matrix, counters=None) -> tuple[Matrix, int, Matrix]:
 
 
 def invert(m: Matrix, counters=None) -> Matrix:
-    """Two-sided inverse by Gauss-Jordan elimination.
+    """Two-sided inverse by Gauss-Jordan elimination: the pivot loop of
+    ``row_reduce`` clearing above each pivot as well as below, so A*m ends
+    diagonal, then each row of A scaled by the inverse of its pivot.
 
     Raises:
         SingularMatrixError: if no inverse exists.
@@ -845,26 +863,15 @@ def invert(m: Matrix, counters=None) -> Matrix:
     """
     if m.nrows != m.ncols:
         raise ShapeError(f"cannot invert {m.shape}")
-    ring = m.ring
-    n = m.nrows
-    one = ring.one
-    rows = _augmented(m, n * n)
+    ring, n = m.ring, m.nrows
+    rows, r, _ = _row_echelon(m, True, counters, jordan=True)
+    if r < n:
+        raise SingularMatrixError(f"matrix of shape {m.shape} is singular")
     for c in range(n):
-        pivot = rows.nonzero_from(c, c)
-        if counters is not None:
-            counters.equality_tests += n - c if pivot is None else pivot - c + 1
-        if pivot is None:
-            raise SingularMatrixError(f"matrix of shape {m.shape} is singular")
-        if pivot != c:
-            rows.swap(c, pivot)
         piv = rows.entry(c, c)
-        if piv != one:
+        if piv != ring.one:
             if counters is not None:
                 counters.inversions += 1
-                counters.multiplications += 2 * n
+                counters.multiplications += n
             rows.scale(c, ring.inv(piv))
-        pairs = rows.eliminate(c, c, 0, one)
-        if counters is not None:
-            counters.multiplications += pairs * ((n - c) + n)
-            counters.additions += pairs * ((n - c) + n)
     return Matrix(ring, rows.transform(), validate=False)

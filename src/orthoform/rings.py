@@ -12,9 +12,11 @@ operations; scalar values themselves are plain Python data chosen per ring:
 
 Every descriptor implements the same contract: ``add``, ``sub``, ``mul``,
 ``neg``, ``inv``, ``sigma`` (the ring's involution), ``parse``/``format``
-(round-trip safe literals), ``random``, and ``validate_scalar``.  Scalar
-values are canonical, so plain ``==`` is scalar equality.  Inverting zero
-raises ``ZeroDivisionError``.
+(round-trip safe literals), ``random``, and ``validate_scalar``.  The base
+class supplies ``sub`` as ``add(x, neg(y))`` for every ring, and the identity
+``sigma`` and ``str`` as ``format`` where a ring has no other.  Scalar values
+are canonical, so plain ``==`` is scalar equality.  Inverting zero raises
+``ZeroDivisionError``.
 """
 
 from __future__ import annotations
@@ -145,8 +147,9 @@ class Ring:
         raise NotImplementedError
 
     def sigma(self, x):
-        """Apply the ring's involution (unital anti-isomorphism of order <= 2)."""
-        raise NotImplementedError
+        """Apply the ring's involution (unital anti-isomorphism of order <= 2):
+        the identity, unless the ring has another."""
+        return x
 
     def from_int(self, n: int):
         raise NotImplementedError
@@ -169,7 +172,7 @@ class Ring:
         raise NotImplementedError
 
     def format(self, x) -> str:
-        raise NotImplementedError
+        return str(x)
 
     def validate_scalar(self, x):
         """Return x in canonical representation, or raise ValueError."""
@@ -208,9 +211,6 @@ class PrimeField(Ring):
     def add(self, x: int, y: int) -> int:
         return (x + y) % self.p
 
-    def sub(self, x: int, y: int) -> int:
-        return (x - y) % self.p
-
     def mul(self, x: int, y: int) -> int:
         return (x * y) % self.p
 
@@ -222,17 +222,11 @@ class PrimeField(Ring):
             raise ZeroDivisionError(f"inverting 0 in {self!r}")
         return pow(x, -1, self.p)
 
-    def sigma(self, x: int) -> int:
-        return x
-
     def from_int(self, n: int) -> int:
         return n % self.p
 
     def parse(self, text: str) -> int:
         return _parse_int(text) % self.p
-
-    def format(self, x: int) -> str:
-        return str(x)
 
     def validate_scalar(self, x) -> int:
         if isinstance(x, bool) or not isinstance(x, int):
@@ -285,10 +279,6 @@ class QuadraticField(Ring):
     def add(self, x, y):
         p = self.p
         return ((x[0] + y[0]) % p, (x[1] + y[1]) % p)
-
-    def sub(self, x, y):
-        p = self.p
-        return ((x[0] - y[0]) % p, (x[1] - y[1]) % p)
 
     def mul(self, x, y):
         p = self.p
@@ -355,9 +345,6 @@ class RationalField(Ring):
     def add(self, x: Fraction, y: Fraction) -> Fraction:
         return x + y
 
-    def sub(self, x: Fraction, y: Fraction) -> Fraction:
-        return x - y
-
     def mul(self, x: Fraction, y: Fraction) -> Fraction:
         return x * y
 
@@ -369,17 +356,11 @@ class RationalField(Ring):
             raise ZeroDivisionError("inverting 0 in Rational")
         return 1 / x
 
-    def sigma(self, x: Fraction) -> Fraction:
-        return x
-
     def from_int(self, n: int) -> Fraction:
         return Fraction(n)
 
     def parse(self, text: str) -> Fraction:
         return _parse_fraction(text)
-
-    def format(self, x: Fraction) -> str:
-        return str(x)
 
     def validate_scalar(self, x) -> Fraction:
         if isinstance(x, Fraction):
@@ -412,9 +393,6 @@ class RationalQuaternions(Ring):
 
     def add(self, x, y):
         return (x[0] + y[0], x[1] + y[1], x[2] + y[2], x[3] + y[3])
-
-    def sub(self, x, y):
-        return (x[0] - y[0], x[1] - y[1], x[2] - y[2], x[3] - y[3])
 
     def mul(self, x, y):
         w1, x1, y1, z1 = x

@@ -445,17 +445,19 @@ def test_criterion_9_scaling_exponents():
     dims = (128, 256, 512)
     failures = []
     start = time.perf_counter()
-    timings = {"gs": [], "blocks": []}
-    for d in dims:
-        pristine = random_form(ring, 1, d, rng).m
-        for algo, fn in (("gs", decompose_gs), ("blocks", decompose_blocks)):
-            best = math.inf
-            for _ in range(SCALING_RUNS):
-                form = _fresh(pristine, ring, 1)
+    pristine = [random_form(ring, 1, d, rng).m for d in dims]
+    algos = (("gs", decompose_gs), ("blocks", decompose_blocks))
+    best = {(algo, d): math.inf for algo, _ in algos for d in dims}
+    # round-robin: each run times every point once, so the best of
+    # SCALING_RUNS of each point samples the same phases of the host's speed
+    for _ in range(SCALING_RUNS):
+        for d, m in zip(dims, pristine):
+            for algo, fn in algos:
+                form = _fresh(m, ring, 1)
                 t0 = time.perf_counter()
                 fn(form)
-                best = min(best, time.perf_counter() - t0)
-            timings[algo].append(best)
+                best[algo, d] = min(best[algo, d], time.perf_counter() - t0)
+    timings = {algo: [best[algo, d] for d in dims] for algo, _ in algos}
 
     def slope(times: list[float]) -> float:
         xs = [math.log(d) for d in dims]

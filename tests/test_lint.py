@@ -1,15 +1,17 @@
-"""A small AST lint of the package: no orphaned imports, no dead module names.
+"""A small AST lint of the package: no orphaned imports, no dead module
+names, no function body written twice.
 
 Deleting code tends to leave behind an import that nothing uses any more, a
 private helper that nothing calls, or a public function that nothing calls
-and the package does not export.  The checks read the source of
-``src/orthoform`` with ``ast`` alone.
+and the package does not export.  Copying code leaves two functions that have
+to be changed together.  The checks read the source of ``src/orthoform``
+with ``ast`` alone.
 """
 
 from __future__ import annotations
 
 import ast
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "orthoform"
@@ -101,3 +103,26 @@ def test_every_public_module_name_is_read_or_exported():
     # a public name that no module reads is an entry point only if the
     # package exports it
     assert _unreferenced(public=True) == []
+
+
+def _body(node: ast.FunctionDef) -> str:
+    """The function's body, its docstring aside, as a dump without line numbers."""
+    body = node.body
+    if ast.get_docstring(node, clean=False) is not None:
+        body = body[1:]
+    return ast.dump(ast.Module(body=body, type_ignores=[]))
+
+
+# the body of an abstract method, which every such method shares by design
+_ABSTRACT = ast.dump(ast.parse("raise NotImplementedError"))
+
+
+def test_no_two_functions_share_a_body():
+    # two functions with one body are one change waiting to be made twice:
+    # share them through a base class or a helper instead
+    where = defaultdict(list)
+    for module, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _body(node) != _ABSTRACT:
+                where[_body(node)].append(f"{module}.py:{node.lineno} {node.name}")
+    assert [names for names in where.values() if len(names) > 1] == []
