@@ -151,6 +151,18 @@ class TransformLog:
         """Product of the elementary matrices in application order (first op innermost).
 
         Raises:
+            ValueError: as ``_replay``.
+        """
+        return Matrix(ring, self._replay(ring).transform(), validate=False, ncols=self.dim)
+
+    def _replay(self, ring: Ring):
+        """The row store that holds the product of the elementary matrices
+        after replaying the log on [ | I]: over GF(p) and GF(p^2) with d^2 >=
+        ``_KERNEL_MIN_ENTRIES`` and ``_int64_ok(ring, d)`` the int64 kernel's
+        ``PlaneRows``, else a store on Python rows.  The certificate asks it
+        ``congruates`` and ``rows_at``.
+
+        Raises:
             ValueError: an op that does not fit, naming its index: a row not
                 an int in [0, dim), a Scale value, coefficient or block entry
                 not a reduced scalar of the ring (over GF(p), an int in [0, p)),
@@ -168,7 +180,7 @@ class TransformLog:
             if not fits:
                 kind = type(op).__name__
                 raise ValueError(f"log op {idx} ({kind}) does not fit a {d}-dimensional log over {ring!r}")
-        return acc.transform_matrix()  # on the int64 kernel, a PlaneMatrix
+        return acc
 
     def slp_lines(self, ring: Ring) -> list[str]:
         """Line-oriented rendering, one elementary matrix per line, 0-based indices."""

@@ -10,12 +10,12 @@ GF(p), the a and the b of a + b*x over GF(p^2).  Products are summed in int64
 and reduced mod p afterwards; the caller's guard keeps every sum below 2**62.
 ``verify.brute_force_congruence`` runs its enumeration here as well.
 
-A transform that ``TransformLog.materialize`` replays here stays in its
-planes as a ``PlaneMatrix``, and ``congruates`` checks t * B * sigma(t)^t = D
-on them: two products reduced mod p, sigma(t)^t a transpose of the planes
-(the b plane negated under the Frobenius involution), and one comparison with
-D, packed once.  No row of t becomes a Python row unless a caller reads it
-(``rows``, or the rows that ``rows_at`` picks, once they are read).
+The certificate asks the ``PlaneRows`` store that replayed a log for the
+transform t it holds.  ``congruates`` checks t * B * sigma(t)^t = D on the
+planes: two products reduced mod p, sigma(t)^t a transpose of the planes (the
+b plane negated under the Frobenius involution), and one comparison with D,
+packed once.  ``rows_at`` unpacks only the rows of t it picks, and
+``transform`` all of them.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .matrix import Matrix, _check_pair
+from .matrix import Matrix, RingMismatchError, ShapeError
 from .rings import PrimeField, QuadraticField, Ring
 
 
@@ -60,35 +60,6 @@ def matmul(ring: Ring, left: list, right: list) -> list:
     return _unpack(prod % ring.p)
 
 
-class PlaneMatrix(Matrix):
-    """A matrix held as int64 planes: the transform that
-    ``TransformLog.materialize`` replays on ``PlaneRows``.  ``congruates``
-    checks it on the planes.  The first read of ``rows`` unpacks them and
-    drops them, so from then on the rows are the matrix and an edit to them
-    is never checked against stale planes."""
-
-    __slots__ = ("planes", "_rows")
-
-    def __init__(self, ring: Ring, planes: np.ndarray):
-        self.ring = ring
-        self.nrows, self.ncols = planes.shape[1:]
-        self.planes = planes
-        self._rows = None
-
-    @property
-    def rows(self) -> list:
-        if self._rows is None:
-            self._rows = _unpack(self.planes)
-            self.planes = None
-        return self._rows
-
-    def rows_at(self, index: list) -> Matrix:
-        """The rows at ``index``, still as planes while this matrix holds them."""
-        if self.planes is None:
-            return super().rows_at(index)
-        return PlaneMatrix(self.ring, self.planes[:, index])
-
-
 def _sigma_transpose(ring: Ring, planes: np.ndarray) -> np.ndarray:
     """sigma(m)^t on planes: the transpose, with the b plane negated mod p
     under the Frobenius involution of GF(p^2)."""
@@ -116,26 +87,6 @@ def _pack_residues(ring: Ring, rows: list) -> Optional[np.ndarray]:
     if values.dtype != np.int64 or values.shape != shape or values.min() < 0 or values.max() >= ring.p:
         return None
     return _pack(ring, values)
-
-
-def congruates(t: PlaneMatrix, source: Matrix, target: Matrix) -> bool:
-    """``matrix.congruates`` for t held as planes: t * source and then that
-    times sigma(t)^t, each one int64 product reduced mod p, compared with
-    the target packed once.  The caller's guard is the one that put t in
-    planes, ``_int64_ok`` for d terms, which bounds both products' sums.  A
-    target entry that is not a reduced scalar is compared on the unpacked
-    product, as Python values, the way the list path compares it."""
-    _check_pair(t, source)
-    _check_pair(source, t)
-    ring, p = t.ring, t.ring.p
-    if not isinstance(target, Matrix) or target.ring != ring or target.shape != (t.nrows, t.nrows):
-        return False
-    prod = _plane_product(ring, t.planes, _pack(ring, source.rows), np.matmul) % p
-    prod = _plane_product(ring, prod, _sigma_transpose(ring, t.planes), np.matmul) % p
-    want = _pack_residues(ring, target.rows)
-    if want is None:
-        return _unpack(prod) == target.rows
-    return np.array_equal(prod, want)
 
 
 class PlaneRows:
@@ -216,13 +167,43 @@ class PlaneRows:
         pivot loop is done."""
         return _unpack(self.w[:, :, c0 : self.cols])
 
-    def transform_matrix(self) -> PlaneMatrix:
-        out = np.empty_like(self.w[:, :, self.cols :])
-        out[:, :, self.perm] = self.w[:, :, self.cols :]
-        return PlaneMatrix(self.ring, out)
+    def _planes(self, index=slice(None)) -> np.ndarray:
+        """The transform's rows at ``index`` as planes: the identity half, each
+        column put back in place."""
+        half = self.w[:, index, self.cols :]
+        out = np.empty_like(half)
+        out[:, :, self.perm] = half
+        return out
 
     def transform(self) -> list:
-        return self.transform_matrix().rows
+        return _unpack(self._planes())
+
+    def rows_at(self, index) -> Matrix:
+        """The transform's rows at ``index``, in that order; only they are unpacked."""
+        return Matrix(self.ring, _unpack(self._planes(index)), validate=False, ncols=len(self.perm))
+
+    def congruates(self, source: Matrix, target: Matrix) -> bool:
+        """``matrix.congruates`` of the transform t on its planes: t * source
+        and then that times sigma(t)^t, each one int64 product reduced mod p,
+        compared with the target packed once.  Valid for a store that
+        ``TransformLog._replay`` built under ``_int64_ok(ring, d)``, which
+        bounds both products' sums.  A target entry that is not a reduced
+        scalar is compared on the unpacked product, as Python values, the way
+        the list path compares it."""
+        ring, p, n = self.ring, self.p, len(self.perm)
+        if source.ring != ring:
+            raise RingMismatchError(f"{ring!r} vs {source.ring!r}")
+        if source.shape != (n, n):
+            raise ShapeError(f"cannot take a {source.shape} form by a {n} x {n} transform")
+        if not isinstance(target, Matrix) or target.ring != ring or target.shape != (n, n):
+            return False
+        t = self._planes()
+        prod = _plane_product(ring, t, _pack(ring, source.rows), np.matmul) % p
+        prod = _plane_product(ring, prod, _sigma_transpose(ring, t), np.matmul) % p
+        want = _pack_residues(ring, target.rows)
+        if want is None:
+            return _unpack(prod) == target.rows
+        return np.array_equal(prod, want)
 
 
 _GL_DET_CHUNK = 1 << 20

@@ -6,9 +6,9 @@ transform as an invertible witness matrix, and inversion.  Everything is
 exact.
 
 One pivot loop, ``_row_echelon``, runs every one-sided elimination:
-``row_reduce``, ``rank``, ``split_congruence`` and ``invert``, which also
-clears above each pivot (Gauss-Jordan), so A*m ends diagonal, and then scales
-each row of A by its pivot's inverse.  The loop works on one stacked
+``row_reduce``, ``rank``, ``split_congruence`` and ``invert``, which scales
+each pivot row by the pivot's inverse and also clears above each pivot
+(Gauss-Jordan), so A*m ends the identity.  The loop works on one stacked
 ``[work | identity]`` row store (``rank`` on the ``[work]`` half alone), and
 ``TransformLog.materialize`` replays a log on one.  ``_augmented`` picks one
 of three stores; all three choose the same pivots and return the same
@@ -31,7 +31,7 @@ elimination instead of issuing them.
   part vectors in lowest terms, and do each pivot as a fraction-free row
   update in the style of Bareiss: one gcd per updated row instead of one per
   Fraction operation.  They run every job over Q and the quaternions.  They
-  share ``swap`` and ``transform_matrix`` with the generic loop
+  share ``swap``, ``rows_at`` and ``congruates`` with the generic loop
   (``_PyRows``).
 - The int64 numpy kernel (``kernel.PlaneRows``) does each pivot as one rank-1
   update reduced mod p.  It runs over GF(p) and GF(p^2) (two planes, a and b
@@ -40,12 +40,13 @@ elimination instead of issuing them.
   < 2**62, with c the non-residue of GF(p^2) and 0 over GF(p).  ``kernel``
   (and with it numpy) is imported only once a guard has chosen it.
 
-``congruates`` is the one check of t * B * sigma(t)^t = D, for the
-certificate and every post-pass identity.  A transform that
-``TransformLog.materialize`` replayed on the kernel is a ``kernel.PlaneMatrix``
-and is checked on its int64 planes (``kernel.congruates``), under the same
-guard that chose the kernel for the replay; every other t is checked with
-two ``matmul`` products and a comparison of the rows.
+``congruates`` checks t * B * sigma(t)^t = D with two ``matmul`` products
+and a comparison of the rows, for every post-pass identity.  The certificate
+asks the row store that replayed the log instead: each store answers
+``congruates(B, D)`` for the transform it holds and ``rows_at(index)`` for the
+rows of it that a rank reads, converting only those.  The stores on Python
+rows check ``congruates`` on their transform; ``kernel.PlaneRows`` checks it
+on its int64 planes, under the guard that chose the kernel for the replay.
 
 The column passes in ``form`` go through ``col_sweep``: over GF(p) and GF(p^2)
 one sweep of the rows on Python integers, elsewhere one loop of ring calls per
@@ -215,7 +216,6 @@ class Matrix:
     """Row-major dense matrix; entries are the ring's raw scalar values."""
 
     __slots__ = ("ring", "nrows", "ncols", "rows")
-    planes = None  # the int64 planes of a ``kernel.PlaneMatrix``, which holds no rows until they are read
 
     def __init__(self, ring: Ring, rows: list[list], validate: bool = True, ncols: int = 0):
         """``ncols`` is the width of a matrix with no rows; otherwise the rows set it."""
@@ -266,10 +266,6 @@ class Matrix:
     def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "Matrix":
         rows = [row[c0:c1] for row in self.rows[r0:r1]]
         return Matrix(self.ring, rows, validate=False, ncols=len(range(self.ncols)[c0:c1]))
-
-    def rows_at(self, index: list) -> "Matrix":
-        """The matrix of the rows at the positions ``index``, in that order."""
-        return Matrix(self.ring, _pick(self.rows, index), validate=False, ncols=self.ncols)
 
     def is_zero(self) -> bool:
         z = self.ring.zero
@@ -434,15 +430,7 @@ def matmul(left: Matrix, right: Matrix, cutoff: Optional[int] = None, counters=N
 
 
 def congruates(t: Matrix, source: Matrix, target: Matrix) -> bool:
-    """True iff t * source * sigma(t)^t == target: t takes the form source to target.
-
-    A t still held as int64 planes, as ``TransformLog.materialize`` returns
-    a transform it replayed on the kernel, is checked on them
-    (``kernel.congruates``); every other t on its rows."""
-    if t.planes is not None:
-        from . import kernel
-
-        return kernel.congruates(t, source, target)
+    """True iff t * source * sigma(t)^t == target: t takes the form source to target."""
     return matmul(matmul(t, source), t.sigma_transpose()) == target
 
 
@@ -452,13 +440,24 @@ def _pick(rows: list, index) -> list:
 
 class _PyRows:
     """What the two stores on Python rows share: a swap exchanges two row
-    entries, and the transform is the identity half as a ``Matrix``."""
+    entries, and the certificate reads the transform's rows (``transform`` of
+    an index) as a ``Matrix``, each converted once."""
+
+    _t = None  # the whole transform, once ``congruates`` has converted it
 
     def swap(self, i: int, j: int) -> None:
         self.rows[i], self.rows[j] = self.rows[j], self.rows[i]
 
-    def transform_matrix(self) -> Matrix:
-        return Matrix(self.ring, self.transform(), validate=False)
+    def rows_at(self, index) -> Matrix:
+        """The transform's rows at ``index``, in that order: picked from the
+        transform ``congruates`` converted, else converted alone."""
+        rows = self.transform(index) if self._t is None else _pick(self._t.rows, index)
+        return Matrix(self.ring, rows, validate=False, ncols=len(self.rows))
+
+    def congruates(self, source: Matrix, target: Matrix) -> bool:
+        """``congruates`` of the transform, for a store whose replay is done."""
+        self._t = self.rows_at(slice(None))
+        return congruates(self._t, source, target)
 
 
 class _ListRows(_PyRows):
@@ -510,8 +509,8 @@ class _ListRows(_PyRows):
         """Columns [c0, cols) of the work half: A*m once the pivot loop is done."""
         return [row[c0 : self.cols] for row in self.rows]
 
-    def transform(self) -> list:
-        return [row[self.cols :] for row in self.rows]
+    def transform(self, index=slice(None)) -> list:
+        return [row[self.cols :] for row in _pick(self.rows, index)]
 
 
 def _lowest(den: int, parts: tuple) -> tuple:
@@ -562,11 +561,6 @@ class _IntRows(_PyRows):
         and add."""
         return cls._entries(list(map(cls._clear_row, left)), list(map(cls._clear_row, zip(*right))))
 
-    def _clear_scalar(self, x) -> tuple:
-        """(a, the integer parts of a * x) for a scalar x, a the lcm of its denominators."""
-        a, parts = self._clear_row([x])
-        return a, tuple(part[0] for part in parts)
-
     def nonzero_from(self, col: int, start: int) -> Optional[int]:
         for k in range(start, len(self.rows)):
             if any(part[col] for part in self.rows[k][1]):
@@ -578,9 +572,9 @@ class _IntRows(_PyRows):
         return self._join([Fraction(part[c], den) for part in parts])
 
     def scale(self, r: int, lam) -> None:
-        a, q = self._clear_scalar(lam)
+        a, q = self._clear_row([lam])
         den, parts = self.rows[r]
-        self.rows[r] = _lowest(a * den, self._axpy(0, parts, q, parts))
+        self.rows[r] = _lowest(a * den, self._axpy(0, parts, tuple(part[0] for part in q), parts))
 
     def eliminate(self, src: int, col: int, first: int) -> int:
         """The generic loop's pivot step; the pivot's gcd, unit part and norm
@@ -603,16 +597,19 @@ class _IntRows(_PyRows):
         return pairs
 
     def add_multiples(self, sources, targets, lams: list) -> None:
-        """Row targets[a] += lams[b][a] * row sources[b]; disjoint lists or slices of rows."""
-        rows, zero = self.rows, self.ring.zero
-        srcs = _pick(rows, sources)
+        """Row targets[a] += lams[b][a] * row sources[b]; disjoint lists or slices
+        of rows.  Each source's multipliers are cleared once, to scale l."""
+        rows = self.rows
+        srcs = [
+            (sden * l, spart, list(zip(*q)))
+            for (sden, spart), (l, q) in zip(_pick(rows, sources), map(self._clear_row, lams))
+        ]
         for a, t in enumerate(range(len(rows))[targets] if isinstance(targets, slice) else targets):
             den, parts = rows[t]
-            for (sden, spart), row_lams in zip(srcs, lams):
-                if row_lams[a] != zero:
-                    # parts/den + (q/l) * spart/sden over the lcm of den and l*sden
-                    l, q = self._clear_scalar(row_lams[a])
-                    e = l * sden
+            for e, spart, qs in srcs:
+                q = qs[a]
+                if any(q):
+                    # parts/den + (q/l) * spart/sden over the lcm of den and e = l*sden
                     g = gcd(den, e)
                     parts = self._axpy(e // g, parts, tuple(den // g * v for v in q), spart)
                     den = den // g * e
@@ -631,18 +628,18 @@ class _IntRows(_PyRows):
             for a, u in map(self._clear_row, block.rows)
         ]
 
-    def _values(self, columns: slice) -> list:
-        """Those columns of the rows as ring values."""
+    def _values(self, columns: slice, rows: list) -> list:
+        """Those columns of ``rows`` as ring values."""
         return [
             [self._join([Fraction(v, den) for v in vals]) for vals in zip(*[part[columns] for part in parts])]
-            for den, parts in self.rows
+            for den, parts in rows
         ]
 
     def reduced(self, c0: int = 0) -> list:
-        return self._values(slice(c0, self.cols))
+        return self._values(slice(c0, self.cols), self.rows)
 
-    def transform(self) -> list:
-        return self._values(slice(self.cols, None))
+    def transform(self, index=slice(None)) -> list:
+        return self._values(slice(self.cols, None), _pick(self.rows, index))
 
     def corner(self, h: int) -> list:
         """(A*m1) * sigma(A)^t for the square transform A and the first h
@@ -779,12 +776,14 @@ def _row_echelon(m: Matrix, identity: bool, counters, pivots: Optional[int] = No
     module.  With ``pivots`` the loop pivots in the leading ``pivots``
     columns only; the row operations still run over every column, so the
     store's reduced half is A*m for the A of ``row_reduce`` on those columns.
-    With ``jordan`` each pivot also clears the rows above it, as ``invert``
-    needs.  The store inverts a pivot only when it clears a row, and each
-    inversion is counted.  ``moved`` is False when the loop made no swap and
-    cleared no nonzero entry; without ``jordan`` that holds exactly when A is
-    the identity: each swap takes a later row and each clear works below its
-    pivot, so A is a unit lower triangular matrix times a permutation."""
+    With ``jordan`` the pivot row is first scaled by the pivot's inverse,
+    counted when the pivot is not 1, and the pivot then clears the rows above
+    it as well, as ``invert`` needs.  Otherwise the store inverts a pivot only
+    when it clears a row, and each such inversion is counted.  ``moved`` is
+    False when the loop made no swap and cleared no nonzero entry; without
+    ``jordan`` that holds exactly when A is the identity: each swap takes a
+    later row and each clear works below its pivot, so A is a unit lower
+    triangular matrix times a permutation."""
     n, cols = m.nrows, m.ncols
     rows = _augmented(m, n * cols, identity=identity)
     width = n if identity else 0
@@ -800,10 +799,17 @@ def _row_echelon(m: Matrix, identity: bool, counters, pivots: Optional[int] = No
             continue
         if pivot != r:
             rows.swap(r, pivot)
+        if jordan:
+            piv = rows.entry(r, c)
+            if piv != m.ring.one:
+                rows.scale(r, m.ring.inv(piv))
+                if counters is not None:
+                    counters.inversions += 1
+                    counters.multiplications += (cols - c) + width
         pairs = rows.eliminate(r, c, 0 if jordan else r + 1)
         moved = moved or pivot != r or pairs > 0
         if counters is not None:
-            counters.inversions += 1 if pairs else 0
+            counters.inversions += 1 if pairs and not jordan else 0
             counters.equality_tests += n - 1 if jordan else n - r - 1
             counters.multiplications += pairs * (1 + (cols - c) + width)
             counters.additions += pairs * ((cols - c) + width)
@@ -854,8 +860,8 @@ def column_reduce(m: Matrix, counters=None) -> tuple[Matrix, int, Matrix]:
 
 def invert(m: Matrix, counters=None) -> Matrix:
     """Two-sided inverse by Gauss-Jordan elimination: the pivot loop of
-    ``row_reduce`` clearing above each pivot as well as below, so A*m ends
-    diagonal, then each row of A scaled by the inverse of its pivot.
+    ``row_reduce``, each pivot row scaled by the pivot's inverse and then
+    clearing above the pivot as well as below, so A*m ends the identity.
 
     Raises:
         SingularMatrixError: if no inverse exists.
@@ -863,15 +869,7 @@ def invert(m: Matrix, counters=None) -> Matrix:
     """
     if m.nrows != m.ncols:
         raise ShapeError(f"cannot invert {m.shape}")
-    ring, n = m.ring, m.nrows
     rows, r, _ = _row_echelon(m, True, counters, jordan=True)
-    if r < n:
+    if r < m.nrows:
         raise SingularMatrixError(f"matrix of shape {m.shape} is singular")
-    for c in range(n):
-        piv = rows.entry(c, c)
-        if piv != ring.one:
-            if counters is not None:
-                counters.inversions += 1
-                counters.multiplications += n
-            rows.scale(c, ring.inv(piv))
-    return Matrix(ring, rows.transform(), validate=False)
+    return Matrix(m.ring, rows.transform(), validate=False)

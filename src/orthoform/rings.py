@@ -471,10 +471,7 @@ def sqrt_in_prime_field(ring: PrimeField, a: int) -> Optional[int]:
     while q % 2 == 0:
         q //= 2
         s += 1
-    z = 2
-    while _legendre(z, p) != -1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    m, c, t, r = s, pow(ring.smallest_nonresidue(), q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
     while t != 1:
         t2 = t
         i = 0

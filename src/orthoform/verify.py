@@ -2,9 +2,9 @@
 
 check_decomposition re-derives everything from the input matrix and the log:
 the materialized transform T must be invertible, must actually congruate the
-input B to the direct sum D of the claimed blocks (``matrix.congruates``),
-the blocks must be standard, and the number of zero blocks must match d
-minus the rank of the input.
+input B to the direct sum D of the claimed blocks, the blocks must be
+standard, and the number of zero blocks must match d minus the rank of the
+input.
 
 When the congruence clause holds and s = +-1 it certifies the other two,
 from one scan for the positions Z of the z zero blocks.  D restricted to the
@@ -17,10 +17,13 @@ the corank is z; after a singular T the input's rank is computed.  When the
 congruence fails, or s is not +-1, rank(T) and the input's rank are both
 computed by elimination.
 
-Over GF(p) and GF(p^2) a transform replayed on the int64 kernel stays in its
-int64 planes through the congruence clause (``kernel.congruates``).  Only a
-rank turns rows of T into Python rows: the rows T_Z for a singular D, or all
-of T after the congruence fails.
+The check asks the row store that replays the log (``TransformLog._replay``)
+rather than a matrix built from it: ``congruates(B, D)`` for the congruence
+clause, and ``rows_at`` for the rows of T a rank reads.  A store on Python
+rows checks ``matrix.congruates`` on its transform; the int64 kernel's
+``PlaneRows`` checks it on its planes.  Only a rank turns rows of T into
+Python rows there: the rows T_Z for a singular D, or all of T after the
+congruence fails.
 
 A log op that does not fit the form fails the first two clauses, a
 decomposition of the other sign s fails the congruence clause, and a scalar
@@ -35,7 +38,7 @@ from typing import Optional
 
 from .form import OpCounters
 from .gs import Decomposition, JBlock, ScalarBlock
-from .matrix import Matrix, congruates, rank
+from .matrix import Matrix, rank
 from .rings import PrimeField, _legendre
 
 
@@ -81,7 +84,7 @@ def check_decomposition(original: Matrix, s: int, dec: Decomposition) -> CheckRe
             report.blocks_standard = False
             report.details.append("0-dimensional form with nonempty blocks")
         return report
-    transform = None
+    store = None  # the row store holding the replayed transform T
     if ring != original.ring or dec.dim != d or dec.log.dim != d:
         report.transform_invertible = False
         report.congruence_matches = False
@@ -91,7 +94,7 @@ def check_decomposition(original: Matrix, s: int, dec: Decomposition) -> CheckRe
         )
     else:
         try:
-            transform = dec.log.materialize(ring)
+            store = dec.log._replay(ring)
         except ValueError as exc:
             report.transform_invertible = False
             report.congruence_matches = False
@@ -104,21 +107,21 @@ def check_decomposition(original: Matrix, s: int, dec: Decomposition) -> CheckRe
         report.blocks_standard = False
         report.details.append(f"blocks cover {sizes} of {d} positions")
         report.congruence_matches = False
-    if transform is not None and report.congruence_matches:
+    if store is not None and report.congruence_matches:
         try:
             direct_sum = dec.direct_sum_matrix()
         except TypeError as exc:
             report.congruence_matches = False
             report.details.append(f"no direct sum to compare against: {exc}")
         else:
-            if not congruates(transform, original, direct_sum):
+            if not store.congruates(original, direct_sum):
                 report.congruence_matches = False
                 report.details.append("transformed matrix is not the claimed direct sum")
     zero_at = _zero_positions(dec)
     certified = _certified(report, s)
-    if transform is not None and not _invertible(transform, certified, zero_at):
+    if store is not None and not _invertible(store, d, certified, zero_at):
         report.transform_invertible = False
-        # every detail written so far leaves the transform None, so this one leads
+        # every detail written so far leaves the store None, so this one leads
         report.details.insert(0, "materialized transform is singular")
     if sizes != d:
         return report
@@ -172,10 +175,10 @@ def _certified(report: CheckReport, s: int) -> bool:
     return report.congruence_matches and s in (1, -1)
 
 
-def _invertible(t: Matrix, certified: bool, zero_at: list) -> bool:
-    """Whether the materialized transform t is invertible: by rank(t), or,
-    when `_certified`, by the rank of its rows t_Z at the z positions
-    ``zero_at`` of the zero blocks.
+def _invertible(store, d: int, certified: bool, zero_at: list) -> bool:
+    """Whether the d x d transform t that ``store`` holds is invertible: by
+    rank(t), or, when `_certified`, by the rank of its rows t_Z at the z
+    positions ``zero_at`` of the zero blocks.
 
     Then t is invertible exactly when rank(t_Z) = z.  Let x * t_N + y * t_Z =
     0, with t_N the rows of t at the other positions N.  Times original *
@@ -184,11 +187,10 @@ def _invertible(t: Matrix, certified: bool, zero_at: list) -> bool:
     nonsingular D_NN, so x = 0 and then y * t_Z = 0.  So a nonsingular D
     needs no elimination, and a singular one the rank of a z x d matrix.
     """
-    if not certified:
-        return rank(t) == t.nrows
-    if not zero_at:
+    if certified and not zero_at:
         return True
-    return rank(t.rows_at(zero_at)) == len(zero_at)
+    index = zero_at if certified else range(d)
+    return rank(store.rows_at(index)) == len(index)
 
 
 @dataclass(frozen=True)

@@ -195,7 +195,7 @@ STRASSEN_CASES = {
 STRASSEN_DIGESTS = {
     "gf101+": {4: "7494007aee9839bf", 8: "1e1b9f31507b8920"},
     "gf101-": {4: "7a74c211c238e838", 8: "8cf022117711b4df"},
-    "gf9+": {4: "dc647c8fabe6d13f", 8: "bbf3e99fd551c274"},
+    "gf9+": {4: "e533795d45a20175", 8: "62fae1cb8f1a693c"},
     "gf2+": {4: "48631d146549b09a", 8: "9b05a5ab67df8bc2"},
     "q-": {4: "ebd022db7a82b39f", 8: "b1f424903a6fbc5b"},
     "h+": {4: "3e80e8d6ff8d0ae5", 8: "5859486f1bc7cc7f"},
@@ -304,22 +304,22 @@ GOLDEN_CASES = {
 GOLDEN_DIGESTS = {
     "gf101+deficient": "032beba980097d4eb1fc27828b2ca417c8d83a83bd07e0061c7bf7e36c10619f",
     "gf101+full": "eca7bd57ac6c2b3f4a94d8d603c78300b45753d7fe72804e97e5063a3e27e50a",
-    "gf101-deficient": "0d33b152b64cd90a7046971a09b1bbd4a60fd8ef67743789ebd5ffbda2fbaba2",
-    "gf101-full": "8ffdc5949693c8ec157b58730de6cac3741204d15871b941f793fdfcda4600fa",
-    "gf101-tail": "2ca7d2caa24a44f9d3cfd93fa97089a8164160f4e46e7eb130dc3584f4845118",
+    "gf101-deficient": "1ede92694b1f853e0f7a9661223ee86fbddf4109f70dc1ab226279a3adc8f566",
+    "gf101-full": "9e8119300691c47d345ebda0563bf52d12c8bb5f6ad33541d1803a056c55d0b6",
+    "gf101-tail": "909d21a7e600c311c9febb4da9fda185e490441f740a8c5eeb91711c87dcb5f2",
     "gf2-deficient": "3c7d34a7f840f2af51ae73a2844cfde0238f0c81b12a2b28dd318217728d31f8",
     "gf2-full": "0981d0c6eda1b335d7aa2df5d282a7d1fe82c6b84bff71b4716e30b370b76271",
-    "gf3-corner": "30ec908d99fe7fa40fd1e19841bd60ed9efaef3059c56f81b51bb749e7ec97f2",
-    "gf9+deficient": "2db63ac4fe6631de5e455566adc43bc16adafd5d7437e72dd26ff579c90ecd7f",
-    "gf9+full": "19f9d4e73457ee4a6740362da34fad5ac8c82d4ba9b219ee63f368e34187a03a",
-    "gf9-full": "0498f566800b5f8c6985b3fd81d0e65a7972f42f0ebd8fdd64d3dde5ec82070f",
+    "gf3-corner": "b8c5631eebecd5e8562241a05a99e34435ef8baab8a4d3d15f3710276eeea55a",
+    "gf9+deficient": "4aa1645589bb0139106af21bfd6841185b1b990b1ccd42e87b7086fc061d37ab",
+    "gf9+full": "ee0c53ef03feb9ef7699b1e2c1f5a153924b8c682c3a0860942daa2d64d3fc92",
+    "gf9-full": "2fd9aeb8ffcb651ac29f949d870833638f50a9699c1501e46d3eaf3273fa12ec",
     "h+deficient": "b3ffb2a6d62bd5002c39b593656271be389d50ebbfe31f5f4cfffe769cc26d55",
     "h+full": "e07d0b31c204435e261b1f1066e66dd9ad9aee0febb80c414370ae66f7cbf82b",
     "h-deficient": "572aab2f3dff38e113fdfa7966aec0ac01ba246fe0a59eec75b8705f740fe251",
     "q+deficient": "9682676f43bd38ba62badd9f7e6274ec7d5bd549a1eaee398ddb8b583336f114",
     "q+full": "ad023806240d48145e8eb5585843c0b696e162b2015cbffa8f7e6fa82dac21d1",
-    "q-deficient": "946fbb3a1bc24f947964d56fbe1aef1541b1291c139cc3a60f7b4ea3a259ebed",
-    "q-full": "051dea552ca43b1cba239819d07675d6dc278801dfac3a035c6ab7a890b80fc9",
+    "q-deficient": "e4eac44ea31132b9be766971c0b4f96e280d8aa0a440ff51c3b149e5ccf49d40",
+    "q-full": "9b92b57f488bd1dd5f13f4ee835ee3ca407d3cdc5f7de1827db655d927707a0f",
 }
 
 
@@ -577,7 +577,7 @@ TRANSFORM_CASES = {
 TRANSFORM_DIGESTS = {
     "gf1009+": "73be185e967cf08b1b94fb0f164327d3bf6ba29fb76b68388cadd56940a80f94",
     "gf1009-": "08c94501061b73bfbe58d97c6ced2ad81cf3bed3020c9855c60e0855444ed91b",
-    "gf9+": "d47709ced747626ee57c5657828eb889da6daf4c5c3e9f509820954f8a47875f",
+    "gf9+": "5e736d86382376c24f86cd4646b893b373c37312e7f2d83fc7b1bfe7549d438a",
     "gf9-": "f17b0f04a5cb363407a70517e72a66bf771a10aaae356e5da559dbfa963f588b",
 }
 

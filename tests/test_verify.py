@@ -31,7 +31,7 @@ from orthoform import (
     invariants_of,
     random_form,
 )
-from orthoform import matrix, verify
+from orthoform import kernel, matrix, verify
 from helpers import snapshot
 
 GF3 = PrimeField(3)
@@ -265,9 +265,9 @@ GF101 = PrimeField(101)
 @pytest.mark.parametrize("s", [1, -1])
 @pytest.mark.parametrize("ring", [GF101, GF9], ids=repr)
 def test_the_plane_check_reports_as_the_list_check(ring, s, decompose, rank, monkeypatch):
-    # at d=30 the log is replayed on the int64 kernel and the congruence is
-    # checked on its planes; with the kernel's threshold above d^2 both run
-    # on lists, and every report must read the same
+    # at d=30 the log is replayed on the int64 kernel, whose store checks the
+    # congruence on its planes; with the kernel's threshold above d^2 both
+    # run on lists, and every report must read the same
     kinds = _KINDS + (["unknown"] if s == -1 else []) + (_ZERO_BLOCK_KINDS if rank else [])
     for kind in kinds:
         form = _form_with_blocks(ring, s, random.Random(78), rank, dim=30)
@@ -276,11 +276,11 @@ def test_the_plane_check_reports_as_the_list_check(ring, s, decompose, rank, mon
         if kind in ("value", "value+radical") and ScalarBlock not in map(type, dec.blocks):
             continue  # a dense alternating form has J blocks only
         _tamper(kind, dec, ring)
-        assert dec.log.materialize(ring).planes is not None
+        assert isinstance(dec.log._replay(ring), kernel.PlaneRows)
         report = check_decomposition(original, s, dec)
         with monkeypatch.context() as lists:
             lists.setattr(matrix, "_KERNEL_MIN_ENTRIES", 30 * 30 + 1)
-            assert dec.log.materialize(ring).planes is None
+            assert not isinstance(dec.log._replay(ring), kernel.PlaneRows)
             reference = check_decomposition(original, s, dec)
         assert report.as_dict() == reference.as_dict(), kind
         assert report.details == reference.details, kind
@@ -317,20 +317,22 @@ def test_the_overflow_guard_picks_the_replay_and_both_certify(p, planes):
     # lists, and holds for GF(10^8 + 7), whose check runs on planes
     original, dec = fresh_decomposition(ring=PrimeField(p), d=30)
     assert matrix._int64_ok(dec.ring, 30) == planes
-    assert (dec.log.materialize(dec.ring).planes is not None) == planes
+    assert isinstance(dec.log._replay(dec.ring), kernel.PlaneRows) == planes
     assert check_decomposition(original, 1, dec).passed
 
 
 def _spy_on_the_checker(monkeypatch):
-    """Record each congruence check (True when it held) and each ranked matrix, in order."""
+    """Record each congruence check a row store answers (True when it held)
+    and each ranked matrix, in order."""
     events = []
+    for store in (matrix._PyRows, kernel.PlaneRows):
 
-    def congruates(t, source, target):
-        held = matrix.congruates(t, source, target)
-        events.append(("congruates", held))
-        return held
+        def congruates(self, source, target, real=store.congruates):
+            held = real(self, source, target)
+            events.append(("congruates", held))
+            return held
 
-    monkeypatch.setattr(verify, "congruates", congruates)
+        monkeypatch.setattr(store, "congruates", congruates)
     monkeypatch.setattr(verify, "rank", lambda m: events.append(("rank", m)) or matrix.rank(m))
     return events
 
@@ -374,6 +376,26 @@ def test_a_zeroed_row_at_a_zero_block_keeps_the_congruence_but_not_invertibility
         (6, 6),
     ]
     assert events[-1] == ("rank", original)
+
+
+def test_rows_at_converts_only_the_rows_it_picks_and_a_check_converts_t_once(monkeypatch):
+    # over Q the replay store holds T as integer rows; rows_at turns only the
+    # z picked rows into Fractions, and a singular check turns each row of T
+    # into Fractions once, for the congruence, then picks the z rows of that
+    original, dec = fresh_decomposition(ring=QQ, d=8, rank=5)
+    zero_at = verify._zero_positions(dec)
+    assert len(zero_at) == 3
+    transform = dec.log.materialize(QQ)
+    store = dec.log._replay(QQ)
+    assert type(store) is matrix._RationalRows
+    joins = []
+    join = matrix._RationalRows._join
+    monkeypatch.setattr(matrix._RationalRows, "_join", staticmethod(lambda parts: joins.append(1) or join(parts)))
+    assert store.rows_at(zero_at).rows == [transform.rows[i] for i in zero_at]
+    assert len(joins) == 3 * 8
+    joins.clear()
+    assert check_decomposition(original, 1, dec).passed
+    assert len(joins) == 8 * 8
 
 
 def test_dim_zero_is_vacuously_fine():
@@ -613,10 +635,10 @@ def test_a_mistyped_log_op_fails_the_first_two_clauses(store, op_case):
 def test_a_scalar_block_outside_the_ring_is_not_standard(value, d, monkeypatch):
     # each value equals s * sigma(value) under the identity involution, so
     # only the ring's own scalar check tells it apart.  At d=30 the
-    # congruence is checked on int64 planes, where the value must not be
-    # packed, and the report must read as the list check's
+    # replay store checks the congruence on int64 planes, where the value
+    # must not be packed, and the report must read as the list check's
     original, dec = fresh_decomposition(d=d)
-    assert (dec.log.materialize(GF7).planes is not None) == (d == 30)
+    assert isinstance(dec.log._replay(GF7), kernel.PlaneRows) == (d == 30)
     assert isinstance(dec.blocks[1], ScalarBlock)
     dec.blocks[1] = ScalarBlock(value)
     report = check_decomposition(original, 1, dec)
