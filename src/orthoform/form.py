@@ -431,9 +431,12 @@ class HermitianForm:
         """Log `op`, a congruence that changes rows and columns [lo, lo+q) of
         the active window, and write its new rows [lo, lo+q) over the active
         columns, corner included.  The form stays s-Hermitian, so the other
-        active rows of those columns are s times sigma of them."""
+        active rows of those columns are s times sigma of them.  A window
+        outside the form, or rows that do not span it, raise ValueError
+        before anything is logged or written."""
         q = len(rows)
-        if not (active_lo <= lo and lo + q <= active_hi <= self.dim):
+        active_lo, active_hi = self._window(active_lo, active_hi)
+        if not (active_lo <= lo and lo + q <= active_hi) or any(len(row) != active_hi - active_lo for row in rows):
             raise ValueError("rows do not fit the active window")
         self.log.append(op)
         target = self.m.rows

@@ -11,21 +11,21 @@ and reduced mod p afterwards; the caller's guard keeps every sum below 2**62.
 ``verify.brute_force_congruence`` runs its enumeration here as well.
 
 The certificate asks the ``PlaneRows`` store that replayed a log for the
-transform t it holds.  ``congruates`` checks t * B * sigma(t)^t = D on the
-planes: two products reduced mod p, sigma(t)^t a transpose of the planes (the
-b plane negated under the Frobenius involution), and one comparison with D,
-packed once.  ``rows_at`` unpacks only the rows of t it picks, and
-``transform`` all of them.
+transform t it holds.  ``congruates`` forms t * B * sigma(t)^t on the planes:
+two products reduced mod p, sigma(t)^t a transpose of the planes (the b plane
+negated under the Frobenius involution).  The product is unpacked once and
+compared with D as Python values by ``Matrix.__eq__``, as on lists.
+``rows_at`` (shared with the stores on Python rows) unpacks only the rows of t
+it picks, through ``transform`` of an index.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Optional
 
 import numpy as np
 
-from .matrix import Matrix, RingMismatchError, ShapeError
+from .matrix import Matrix, RingMismatchError, ShapeError, _RowStore
 from .rings import PrimeField, QuadraticField, Ring
 
 
@@ -69,27 +69,7 @@ def _sigma_transpose(ring: Ring, planes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pack_residues(ring: Ring, rows: list) -> Optional[np.ndarray]:
-    """``rows`` as planes when each entry is a scalar in the form ``_unpack``
-    gives, an int in [0, p) (over GF(p^2) a tuple of two), else None.  Only
-    such rows equal unpacked planes exactly when their planes are equal; a
-    float, a str or an int outside [0, p) would pack to another value, or
-    raise.  numpy infers int64 only when every entry is an int that fits, so
-    the one conversion also checks the types."""
-    quadratic = isinstance(ring, QuadraticField)
-    if quadratic and set(map(type, chain.from_iterable(rows))) != {tuple}:
-        return None  # a list [a, b] packs as (a, b) but does not equal it
-    try:
-        values = np.array(rows)
-    except ValueError:  # entries of unequal shape
-        return None
-    shape = (len(rows), len(rows[0])) + ((2,) if quadratic else ())
-    if values.dtype != np.int64 or values.shape != shape or values.min() < 0 or values.max() >= ring.p:
-        return None
-    return _pack(ring, values)
-
-
-class PlaneRows:
+class PlaneRows(_RowStore):
     """Rows [work | identity] (or [work] alone) as an int64 plane array.
 
     Each pivot is one rank-1 update of the target rows, reduced mod p.  A row
@@ -103,6 +83,7 @@ class PlaneRows:
     def __init__(self, m: Matrix, identity: bool):
         ring, n = m.ring, m.nrows
         self.ring = ring
+        self.n = n
         self.p = ring.p
         self.cols = m.ncols
         self.identity = identity
@@ -175,35 +156,25 @@ class PlaneRows:
         out[:, :, self.perm] = half
         return out
 
-    def transform(self) -> list:
-        return _unpack(self._planes())
-
-    def rows_at(self, index) -> Matrix:
-        """The transform's rows at ``index``, in that order; only they are unpacked."""
-        return Matrix(self.ring, _unpack(self._planes(index)), validate=False, ncols=len(self.perm))
+    def transform(self, index=slice(None)) -> list:
+        return _unpack(self._planes(index))
 
     def congruates(self, source: Matrix, target: Matrix) -> bool:
         """``matrix.congruates`` of the transform t on its planes: t * source
         and then that times sigma(t)^t, each one int64 product reduced mod p,
-        compared with the target packed once.  Valid for a store that
+        unpacked once and compared with the target as Python values, the way
+        the list path compares them.  Valid for a store that
         ``TransformLog._replay`` built under ``_int64_ok(ring, d)``, which
-        bounds both products' sums.  A target entry that is not a reduced
-        scalar is compared on the unpacked product, as Python values, the way
-        the list path compares it."""
-        ring, p, n = self.ring, self.p, len(self.perm)
+        bounds both products' sums."""
+        ring, p, n = self.ring, self.p, self.n
         if source.ring != ring:
             raise RingMismatchError(f"{ring!r} vs {source.ring!r}")
         if source.shape != (n, n):
             raise ShapeError(f"cannot take a {source.shape} form by a {n} x {n} transform")
-        if not isinstance(target, Matrix) or target.ring != ring or target.shape != (n, n):
-            return False
         t = self._planes()
         prod = _plane_product(ring, t, _pack(ring, source.rows), np.matmul) % p
         prod = _plane_product(ring, prod, _sigma_transpose(ring, t), np.matmul) % p
-        want = _pack_residues(ring, target.rows)
-        if want is None:
-            return _unpack(prod) == target.rows
-        return np.array_equal(prod, want)
+        return Matrix(ring, _unpack(prod), validate=False, ncols=n) == target
 
 
 _GL_DET_CHUNK = 1 << 20

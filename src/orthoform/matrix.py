@@ -31,8 +31,7 @@ elimination instead of issuing them.
   part vectors in lowest terms, and do each pivot as a fraction-free row
   update in the style of Bareiss: one gcd per updated row instead of one per
   Fraction operation.  They run every job over Q and the quaternions.  They
-  share ``swap``, ``rows_at`` and ``congruates`` with the generic loop
-  (``_PyRows``).
+  share ``swap`` and ``congruates`` with the generic loop (``_PyRows``).
 - The int64 numpy kernel (``kernel.PlaneRows``) does each pivot as one rank-1
   update reduced mod p.  It runs over GF(p) and GF(p^2) (two planes, a and b
   of a + b*x) when the job has at least ``_KERNEL_MIN_ENTRIES`` entries and
@@ -43,10 +42,13 @@ elimination instead of issuing them.
 ``congruates`` checks t * B * sigma(t)^t = D with two ``matmul`` products
 and a comparison of the rows, for every post-pass identity.  The certificate
 asks the row store that replayed the log instead: each store answers
-``congruates(B, D)`` for the transform it holds and ``rows_at(index)`` for the
-rows of it that a rank reads, converting only those.  The stores on Python
-rows check ``congruates`` on their transform; ``kernel.PlaneRows`` checks it
-on its int64 planes, under the guard that chose the kernel for the replay.
+``congruates(B, D)`` for the transform it holds, and ``rows_at(index)``,
+written once for every store (``_RowStore``), for the rows of it that a rank
+reads, converting only those through the store's ``transform(index)``.  The
+stores on Python rows check ``congruates`` on their transform;
+``kernel.PlaneRows`` forms the two products on its int64 planes, under the
+guard that chose the kernel for the replay, and unpacks the product once to
+compare it with D as Python values by ``Matrix.__eq__``, as on lists.
 
 The column passes in ``form`` go through ``col_sweep``: over GF(p) and GF(p^2)
 one sweep of the rows on Python integers, elsewhere one loop of ring calls per
@@ -438,21 +440,27 @@ def _pick(rows: list, index) -> list:
     return rows[index] if isinstance(index, slice) else [rows[i] for i in index]
 
 
-class _PyRows:
-    """What the two stores on Python rows share: a swap exchanges two row
-    entries, and the certificate reads the transform's rows (``transform`` of
-    an index) as a ``Matrix``, each converted once."""
+class _RowStore:
+    """What every row store shares: the certificate reads the rows of the
+    transform a store holds (``transform`` of an index, n wide for a store
+    of n rows) as a ``Matrix``, each converted once."""
 
-    _t = None  # the whole transform, once ``congruates`` has converted it
-
-    def swap(self, i: int, j: int) -> None:
-        self.rows[i], self.rows[j] = self.rows[j], self.rows[i]
+    _t = None  # the whole transform, once a store on Python rows has converted it
 
     def rows_at(self, index) -> Matrix:
         """The transform's rows at ``index``, in that order: picked from the
         transform ``congruates`` converted, else converted alone."""
         rows = self.transform(index) if self._t is None else _pick(self._t.rows, index)
-        return Matrix(self.ring, rows, validate=False, ncols=len(self.rows))
+        return Matrix(self.ring, rows, validate=False, ncols=self.n)
+
+
+class _PyRows(_RowStore):
+    """What the two stores on Python rows share: a swap exchanges two row
+    entries, and ``congruates`` converts the whole transform once and keeps
+    it for ``rows_at``."""
+
+    def swap(self, i: int, j: int) -> None:
+        self.rows[i], self.rows[j] = self.rows[j], self.rows[i]
 
     def congruates(self, source: Matrix, target: Matrix) -> bool:
         """``congruates`` of the transform, for a store whose replay is done."""
@@ -466,6 +474,7 @@ class _ListRows(_PyRows):
     def __init__(self, m: Matrix, identity: bool):
         ring, n = m.ring, m.nrows
         self.ring = ring
+        self.n = n
         self.cols = m.ncols
         self.rows = [row[:] for row in m.rows]
         if identity:
@@ -546,6 +555,7 @@ class _IntRows(_PyRows):
     def __init__(self, m: Matrix, identity: bool):
         n = m.nrows
         self.ring = m.ring
+        self.n = n
         self.cols = m.ncols
         self.rows = list(map(self._clear_row, m.rows))
         if identity:

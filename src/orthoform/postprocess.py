@@ -33,6 +33,14 @@ from .rings import (
 )
 
 
+def _inverse_root(a: Fraction) -> Optional[Fraction]:
+    """1 / sqrt(a) for a positive rational square a, else None."""
+    if a <= 0:
+        return None
+    rn, rd = math.isqrt(a.numerator), math.isqrt(a.denominator)
+    return Fraction(rd, rn) if rn * rn == a.numerator and rd * rd == a.denominator else None
+
+
 def normalize_scalar_block(ring: Ring, alpha) -> Optional[object]:
     """A unit gamma with gamma * alpha * sigma(gamma) = 1, or None.
 
@@ -51,18 +59,12 @@ def normalize_scalar_block(ring: Ring, alpha) -> Optional[object]:
         if ring.involution == "frobenius" and alpha == ring.sigma(alpha):
             gamma = solve_norm_equation(ring, ring.inv(alpha))
     elif isinstance(ring, RationalField):
-        if alpha > 0:
-            num, den = alpha.numerator, alpha.denominator
-            rn, rd = math.isqrt(num), math.isqrt(den)
-            if rn * rn == num and rd * rd == den:
-                gamma = Fraction(rd, rn)
+        gamma = _inverse_root(alpha)
     elif isinstance(ring, RationalQuaternions):
         w, x, y, z = alpha
-        if x == 0 and y == 0 and z == 0 and w > 0:
-            num, den = w.numerator, w.denominator
-            rn, rd = math.isqrt(num), math.isqrt(den)
-            if rn * rn == num and rd * rd == den:
-                gamma = (Fraction(rd, rn), Fraction(0), Fraction(0), Fraction(0))
+        root = _inverse_root(w) if x == y == z == 0 else None
+        if root is not None:
+            gamma = (root, Fraction(0), Fraction(0), Fraction(0))
     if gamma is None:
         return None
     gamma = ring.validate_scalar(gamma)

@@ -21,9 +21,9 @@ The check asks the row store that replays the log (``TransformLog._replay``)
 rather than a matrix built from it: ``congruates(B, D)`` for the congruence
 clause, and ``rows_at`` for the rows of T a rank reads.  A store on Python
 rows checks ``matrix.congruates`` on its transform; the int64 kernel's
-``PlaneRows`` checks it on its planes.  Only a rank turns rows of T into
-Python rows there: the rows T_Z for a singular D, or all of T after the
-congruence fails.
+``PlaneRows`` forms the product on its planes and compares it with D as
+Python values.  Only a rank turns rows of T into Python rows there: the rows
+T_Z for a singular D, or all of T after the congruence fails.
 
 A log op that does not fit the form fails the first two clauses, a
 decomposition of the other sign s fails the congruence clause, and a scalar

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orthoform import (
+    BlockLeft,
     BlockTransvect,
     Eliminate,
     FormValidationError,
@@ -298,6 +299,19 @@ def test_log_ops_reject_rows_that_move_under_them():
             BlockTransvect(target, source, coeff)
     BlockTransvect(0, 2, coeff)
     BlockTransvect(3, 0, coeff)
+
+
+def test_install_rows_rejects_a_window_outside_the_form_and_rows_of_the_wrong_width():
+    # a window reaching left of column 0, and a row that spans 2 of the
+    # window's 4 columns, are rejected before anything is logged or written
+    form = random_form(GF7, 1, 4, random.Random(40))
+    before, log = snapshot(form.m), list(form.log.ops)
+    one = Matrix.identity(GF7, 1)
+    for lo, rows, active_lo, active_hi in [(0, [[1, 2, 3]], -1, 2), (1, [[1, 2]], 0, 4)]:
+        with pytest.raises(ValueError):
+            form.install_rows(BlockLeft(one, lo), lo, rows, active_lo, active_hi)
+        assert form.m == before
+        assert form.log.ops == log
 
 
 def test_block_transvect_is_its_embedded_block_left():

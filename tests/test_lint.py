@@ -1,5 +1,5 @@
 """A small AST lint of the package: no orphaned imports, no dead module
-names, no function body written twice.
+names, no function body written twice, no process-wide state.
 
 Deleting code tends to leave behind an import that nothing uses any more, a
 private helper that nothing calls, or a public function that nothing calls
@@ -126,3 +126,25 @@ def test_no_two_functions_share_a_body():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _body(node) != _ABSTRACT:
                 where[_body(node)].append(f"{module}.py:{node.lineno} {node.name}")
     assert [names for names in where.values() if len(names) > 1] == []
+
+
+# the names through which a module reads the environment or caches across calls
+_PROCESS_STATE = {"os": {"environ", "getenv"}, "functools": {"cache", "lru_cache", "cached_property"}}
+
+
+def test_the_package_keeps_no_process_wide_state():
+    # every knob is an argument: no function rebinds a name outside itself,
+    # and no module reads the environment or caches across calls, so one
+    # call cannot change how a later one in the same process runs
+    found = []
+    for module, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                found.append(f"{module}.py:{node.lineno} {type(node).__name__.lower()}")
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.attr in _PROCESS_STATE.get(node.value.id, ()):
+                    found.append(f"{module}.py:{node.lineno} {node.value.id}.{node.attr}")
+            elif isinstance(node, ast.ImportFrom):
+                names = _PROCESS_STATE.get(node.module, ())
+                found += [f"{module}.py:{node.lineno} {node.module}.{a.name}" for a in node.names if a.name in names]
+    assert found == []

@@ -291,7 +291,8 @@ def test_the_plane_check_reports_as_the_list_check(ring, s, decompose, rank, mon
 @pytest.mark.parametrize("rank", [None, 26], ids=["nonsingular", "singular"])
 def test_a_plane_check_packs_the_forms_once_and_unpacks_no_more_of_t_than_it_ranks(rank, monkeypatch):
     # the transform stays in the planes it was replayed on: the check packs
-    # B and D once each, and unpacks of T only its rows at the zero blocks,
+    # B once and D never, unpacks the product T * B * sigma(T)^t once to
+    # compare it with D, and unpacks of T only its rows at the zero blocks,
     # for their rank
     import numpy as np
 
@@ -306,9 +307,9 @@ def test_a_plane_check_packs_the_forms_once_and_unpacks_no_more_of_t_than_it_ran
     monkeypatch.setattr(kernel, "_pack", lambda ring, rows: packed.append(rows) or pack(ring, rows))
     monkeypatch.setattr(kernel, "_unpack", lambda planes: unpacked.append(planes.shape) or unpack(planes))
     assert check_decomposition(original, 1, dec).passed
-    assert unpacked == ([(1, zero_blocks, 30)] if zero_blocks else [])
+    assert unpacked == [(1, 30, 30)] + ([(1, zero_blocks, 30)] if zero_blocks else [])
     assert sum(rows is original.rows for rows in packed) == 1
-    assert sum(np.array_equal(rows, direct_sum.rows) for rows in packed) == 1
+    assert sum(np.array_equal(rows, direct_sum.rows) for rows in packed) == 0
 
 
 @pytest.mark.parametrize("p, planes", [(2**31 - 1, False), (10**8 + 7, True)])
@@ -630,44 +631,75 @@ def test_a_mistyped_log_op_fails_the_first_two_clauses(store, op_case):
     assert report.details[0] == f"log does not materialize: {message}"
 
 
-@pytest.mark.parametrize("d", [4, 30])
-@pytest.mark.parametrize("value", ["x", None, 9, -1, (1, 2), 2**70], ids=repr)
-def test_a_scalar_block_outside_the_ring_is_not_standard(value, d, monkeypatch):
-    # each value equals s * sigma(value) under the identity involution, so
-    # only the ring's own scalar check tells it apart.  At d=30 the
-    # replay store checks the congruence on int64 planes, where the value
-    # must not be packed, and the report must read as the list check's
-    original, dec = fresh_decomposition(d=d)
-    assert isinstance(dec.log._replay(GF7), kernel.PlaneRows) == (d == 30)
-    assert isinstance(dec.blocks[1], ScalarBlock)
-    dec.blocks[1] = ScalarBlock(value)
+def _replace_a_scalar_block(dec, make) -> int:
+    """Replace block 1 over GF(p), and over GF(p^2) the first scalar block a +
+    b*x with a = 1 (so that True can stand for a), by ``make`` of its value."""
+    if isinstance(dec.ring, QuadraticField):
+        at = next(i for i, b in enumerate(dec.blocks) if isinstance(b, ScalarBlock) and b.value[0] == 1)
+    else:
+        at = 1
+    assert isinstance(dec.blocks[at], ScalarBlock)
+    dec.blocks[at] = ScalarBlock(make(dec.blocks[at].value))
+    return at
+
+
+def _check_on_planes_as_on_lists(original, dec, d, monkeypatch):
+    """The report of the check, which must equal the report on lists."""
     report = check_decomposition(original, 1, dec)
+    with monkeypatch.context() as lists:
+        lists.setattr(matrix, "_KERNEL_MIN_ENTRIES", d * d + 1)
+        reference = check_decomposition(original, 1, dec)
+    assert report.as_dict() == reference.as_dict()
+    assert report.details == reference.details
+    return report
+
+
+# Over GF(9) each value is made from the block's residue (a, b): shapes and
+# types that an int64 plane holds as (a, b) or as another residue
+_OUTSIDE_THE_RING = [pytest.param(GF7, lambda v, x=x: x, id=repr(x)) for x in ["x", None, 9, -1, (1, 2), 2**70]] + [
+    pytest.param(GF9, list, id="gf9-[a, b]"),
+    pytest.param(GF9, lambda v: (v[0] + 3, v[1]), id="gf9-(a + 3, b)"),
+    pytest.param(GF9, lambda v: (*v, 0), id="gf9-(a, b, 0)"),
+    pytest.param(GF9, lambda v: (v[0] + 2**70, v[1]), id="gf9-(a + 2**70, b)"),
+]
+
+
+@pytest.mark.parametrize("d", [4, 30])
+@pytest.mark.parametrize("ring, make", _OUTSIDE_THE_RING)
+def test_a_scalar_block_outside_the_ring_is_not_standard(ring, make, d, monkeypatch):
+    # each GF(7) value equals s * sigma(value) under the identity involution,
+    # so only the ring's own scalar check tells it apart.  At d=30 the replay
+    # store checks the congruence on int64 planes, and the report must read
+    # as the list check's
+    original, dec = fresh_decomposition(ring=ring, d=d)
+    assert isinstance(dec.log._replay(ring), kernel.PlaneRows) == (d == 30)
+    at = _replace_a_scalar_block(dec, make)
+    report = _check_on_planes_as_on_lists(original, dec, d, monkeypatch)
     assert not report.blocks_standard
     assert not report.congruence_matches
     with pytest.raises(ValueError) as caught:
-        GF7.validate_scalar(value)
-    assert f"block 1 value: {caught.value}" in report.details
-    with monkeypatch.context() as lists:
-        lists.setattr(matrix, "_KERNEL_MIN_ENTRIES", d * d + 1)
-        reference = check_decomposition(original, 1, dec)
-    assert report.as_dict() == reference.as_dict()
-    assert report.details == reference.details
+        ring.validate_scalar(dec.blocks[at].value)
+    assert f"block {at} value: {caught.value}" in report.details
 
 
-@pytest.mark.parametrize("d", [4, 30])
-def test_a_block_value_equal_to_its_residue_keeps_the_congruence(d, monkeypatch):
-    # float(v) == v, so D still equals the product as Python values, on the
-    # int64 planes at d=30 as on lists; the value is still not standard
-    original, dec = fresh_decomposition(d=d)
-    dec.blocks[1] = ScalarBlock(float(dec.blocks[1].value))
-    report = check_decomposition(original, 1, dec)
+@pytest.mark.parametrize(
+    "ring, make, d",
+    [pytest.param(GF7, float, d, id=str(d)) for d in (4, 30)]
+    + [
+        pytest.param(GF9, make, d, id=f"gf9-{name}-{d}")
+        for name, make in [("(float(a), b)", lambda v: (float(v[0]), v[1])), ("(True, b)", lambda v: (True, v[1]))]
+        for d in (4, 30)
+    ],
+)
+def test_a_block_value_equal_to_its_residue_keeps_the_congruence(ring, make, d, monkeypatch):
+    # float(v) == v, and True == 1, so D still equals the product as Python
+    # values, on the int64 planes at d=30 as on lists; the value is still not
+    # standard
+    original, dec = fresh_decomposition(ring=ring, d=d)
+    _replace_a_scalar_block(dec, make)
+    report = _check_on_planes_as_on_lists(original, dec, d, monkeypatch)
     assert report.congruence_matches
     assert not report.blocks_standard
-    with monkeypatch.context() as lists:
-        lists.setattr(matrix, "_KERNEL_MIN_ENTRIES", d * d + 1)
-        reference = check_decomposition(original, 1, dec)
-    assert report.as_dict() == reference.as_dict()
-    assert report.details == reference.details
 
 
 def test_a_decomposition_of_the_other_sign_fails_the_congruence_clause(monkeypatch):
