@@ -3,14 +3,19 @@
 A form is held as a mutable square matrix together with its sign s and the
 ring (which carries the involution sigma).  Congruence operations
 B -> A B A^{sigma t} for elementary A are exposed as mutation methods; each
-appends one entry to the form's transformation log and ticks the operation
-counters, so both decomposition algorithms are costed with one instrument.
+appends its elementary operations to the form's transformation log and ticks
+the operation counters, so both decomposition algorithms are costed with one
+instrument.  Where the column half of a congruence is known to write only
+zeros, as in ``clear_row_column``, it is written as an assignment and not
+computed.
 
 Operation windows: every primitive takes an optional column/row window
-[lo, hi).  The logged operation is always the global elementary matrix, so a
-windowed call is a valid congruence only when the touched rows and columns
-are zero outside the window.  Callers (the decomposition loops) maintain that
-invariant; standalone use should keep the default full window.
+[lo, hi), and rejects a window outside the form or row indices outside the
+window before it logs, writes or counts anything.  The logged operation is
+always the global elementary matrix, so a windowed call is a valid congruence
+only when the touched rows and columns are zero outside the window.  Callers
+(the decomposition loops) maintain that invariant; standalone use should keep
+the default full window.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterator, Optional, Union
 
-from .matrix import Matrix, ShapeError, _augmented, col_sweep, eliminate, matmul, row_axpy
+from .matrix import Matrix, ShapeError, _augmented, eliminate, matmul, row_axpy
 from .rings import QuadraticField, RationalQuaternions, Ring
 
 
@@ -326,19 +331,26 @@ class HermitianForm:
         twin.counters = self.counters.copy()
         return twin
 
-    def _window(self, lo: int, hi: Optional[int]) -> tuple[int, int]:
+    def _window(self, lo: int, hi: Optional[int], *rows) -> tuple[int, int]:
+        """The window [lo, hi), hi defaulting to dim.  Raises ValueError
+        unless its bounds are ints, it lies inside the form and each of
+        `rows`, the row indices a move touches, is an int inside it; every
+        move calls this before it logs, writes or counts anything."""
         if hi is None:
             hi = self.dim
-        if not (0 <= lo <= hi <= self.dim):
-            raise ValueError(f"window [{lo}, {hi}) out of range for dim {self.dim}")
+        if not (type(lo) is type(hi) is int and 0 <= lo <= hi <= self.dim):
+            raise ValueError(f"window [{lo}, {hi}) is not an int range inside dim {self.dim}")
+        for r in rows:
+            if type(r) is not int or not lo <= r < hi:
+                raise ValueError(f"row {r!r} is not an int in the window [{lo}, {hi})")
         return lo, hi
 
     def scale_row_column(self, i: int, lam, lo: int = 0, hi: Optional[int] = None) -> None:
         """Row i <- lam * row i and column i <- column i * sigma(lam)."""
         ring = self.ring
+        lo, hi = self._window(lo, hi, i)
         if lam == ring.zero:
             raise ValueError("cannot scale a row-column by zero")
-        lo, hi = self._window(lo, hi)
         self.log.append(Scale(i, lam))
         rows = self.m.rows
         rows[i][lo:hi] = [ring.mul(lam, v) for v in rows[i][lo:hi]]
@@ -351,9 +363,9 @@ class HermitianForm:
 
     def swap_row_columns(self, i: int, j: int, lo: int = 0, hi: Optional[int] = None) -> None:
         """Exchange row-column i with row-column j; no ring operations."""
+        lo, hi = self._window(lo, hi, i, j)
         if i == j:
             return
-        lo, hi = self._window(lo, hi)
         self.log.append(Swap(i, j))
         rows = self.m.rows
         rows[i][lo:hi], rows[j][lo:hi] = rows[j][lo:hi], rows[i][lo:hi]
@@ -368,13 +380,16 @@ class HermitianForm:
         which is exactly the two-sided product; target must differ from source.
         """
         ring = self.ring
+        lo, hi = self._window(lo, hi, target, source)
         if lam == ring.zero:
             return
-        lo, hi = self._window(lo, hi)
         self.log.append(Eliminate(source, (target,), (lam,)))
         rows = self.m.rows
         row_axpy(ring, rows[target], rows[source], lam, lo, hi)
-        col_sweep(ring, rows, source, [(target, ring.sigma(lam))], lo, hi)
+        add, mul, zero, sl = ring.add, ring.mul, ring.zero, ring.sigma(lam)
+        for row in rows[lo:hi]:
+            if row[source] != zero:
+                row[target] = add(row[target], mul(row[source], sl))
         width = hi - lo
         self.counters.multiplications += 2 * width
         self.counters.additions += 2 * width
@@ -389,43 +404,48 @@ class HermitianForm:
         return ring.inv(pivot)
 
     def clear_row_column(self, i: int, j: int, lo: int = 0, hi: Optional[int] = None) -> None:
-        """Zero out row-column j using the pivot entry at (i, j).
+        """Zero out row-column i against its diagonal pivot (i = j), or the
+        isotropic pair of row-columns i and j against the pivot pair (i, j)
+        and (j, i) (i != j), leaving the pivot entries as they are.
 
-        For each k in the window other than i and j with B[k][j] nonzero, the
-        transvection I + lam_k*E[k, i] with lam_k = -B[k][j]*B[i][j]^{-1} is
-        applied, and logged as one Eliminate.  When i = j the combined column
-        half of those transvections lands entirely in row i and is an exact
-        zeroing, so it is written as an assignment; the diagonal entry B[i][i]
-        stays.  When i != j the full column pass runs, column k += column i *
-        sigma(lam_k) for every cleared k, as one ``col_sweep`` (one sweep of
-        the rows over GF(p) and GF(p^2)).  The pivot pair (i,j)/(j,i) stays, and
-        if B[i][i] is nonzero the cleared entries spill into row-column i,
-        which the caller is expected to clear next.
+        A row pass adds lam_k times a source row to each row k of the window
+        other than i and j that is nonzero in the cleared column, lam_k =
+        -B[k][col] * B[src][col]^{-1}, and is logged as one Eliminate.  With
+        i = j one pass clears column i from row i.  With i != j, B[i][i] must
+        be zero: row j clears column i, then row i clears column j, and
+        B[i][i] = 0 keeps column i clear through the second pass.
+
+        Either way the rows k end zero in the pivot columns, so the column
+        half of the congruence adds nothing to them and they are final; it
+        only zeroes the pivot rows outside the pivots, which is written as an
+        assignment.  A pair therefore costs two row passes and no column pass.
+
+        Raises:
+            ValueError: before anything is logged, written or counted, if the
+                window does not hold i and j, a pivot entry is zero, or i != j
+                and B[i][i] is nonzero.
         """
         ring = self.ring
         rows = self.m.rows
-        lo, hi = self._window(lo, hi)
-        pivot = rows[i][j]
+        lo, hi = self._window(lo, hi, i, j)
         zero = ring.zero
-        if pivot == zero:
-            raise ValueError(f"pivot entry ({i}, {j}) is zero")
+        if rows[i][j] == zero or rows[j][i] == zero:
+            raise ValueError(f"pivot entry ({i}, {j}) or ({j}, {i}) is zero")
+        if i != j and rows[i][i] != zero:
+            raise ValueError(f"a pair pivot needs B[{i}][{i}] = 0")
         c = self.counters
         width = hi - lo
         targets = [k for k in range(lo, hi) if k != i and k != j]
-        pairs = eliminate(ring, rows, i, j, targets, lo, hi, self._pivot_inverse)
-        if pairs:
-            self.log.append(Eliminate(i, *zip(*pairs)))
-        c.equality_tests += len(targets)
-        c.multiplications += len(pairs) * (1 + width)
-        c.additions += len(pairs) * width
-        if i == j:
+        for src, col in [(i, i)] if i == j else [(j, i), (i, j)]:
+            pairs = eliminate(ring, rows, src, col, targets, lo, hi, self._pivot_inverse)
+            if pairs:
+                self.log.append(Eliminate(src, *zip(*pairs)))
+            c.equality_tests += len(targets)
+            c.multiplications += len(pairs) * (1 + width)
+            c.additions += len(pairs) * width
+        for r in {i, j}:
             for k in targets:
-                rows[i][k] = zero
-            return
-        col_sweep(ring, rows, i, [(k, ring.sigma(lam)) for k, lam in pairs], lo, hi)
-        c.sigma_applications += len(pairs)
-        c.multiplications += len(pairs) * width
-        c.additions += len(pairs) * width
+                rows[r][k] = zero
 
     def install_rows(self, op: LogOp, lo: int, rows: list, active_lo: int, active_hi: int) -> None:
         """Log `op`, a congruence that changes rows and columns [lo, lo+q) of
@@ -473,7 +493,8 @@ class HermitianForm:
         times sigma(coeff)^t; ``install_rows`` mirrors the rest."""
         t, u, coeff = op.target, op.source, op.coeff
         n, k = coeff.shape
-        if not (lo <= min(t, u) and max(t + n, u + k) <= hi <= self.dim):
+        lo, hi = self._window(lo, hi, t, u)
+        if max(t + n, u + k) > hi:
             raise ValueError("block transvection does not fit the active window")
         counters, add = self.counters, self.ring.add
         delta = matmul(coeff, self.m.submatrix(u, u + k, lo, hi), cutoff, counters)

@@ -136,8 +136,11 @@ def sweep(form: HermitianForm, lo: int, hi: int) -> tuple[list, int, int]:
 
     Per window position this spends one diagonal test plus one test per
     scanned or cleared entry, one inversion per anisotropic pivot, and at
-    most two inversions per isotropic pair, within the e^3/3 + O(e^2)
-    addition and multiplication envelope, e = hi - lo.
+    most two inversions per isotropic pair.  An isotropic pair is cleared by
+    two row passes and no column pass (``clear_row_column``), so it costs
+    what its two positions cost as anisotropic pivots, and the sweep stays
+    within the e^3/3 + O(e^2) addition and multiplication envelope,
+    e = hi - lo.
     """
     ring = form.ring
     rows = form.m.rows
@@ -145,7 +148,6 @@ def sweep(form: HermitianForm, lo: int, hi: int) -> tuple[list, int, int]:
     blocks: list = []
     pos = lo
     iso_steps = 0
-    neg_one = ring.neg(ring.one)
     while pos < hi:
         c.equality_tests += 1
         beta = rows[pos][pos]
@@ -170,14 +172,8 @@ def sweep(form: HermitianForm, lo: int, hi: int) -> tuple[list, int, int]:
             form.swap_row_columns(partner, pos + 1, lo=pos, hi=hi)
         gamma = rows[pos][pos + 1]
         if gamma != ring.one:
-            if gamma == neg_one:
-                lam = neg_one
-            else:
-                c.inversions += 1
-                c.sigma_applications += 1
-                lam = ring.sigma(ring.inv(gamma))
-            form.scale_row_column(pos + 1, lam, lo=pos, hi=hi)
-        form.clear_row_column(pos + 1, pos, lo=pos, hi=hi)
+            c.sigma_applications += 1
+            form.scale_row_column(pos + 1, ring.sigma(form._pivot_inverse(gamma)), lo=pos, hi=hi)
         form.clear_row_column(pos, pos + 1, lo=pos, hi=hi)
         blocks.extend(standardize_at(form, pos))
         pos += 2

@@ -50,10 +50,6 @@ stores on Python rows check ``congruates`` on their transform;
 guard that chose the kernel for the replay, and unpacks the product once to
 compare it with D as Python values by ``Matrix.__eq__``, as on lists.
 
-The column passes in ``form`` go through ``col_sweep``: over GF(p) and GF(p^2)
-one sweep of the rows on Python integers, elsewhere one loop of ring calls per
-column.
-
 The classical product takes one of three paths:
 
 - ``kernel.matmul`` over GF(p) and GF(p^2) when the inner size passes
@@ -126,41 +122,6 @@ def row_axpy(ring: Ring, dst: list, src: list, lam, lo: int, hi: int) -> None:
             s = src[idx]
             if s != zero:
                 dst[idx] = add(dst[idx], mul(lam, s))
-
-
-def col_sweep(ring: Ring, rows: list, src: int, pairs: list, lo: int, hi: int) -> None:
-    """In place: rows[r][k] += rows[r][src] * lam for each (k, lam) of ``pairs``
-    and r in [lo, hi); the targets k are distinct and not src, and lam
-    multiplies from the right.
-
-    Over GF(p) and GF(p^2) this is one sweep of the rows on Python integers:
-    a row with a nonzero entry in column src updates every target, reduced
-    mod p.  That equals one pass over the rows per pair, as column src is
-    never written and the updates of distinct columns commute.  Other rings
-    run that loop of ring calls, one pair at a time.
-    """
-    if isinstance(ring, PrimeField):
-        p = ring.p
-        for row in rows[lo:hi]:
-            v = row[src]
-            if v:
-                for k, lam in pairs:
-                    row[k] = (row[k] + v * lam) % p
-    elif isinstance(ring, QuadraticField):
-        p, c = ring.p, ring.nonresidue
-        for row in rows[lo:hi]:
-            va, vb = row[src]
-            if va or vb:
-                for k, (la, lb) in pairs:
-                    a, b = row[k]
-                    row[k] = ((a + va * la + c * vb * lb) % p, (b + va * lb + vb * la) % p)
-    else:
-        add, mul, zero = ring.add, ring.mul, ring.zero
-        for k, lam in pairs:
-            for row in rows[lo:hi]:
-                v = row[src]
-                if v != zero:
-                    row[k] = add(row[k], mul(v, lam))
 
 
 def eliminate(ring: Ring, rows: list, src: int, col: int, targets, lo: int, hi: int, inverse=None) -> list:

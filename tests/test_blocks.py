@@ -194,7 +194,7 @@ STRASSEN_CASES = {
 
 STRASSEN_DIGESTS = {
     "gf101+": {4: "7494007aee9839bf", 8: "1e1b9f31507b8920"},
-    "gf101-": {4: "7a74c211c238e838", 8: "8cf022117711b4df"},
+    "gf101-": {4: "7393bc21cc27d074", 8: "bb7f6b8fd084da3f"},
     "gf9+": {4: "e533795d45a20175", 8: "62fae1cb8f1a693c"},
     "gf2+": {4: "48631d146549b09a", 8: "9b05a5ab67df8bc2"},
     "q-": {4: "ebd022db7a82b39f", 8: "b1f424903a6fbc5b"},
@@ -304,22 +304,22 @@ GOLDEN_CASES = {
 GOLDEN_DIGESTS = {
     "gf101+deficient": "032beba980097d4eb1fc27828b2ca417c8d83a83bd07e0061c7bf7e36c10619f",
     "gf101+full": "eca7bd57ac6c2b3f4a94d8d603c78300b45753d7fe72804e97e5063a3e27e50a",
-    "gf101-deficient": "1ede92694b1f853e0f7a9661223ee86fbddf4109f70dc1ab226279a3adc8f566",
-    "gf101-full": "9e8119300691c47d345ebda0563bf52d12c8bb5f6ad33541d1803a056c55d0b6",
-    "gf101-tail": "909d21a7e600c311c9febb4da9fda185e490441f740a8c5eeb91711c87dcb5f2",
-    "gf2-deficient": "3c7d34a7f840f2af51ae73a2844cfde0238f0c81b12a2b28dd318217728d31f8",
-    "gf2-full": "0981d0c6eda1b335d7aa2df5d282a7d1fe82c6b84bff71b4716e30b370b76271",
-    "gf3-corner": "b8c5631eebecd5e8562241a05a99e34435ef8baab8a4d3d15f3710276eeea55a",
-    "gf9+deficient": "4aa1645589bb0139106af21bfd6841185b1b990b1ccd42e87b7086fc061d37ab",
-    "gf9+full": "ee0c53ef03feb9ef7699b1e2c1f5a153924b8c682c3a0860942daa2d64d3fc92",
-    "gf9-full": "2fd9aeb8ffcb651ac29f949d870833638f50a9699c1501e46d3eaf3273fa12ec",
+    "gf101-deficient": "5cccf86d0cd237cb7b910c1bac6879b324d6e0ab6d213e69dfa2b9e8d4e7c4f0",
+    "gf101-full": "42fdc1f4d8e70d4e220461f9a39d8d04b55c953de31b662e82965606d2c857cd",
+    "gf101-tail": "eb894ed46e51f9226ed6bfe5b9f4bc6263a42c0a65ba05fdc49c698e3bb9b342",
+    "gf2-deficient": "6c839cabfdf300efa46ae9d09949fdb49f9a6e1ddafbc4cd309554e03952e0b4",
+    "gf2-full": "c5af9e02f6a0e1752a13d4535a0b70e12b5759ff23978a985e9e0aaa126b410b",
+    "gf3-corner": "ab1fd77deadb5712dd775d8a49a048a04b0b2824b1390ab8badb81b71b09a409",
+    "gf9+deficient": "6c7ce04c7e0d5d3f95e5b0935cd948141d9470359a63d98bf2bd191358a239ff",
+    "gf9+full": "e498ca940189e9e3a88db7caf56a6527d75060e4fac4dd9453694b1e34853557",
+    "gf9-full": "7f836bbd6190b4442aec1a691bb24de5ce677f4c3c13901cbdbe4acf50f47ae0",
     "h+deficient": "b3ffb2a6d62bd5002c39b593656271be389d50ebbfe31f5f4cfffe769cc26d55",
-    "h+full": "e07d0b31c204435e261b1f1066e66dd9ad9aee0febb80c414370ae66f7cbf82b",
+    "h+full": "515bbb7685ae240a7f631d6034b4ce0b4b8ff164b15763d26f9f3ad7ea869a9c",
     "h-deficient": "572aab2f3dff38e113fdfa7966aec0ac01ba246fe0a59eec75b8705f740fe251",
     "q+deficient": "9682676f43bd38ba62badd9f7e6274ec7d5bd549a1eaee398ddb8b583336f114",
     "q+full": "ad023806240d48145e8eb5585843c0b696e162b2015cbffa8f7e6fa82dac21d1",
-    "q-deficient": "e4eac44ea31132b9be766971c0b4f96e280d8aa0a440ff51c3b149e5ccf49d40",
-    "q-full": "9b92b57f488bd1dd5f13f4ee835ee3ca407d3cdc5f7de1827db655d927707a0f",
+    "q-deficient": "3872f88729e95b385587fd1edb3c6bb848b72ec74febb326cf7524a0c18e2861",
+    "q-full": "e85d683ba94d8dac190c8e0f20c7f6ee8c5d94871212ff39a3450a45498b1772",
 }
 
 
@@ -408,55 +408,55 @@ GOLDEN_FIELD_DIGESTS = {
         "26849095620d1f58", "23fcbdba3751c115", "48f8b4d9ac77fef6", "155031b78f3e5e11",
     ),
     ("gf101-deficient", "gs"): (
-        "e4125d09d60b5f7f", "60b41f7fde97277a", "15b6248d94485c02", "48b5b401886e71a7",
+        "e4125d09d60b5f7f", "60b41f7fde97277a", "15b6248d94485c02", "cf04e0e1115192b7",
     ),
     ("gf101-deficient", "blocks"): (
-        "e4125d09d60b5f7f", "773fa06e1569c87a", "c8a307ead032f87c", "e602d059fe0904bc",
+        "e4125d09d60b5f7f", "773fa06e1569c87a", "c8a307ead032f87c", "3b6606f16d96c5f1",
     ),
     ("gf101-full", "gs"): (
-        "8f23abf5eb1a6e35", "a930547916936dab", "3e143815f5ad2631", "5dfbd827674a2fff",
+        "8f23abf5eb1a6e35", "a930547916936dab", "3e143815f5ad2631", "7ff4b582b41e5b62",
     ),
     ("gf101-full", "blocks"): (
         "8f23abf5eb1a6e35", "8ea3f6042f62ac4d", "52fec56722b2f872", "619f2ed9ac680d8c",
     ),
     ("gf101-tail", "gs"): (
-        "3054029728d7a823", "f576c35e582d1c9b", "47acae8b82d49a6d", "90bcf36caf427a5f",
+        "3054029728d7a823", "f576c35e582d1c9b", "47acae8b82d49a6d", "c6bc5893c2134e09",
     ),
     ("gf101-tail", "blocks"): (
-        "3054029728d7a823", "57d63a227b269871", "9e7321910f3e1311", "59e8d505aa0ab4d8",
+        "3054029728d7a823", "57d63a227b269871", "9e7321910f3e1311", "aca9a8d090077ffe",
     ),
     ("gf2-deficient", "gs"): (
-        "2bfbff0d76722ec4", "93ee6a4547e5c611", "53930b6ade3cc97e", "60be334b346100ed",
+        "2bfbff0d76722ec4", "93ee6a4547e5c611", "53930b6ade3cc97e", "1ddd0da4eb08fcb8",
     ),
     ("gf2-deficient", "blocks"): (
         "2bfbff0d76722ec4", "eb8b939796ff6087", "9021a0862aaadbaa", "fa7be801be315334",
     ),
     ("gf2-full", "gs"): (
-        "53e1cf0776d6c71d", "2c3b97e200887bf3", "746682c2fcc7b9e7", "580e3d3270b852fe",
+        "53e1cf0776d6c71d", "2c3b97e200887bf3", "746682c2fcc7b9e7", "48f94a70b267b6f6",
     ),
     ("gf2-full", "blocks"): (
         "53e1cf0776d6c71d", "9c1bc4ed0c52cb2a", "5bce4cdf56bda315", "70e59511eb7a7765",
     ),
     ("gf3-corner", "gs"): (
-        "71756ca2e634179d", "d543163b1e9f7125", "4a301c2155b46189", "807cf2327fa6f9d9",
+        "71756ca2e634179d", "d543163b1e9f7125", "4a301c2155b46189", "3ac57b60f5c35718",
     ),
     ("gf3-corner", "blocks"): (
-        "71756ca2e634179d", "a20d1f0b8c3a12f5", "2acde23eab273c21", "3104dd482ab776a8",
+        "71756ca2e634179d", "a20d1f0b8c3a12f5", "2acde23eab273c21", "b0b0dcfee78844be",
     ),
     ("gf9+deficient", "gs"): (
-        "afc9dbe15078faf5", "49312ede0b453e0b", "cc2acd2522ed6cc4", "21960ea3d9b32b0b",
+        "afc9dbe15078faf5", "49312ede0b453e0b", "cc2acd2522ed6cc4", "f1af44db88ce02e8",
     ),
     ("gf9+deficient", "blocks"): (
         "d8e7f63f99dcd4e3", "5778f15b4c2b1983", "20b7f1155b2b8ae9", "a381397fdc788941",
     ),
     ("gf9+full", "gs"): (
-        "31bda5f8ac055f41", "2967e386e6ff96ed", "5400fcb655bd7388", "d15c43fe7f061f49",
+        "31bda5f8ac055f41", "2967e386e6ff96ed", "5400fcb655bd7388", "0dac27b0f6ac8ec0",
     ),
     ("gf9+full", "blocks"): (
         "ed5a6873f6f6357e", "164e8d166dcd5f45", "87c7fbbe12cb6b19", "c60aa6fd43b580a1",
     ),
     ("gf9-full", "gs"): (
-        "a1325ed6c6f3a97d", "cd2373a50e19c690", "61bea0e7374d44cf", "04092f144515bbc6",
+        "a1325ed6c6f3a97d", "cd2373a50e19c690", "61bea0e7374d44cf", "87d27ca8321d9033",
     ),
     ("gf9-full", "blocks"): (
         "a8eb4a9ae736b826", "6bebb24cb1e3ceae", "f61a04095b4f0f5f", "29aa3c3efa4f4442",
@@ -468,7 +468,7 @@ GOLDEN_FIELD_DIGESTS = {
         "fa4efd8a12b15b1d", "3fa3c2276a3de59f", "f79ce1c67e5fb50e", "50fca3da15f34e8f",
     ),
     ("h+full", "gs"): (
-        "c3f0e3e4ff5a3854", "9ecb421e917ec920", "46b52d1ee9f3cd2b", "f7fb5c6fa7968bb4",
+        "c3f0e3e4ff5a3854", "9ecb421e917ec920", "46b52d1ee9f3cd2b", "8c88972b9cc0c4d4",
     ),
     ("h+full", "blocks"): (
         "7680cca503e5b986", "ae6c11929c716b9f", "5c126304510f4510", "fdc585460f557391",
@@ -492,13 +492,13 @@ GOLDEN_FIELD_DIGESTS = {
         "307ef5333463e12d", "ee0f49b55b1b0921", "7e5dff241165b74b", "8e8db8cdf9081310",
     ),
     ("q-deficient", "gs"): (
-        "45e47a46df6d9c0c", "58209b98561dda61", "10e9ea94da0c5358", "9a67e6a9a363dffd",
+        "45e47a46df6d9c0c", "58209b98561dda61", "10e9ea94da0c5358", "23bc0b216bd71299",
     ),
     ("q-deficient", "blocks"): (
-        "45e47a46df6d9c0c", "68e66bd9ce1e00a0", "8d5c119b9b766d61", "fcef48b2167cb75f",
+        "45e47a46df6d9c0c", "68e66bd9ce1e00a0", "8d5c119b9b766d61", "ea31b19d22bf74fd",
     ),
     ("q-full", "gs"): (
-        "eaf76d04d224374a", "63cae35c87027c08", "06b4719c12ebb283", "26978520b7c7e190",
+        "eaf76d04d224374a", "63cae35c87027c08", "06b4719c12ebb283", "74f146ac92b3b4e3",
     ),
     ("q-full", "blocks"): (
         "eaf76d04d224374a", "51d3897ebb94638f", "23576d90d993dabd", "71cc0ab5a7686978",
@@ -576,9 +576,9 @@ TRANSFORM_CASES = {
 
 TRANSFORM_DIGESTS = {
     "gf1009+": "73be185e967cf08b1b94fb0f164327d3bf6ba29fb76b68388cadd56940a80f94",
-    "gf1009-": "08c94501061b73bfbe58d97c6ced2ad81cf3bed3020c9855c60e0855444ed91b",
-    "gf9+": "5e736d86382376c24f86cd4646b893b373c37312e7f2d83fc7b1bfe7549d438a",
-    "gf9-": "f17b0f04a5cb363407a70517e72a66bf771a10aaae356e5da559dbfa963f588b",
+    "gf1009-": "c971f3c9bd3a7ff0777dacd8222ba31f810259023666e0c468f4058a33c9d2de",
+    "gf9+": "84e8bbfeec4a8eaeb2bdfecff75a6d3c9d93f2fa788cc4f4f02de478d53b55f7",
+    "gf9-": "1849b8f5f71ed20ff51a3546e40b7eea663cf6cab4b3a1e7f688a7dcbd95ef9a",
 }
 
 

@@ -33,7 +33,6 @@ from orthoform import (
     matmul_classical,
     random_form,
 )
-from orthoform import form as form_module
 from orthoform.form import transpositions
 from helpers import snapshot
 
@@ -138,12 +137,13 @@ def test_clear_row_column_diagonal_pivot():
 
 
 def test_clear_row_column_off_diagonal_pivot():
-    # pivot at (0,1) of an alternating form clears the rest of row-column 1
+    # the pivot pair (0,1)/(1,0) of an alternating form clears the rest of
+    # row-columns 0 and 1 and stays
     form = HermitianForm.from_rows(QQ, [[0, 2, 3], [-2, 0, 5], [-3, -5, 0]], -1)
     form.clear_row_column(0, 1)
     assert form.m.rows[2][1] == 0 and form.m.rows[1][2] == 0
     assert form.m.rows[0][1] == 2 and form.m.rows[1][0] == -2
-    assert form.m.rows[0][2] == 3  # row-column 0 is the caller's next clear
+    assert form.m.rows[0][2] == 0 and form.m.rows[2][0] == 0
 
 
 def test_windowed_transvect_equals_full_congruence_when_support_allows():
@@ -177,27 +177,26 @@ SWEEP_RINGS = [
 ]
 
 
-def _pairwise_col_sweep(ring, rows, src, pairs, lo, hi):
-    """The column pass as one loop of ring calls per (target, coefficient) pair."""
-    for k, lam in pairs:
-        for row in rows[lo:hi]:
-            row[k] = ring.add(row[k], ring.mul(row[src], lam))
-
-
 def _zero_pair(form, r, c):
     form.m.rows[r][c] = form.m.rows[c][r] = form.ring.zero
 
 
+def _is_its_logged_congruence(form, before, start):
+    """form.m is `before` congruated by the ops logged from index `start` on."""
+    a = TransformLog(form.dim, form.log.ops[start:]).materialize(form.ring)
+    return form.m == congruate(before, a)
+
+
 @pytest.mark.parametrize("ring", SWEEP_RINGS, ids=lambda r: f"{r!r}:{r.involution}")
-def test_column_sweep_matches_the_generic_loop(ring, monkeypatch):
-    # clear_row_column(i, j), i != j, and windowed transvect, against the same
-    # calls with the column pass run pair by pair: the rows, log and counters
-    # must agree exactly
+def test_pair_clear_and_windowed_transvect_are_their_logged_congruences(ring):
+    # clear_row_column(i, j), i != j, and a windowed transvect on forms that
+    # are zero off the diagonal outside the window: each leaves the snapshot
+    # congruated by the ops it logged, and the pair clear leaves row-columns
+    # i and j zero outside the pair
     rng = random.Random(42)
     for trial in range(36):
         s = (1, -1)[trial % 2]
         d = rng.randrange(4, 9)
-        form = random_form(ring, s, d, rng)
         if trial % 3 == 0:
             lo, hi = 0, d
         elif trial % 3 == 1:  # an inner window
@@ -206,6 +205,11 @@ def test_column_sweep_matches_the_generic_loop(ring, monkeypatch):
         else:
             lo = rng.randrange(0, d - 1)
             hi = rng.randrange(lo + 2, d + 1)
+        form = random_form(ring, s, d, rng)
+        for r in range(d):
+            for c in range(r + 1, d):
+                if not (lo <= r < hi and lo <= c < hi):
+                    _zero_pair(form, r, c)
         i, j = rng.sample(range(lo, hi), 2)
         for r in range(lo, hi):
             if r != i and rng.random() < 0.4:  # only some rows meet column i
@@ -215,19 +219,26 @@ def test_column_sweep_matches_the_generic_loop(ring, monkeypatch):
         if form.m.rows[i][j] == ring.zero:
             form.m.rows[i][j] = ring.one
             form.m.rows[j][i] = ring.apply_sign(s, ring.one)
+        # a pair pivot whose row-column i is anisotropic is refused
+        form.m.rows[i][i] = ring.one
+        before, log, counters = snapshot(form.m), list(form.log.ops), form.counters.copy()
+        with pytest.raises(ValueError):
+            form.clear_row_column(i, j, lo, hi)
+        assert form.m == before and form.log.ops == log and form.counters == counters
+        form.m.rows[i][i] = ring.zero
         assert is_hermitian(form.m, s)
-        twin = form.copy()
+        before, start = snapshot(form.m), len(form.log)
         form.clear_row_column(i, j, lo, hi)
+        assert _is_its_logged_congruence(form, before, start)
+        for r in (i, j):
+            for k in set(range(d)) - {i, j}:
+                assert form.m.rows[r][k] == ring.zero == form.m.rows[k][r]
+        for r, c in ((i, i), (i, j), (j, i), (j, j)):
+            assert form.m.rows[r][c] == before.rows[r][c]
+        before, start = snapshot(form.m), len(form.log)
         target, source = rng.sample(range(lo, hi), 2)
-        lam = ring.random(rng)
-        form.transvect(target, source, lam, lo, hi)
-        with monkeypatch.context() as patch:
-            patch.setattr(form_module, "col_sweep", _pairwise_col_sweep)
-            twin.clear_row_column(i, j, lo, hi)
-            twin.transvect(target, source, lam, lo, hi)
-        assert repr(form.m.rows) == repr(twin.m.rows)
-        assert form.log == twin.log
-        assert form.counters == twin.counters
+        form.transvect(target, source, ring.random(rng), lo, hi)
+        assert _is_its_logged_congruence(form, before, start)
 
 
 def test_primitive_counter_exactness():
@@ -257,6 +268,33 @@ def test_primitive_argument_validation():
     form.swap_row_columns(2, 2)  # no-op, not logged
     form.transvect(0, 1, 0)  # zero coefficient, silent no-op
     assert len(form.log) == log_before
+
+
+@pytest.mark.parametrize(
+    "move, args",
+    [
+        pytest.param("scale_row_column", (-1, 2), id="scale(-1)"),
+        pytest.param("scale_row_column", (4, 2), id="scale(4)"),
+        pytest.param("scale_row_column", (0, 2, 1, 4), id="scale(0)-in-[1,4)"),
+        pytest.param("scale_row_column", (0, 2, 0.0, 4), id="scale(0)-in-[0.0,4)"),
+        pytest.param("swap_row_columns", (0, -1), id="swap(0,-1)"),
+        pytest.param("swap_row_columns", (0, 1.0), id="swap(0,1.0)"),
+        pytest.param("transvect", (-1, 0, 3), id="transvect(-1,0)"),
+        pytest.param("transvect", (4, 0, 3), id="transvect(4,0)"),
+        pytest.param("clear_row_column", (-1, -1), id="clear(-1,-1)"),
+        pytest.param("block_transvect", (BlockTransvect(1, 0, Matrix(GF7, [[2]])), -1, 4), id="block_transvect-in-[-1,4)"),
+    ],
+)
+def test_moves_reject_rows_outside_their_window(move, args):
+    # a row index outside the window, or not an int, is rejected before the
+    # move logs, writes or counts anything
+    form = random_form(GF7, 1, 4, random.Random(41))
+    before, log, counters = snapshot(form.m), list(form.log.ops), form.counters.copy()
+    with pytest.raises(ValueError):
+        getattr(form, move)(*args)
+    assert form.m == before
+    assert form.log.ops == log
+    assert form.counters == counters
 
 
 def test_materialize_splits_multiplicatively():
