@@ -15,7 +15,6 @@ from .matrix import (
     RingMismatchError,
     ShapeError,
     SingularMatrixError,
-    column_reduce,
     invert,
     matmul,
     matmul_classical,
@@ -59,11 +58,9 @@ from .postprocess import (
 )
 from .verify import (
     CheckReport,
-    CounterReport,
     InvariantSummary,
     brute_force_congruence,
     check_decomposition,
-    counter_report,
     invariants_of,
 )
 

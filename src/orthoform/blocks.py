@@ -8,9 +8,12 @@ top rows, and the form installs those rows and mirrors the rest of their
 columns with s-sigma.  The split of the whole matrix sends the radical to the
 tail; on the nonsingular window the split of the leading half gives a core
 handled recursively and a complement, carrying a full-row-rank off-diagonal
-block X, that becomes hyperbolic pairs (column-reduce X, which also yields
-X*A, normalize the cross block to an identity, sweep the rest of the coupling
-away with block transvections).  Besides the splits the heavy lifting is
+block X, that becomes hyperbolic pairs (row-reduce the s-sigma mirror of X
+stored below it, which also yields the lead block, normalize the cross block
+to an identity, sweep the rest of the coupling away with block
+transvections).  The form is s-Hermitian, so the mirror of every
+off-diagonal block a step clears is read off the rows below that block and
+never sigma-transposed.  Besides the splits the heavy lifting is
 matrix products, exact for every Strassen threshold.  The recursion stops at
 nonsingular windows of at most ``LEAF_ROWS`` rows, which the pivot sweep of
 ``gs`` (``gs.sweep``) decomposes: there a sweep costs less than further
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 from .form import BlockLeft, BlockTransvect, HermitianForm, transpositions
 from .gs import Decomposition, standardize_at, sweep
-from .matrix import Matrix, column_reduce, invert, matmul, split_congruence
+from .matrix import Matrix, invert, matmul, row_reduce, split_congruence
 
 
 # Nonsingular windows of at most this many rows end the recursion with the
@@ -50,9 +53,7 @@ def _require_zero(form: HermitianForm, r0: int, r1: int, c0: int, c1: int, conte
         raise InvariantViolation(f"{context}: rows [{r0},{r1}) x cols [{c0},{c1}) not zero")
 
 
-def _sign_scaled(m: Matrix, sign: int) -> Matrix:
-    if sign == 1:
-        return m
+def _negated(m: Matrix) -> Matrix:
     neg = m.ring.neg
     return Matrix(m.ring, [[neg(v) for v in row] for row in m.rows], validate=False)
 
@@ -111,12 +112,12 @@ class _BlockRun:
             return
         h = (m + 1) // 2
         k = _split(form, lo, h, hi, self.cutoff)
-        coupling = form.m.submatrix(lo, lo + k, lo + h, hi)
-        if not coupling.is_zero():
+        mirror = form.m.submatrix(lo + h, hi, lo, lo + k)  # s-sigma of the coupling right of the core
+        if not mirror.is_zero():
             core_inv = invert(form.m.submatrix(lo, lo + k, lo, lo + k), form.counters)
-            y = matmul(coupling.sigma_transpose(form.counters), core_inv, self.cutoff, form.counters)
-            form.block_transvect(BlockTransvect(lo + h, lo, _sign_scaled(y, -self.s)), lo, hi, self.cutoff)
-        _require_zero(form, lo + h, hi, lo, lo + k, "coupling sweep")  # its s-sigma mirror is the coupling
+            y = matmul(mirror, core_inv, self.cutoff, form.counters)
+            form.block_transvect(BlockTransvect(lo + h, lo, _negated(y)), lo, hi, self.cutoff)
+        _require_zero(form, lo + h, hi, lo, lo + k, "coupling sweep")
         self.aniso(lo, lo + k, depth + 1)
         f = h - k
         if f == 0:
@@ -126,31 +127,37 @@ class _BlockRun:
 
     def iso(self, lo: int, hi: int, f: int, depth: int = 1) -> None:
         """Pair off [lo, lo+2f) hyperbolically, a node at recursion `depth`; here
-        B[lo:lo+f, lo:lo+f] = 0 and the block X right of it has full row rank f."""
+        B[lo:lo+f, lo:lo+f] = 0 and the block X right of it has full row rank f.
+
+        The rows below X hold its mirror s*sigma(X)^t.  Row-reducing them gives
+        A with A*s*sigma(X)^t = [R; 0], so X*sigma(A)^t = [C | 0] with the
+        f x f lead C = s*sigma(R)^t.  The congruences by C^-1 on rows
+        [lo, lo+f) and by A on rows [lo+f, hi) make the cross block the
+        identity and the rest of X zero."""
         self.max_depth = max(self.max_depth, depth)
         form = self.form
         ring = self.ring
         m = hi - lo
         if f < 1 or m < 2 * f:
             raise InvariantViolation(f"hyperbolic window [{lo},{hi}) cannot hold {f} pairs")
-        x = form.m.submatrix(lo, lo + f, lo + f, hi)
-        a, xrank, xa = column_reduce(x, form.counters)
+        a, xrank, ax = row_reduce(form.m.submatrix(lo + f, hi, lo, lo + f), form.counters)
         if xrank != f:
             raise InvariantViolation("coupling block X lost full row rank")
-        if not xa.submatrix(0, f, f, m - f).is_zero():
-            raise InvariantViolation("column reduction left residue right of the lead block")
-        lead_inv = invert(xa.submatrix(0, f, 0, f), form.counters)
+        if not ax.submatrix(f, m - f, 0, f).is_zero():
+            raise InvariantViolation("row reduction left residue below the lead block")
+        lead = ax.submatrix(0, f, 0, f).sigma_transpose(form.counters)
+        lead_inv = invert(lead if self.s == 1 else _negated(lead), form.counters)
         form.block_congruence(lo, lead_inv, lo, hi, self.cutoff)
-        form.block_congruence(lo + f, a.sigma_transpose(form.counters), lo, hi, self.cutoff)
+        form.block_congruence(lo + f, a, lo, hi, self.cutoff)
         _require_zero(form, lo, lo + f, lo, lo + f, "hyperbolic normalization")
         if form.m.submatrix(lo, lo + f, lo + f, lo + 2 * f) != Matrix.identity(ring, f):
             raise InvariantViolation(f"hyperbolic normalization: block at ({lo},{lo + f}) size {f} is not the identity")
         _require_zero(form, lo, lo + f, lo + 2 * f, hi, "hyperbolic normalization")
-        tail = form.m.submatrix(lo + f, lo + 2 * f, lo + 2 * f, hi)
+        tail = form.m.submatrix(lo + 2 * f, hi, lo + f, lo + 2 * f)  # s-sigma of the tail right of the pairs
         if not tail.is_zero():
             # rows [lo, lo+f) are [0 | I | 0], so rows [lo+2f, hi) += coeff *
             # rows [lo, lo+f) only zeroes their columns [lo+f, lo+2f)
-            coeff = _sign_scaled(tail.sigma_transpose(form.counters), -self.s)
+            coeff = _negated(tail)
             new = [row[lo : lo + f] + [ring.zero] * f + row[lo + 2 * f : hi] for row in form.m.rows[lo + 2 * f : hi]]
             form.install_rows(BlockTransvect(lo + 2 * f, lo, coeff), lo + 2 * f, new, lo, hi)
         # rows [lo+f, lo+2f) += N * rows [lo, lo+f), N the pair block's negated strict upper triangle

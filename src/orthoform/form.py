@@ -10,12 +10,13 @@ zeros, as in ``clear_row_column``, it is written as an assignment and not
 computed.
 
 Operation windows: every primitive takes an optional column/row window
-[lo, hi), and rejects a window outside the form or row indices outside the
-window before it logs, writes or counts anything.  The logged operation is
-always the global elementary matrix, so a windowed call is a valid congruence
-only when the touched rows and columns are zero outside the window.  Callers
-(the decomposition loops) maintain that invariant; standalone use should keep
-the default full window.
+[lo, hi), and rejects a window outside the form, row indices outside the
+window, or a multiplier that is not a scalar of the ring before it logs,
+writes or counts anything.  The logged operation is always the global
+elementary matrix, so a windowed call is a valid congruence only when the
+touched rows and columns are zero outside the window.  Callers (the
+decomposition loops) maintain that invariant; standalone use should keep the
+default full window.
 """
 
 from __future__ import annotations
@@ -325,12 +326,6 @@ class HermitianForm:
     def from_rows(cls, ring: Ring, rows: list[list], s: int) -> "HermitianForm":
         return cls(ring, Matrix(ring, [row[:] for row in rows]), s)
 
-    def copy(self) -> "HermitianForm":
-        twin = HermitianForm(self.ring, self.m.copy(), self.s, validate=False)
-        twin.log = TransformLog(self.dim, list(self.log.ops))
-        twin.counters = self.counters.copy()
-        return twin
-
     def _window(self, lo: int, hi: Optional[int], *rows) -> tuple[int, int]:
         """The window [lo, hi), hi defaulting to dim.  Raises ValueError
         unless its bounds are ints, it lies inside the form and each of
@@ -346,9 +341,16 @@ class HermitianForm:
         return lo, hi
 
     def scale_row_column(self, i: int, lam, lo: int = 0, hi: Optional[int] = None) -> None:
-        """Row i <- lam * row i and column i <- column i * sigma(lam)."""
+        """Row i <- lam * row i and column i <- column i * sigma(lam).
+
+        Raises:
+            ValueError: before anything is logged, written or counted, if the
+                window does not hold i, or lam is zero or not a scalar of the
+                ring (``validate_scalar``).
+        """
         ring = self.ring
         lo, hi = self._window(lo, hi, i)
+        lam = ring.validate_scalar(lam)
         if lam == ring.zero:
             raise ValueError("cannot scale a row-column by zero")
         self.log.append(Scale(i, lam))
@@ -378,9 +380,15 @@ class HermitianForm:
         Row target += lam * row source, then column target += column source *
         sigma(lam), in that order; the second step uses the updated entries,
         which is exactly the two-sided product; target must differ from source.
+
+        Raises:
+            ValueError: before anything is logged, written or counted, if the
+                window does not hold both rows, or lam is not a scalar of the
+                ring (``validate_scalar``).
         """
         ring = self.ring
         lo, hi = self._window(lo, hi, target, source)
+        lam = ring.validate_scalar(lam)
         if lam == ring.zero:
             return
         self.log.append(Eliminate(source, (target,), (lam,)))

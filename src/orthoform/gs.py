@@ -117,7 +117,12 @@ def standardize_at(form: HermitianForm, pos: int) -> list:
 def standardize(ring: Ring, s: int, alpha) -> tuple[TransformLog, list]:
     """Standalone corner finisher: builds [[0, 1], [s, alpha]] and runs
     standardize_at on it, returning the log fragment and emitted blocks.
+
+    Raises:
+        ValueError: if alpha is not a scalar of the ring (``validate_scalar``)
+            or not s*sigma(alpha).
     """
+    alpha = ring.validate_scalar(alpha)
     if alpha != ring.apply_sign(s, ring.sigma(alpha)):
         raise ValueError("corner entry must satisfy alpha = s*sigma(alpha)")
     rows = [[ring.zero, ring.one], [ring.from_int(s), alpha]]

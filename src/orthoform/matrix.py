@@ -17,11 +17,10 @@ column col of the rows from ``first`` on against the pivot at (src, col) and
 returns the number of rows it cleared; it reads the pivot itself and inverts
 it only at the first row to clear, so an inversion is counted only where one
 is used.  Each store also hands back its reduced half (``reduced``), which
-after the pivot loop is A*m for the transform A: ``row_reduce`` and its
-sigma-mirror ``column_reduce`` return A*m and m*A beside A, and
-``split_congruence`` (the split step of ``blocks``) the top rows of a
-congruence with one product, so their callers read those products off the
-elimination instead of issuing them.
+after the pivot loop is A*m for the transform A: ``row_reduce`` returns
+A*m beside A, and ``split_congruence`` (the split step of ``blocks``) the top
+rows of a congruence with one product, so their callers read those products
+off the elimination instead of issuing them.
 
 - The generic loop (``_ListRows``) clears rows through ``eliminate``, one
   pivot's row pass on ``row_axpy``.  It is valid over every ring and is the
@@ -818,15 +817,6 @@ def split_congruence(top: Matrix, cutoff: int = 0, counters=None) -> tuple:
     left = Matrix(ring, [row[:h] for row in am], validate=False)
     corner = matmul(left, a.sigma_transpose(counters), cutoff, counters)
     return a, k, [new + row[h:] for new, row in zip(corner.rows, am)]
-
-
-def column_reduce(m: Matrix, counters=None) -> tuple[Matrix, int, Matrix]:
-    """(A, rank, m*A) for an invertible ncols x ncols A with m*A = [C | 0], C
-    of full column rank: the sigma-mirror of ``row_reduce``.  Sigma is an
-    anti-automorphism, so it picks the same pivots and right multipliers at
-    the same counted cost, and issues no product."""
-    acc, r, reduced = row_reduce(m.sigma_transpose(), counters)
-    return acc.sigma_transpose(), r, reduced.sigma_transpose()
 
 
 def invert(m: Matrix, counters=None) -> Matrix:

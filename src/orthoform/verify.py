@@ -1,4 +1,4 @@
-"""Independent checks of decompositions and their cost claims.
+"""Independent checks of decompositions.
 
 check_decomposition re-derives everything from the input matrix and the log:
 the materialized transform T must be invertible, must actually congruate the
@@ -36,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .form import OpCounters
 from .gs import Decomposition, JBlock, ScalarBlock
 from .matrix import Matrix, rank
 from .rings import PrimeField, _legendre
@@ -255,51 +254,3 @@ def brute_force_congruence(b1: Matrix, b2: Matrix, s: int) -> bool:
     from .kernel import congruent_by_enumeration
 
     return congruent_by_enumeration(b1, b2)
-
-
-@dataclass
-class CounterReport:
-    ratios: dict
-    flags: list
-    bands: dict
-
-
-_DEFAULT_BANDS = {
-    "additions": (0.85, 1.25),
-    "multiplications": (0.85, 1.25),
-}
-
-
-def counter_report(
-    counters: OpCounters,
-    d: int,
-    radical_dim: int,
-    bands: Optional[dict] = None,
-) -> CounterReport:
-    """Ratios of observed counts to the leading-term cost model.
-
-    Additions and multiplications are compared to e^3/3 (e = rank),
-    inversions to e, equality tests to d(d-1)/2, and involution applications
-    to d(d-1)/2 - r(r-1)/2 (r = radical dimension).  Ratios whose denominator
-    vanishes are reported as None.  Any ratio outside its band is flagged;
-    by default only the addition and multiplication bands are set.
-    """
-    if bands is None:
-        bands = dict(_DEFAULT_BANDS)
-    e = d - radical_dim
-    cube = e**3 / 3
-    pairs = d * (d - 1) / 2
-    sigma_den = pairs - radical_dim * (radical_dim - 1) / 2
-    ratios = {
-        "additions": counters.additions / cube if cube else None,
-        "multiplications": counters.multiplications / cube if cube else None,
-        "inversions": counters.inversions / e if e else None,
-        "equality_tests": counters.equality_tests / pairs if pairs else None,
-        "sigma_applications": counters.sigma_applications / sigma_den if sigma_den else None,
-    }
-    flags = []
-    for name, (low, high) in bands.items():
-        value = ratios.get(name)
-        if value is not None and not (low <= value <= high):
-            flags.append(f"{name} ratio {value:.4f} outside [{low}, {high}]")
-    return CounterReport(ratios=ratios, flags=flags, bands=bands)

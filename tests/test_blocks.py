@@ -195,7 +195,7 @@ STRASSEN_CASES = {
 STRASSEN_DIGESTS = {
     "gf101+": {4: "7494007aee9839bf", 8: "1e1b9f31507b8920"},
     "gf101-": {4: "7393bc21cc27d074", 8: "bb7f6b8fd084da3f"},
-    "gf9+": {4: "e533795d45a20175", 8: "62fae1cb8f1a693c"},
+    "gf9+": {4: "a6d166153f148c7a", 8: "e0fe513b1aace0b9"},
     "gf2+": {4: "48631d146549b09a", 8: "9b05a5ab67df8bc2"},
     "q-": {4: "ebd022db7a82b39f", 8: "b1f424903a6fbc5b"},
     "h+": {4: "3e80e8d6ff8d0ae5", 8: "5859486f1bc7cc7f"},
@@ -304,15 +304,15 @@ GOLDEN_CASES = {
 GOLDEN_DIGESTS = {
     "gf101+deficient": "032beba980097d4eb1fc27828b2ca417c8d83a83bd07e0061c7bf7e36c10619f",
     "gf101+full": "eca7bd57ac6c2b3f4a94d8d603c78300b45753d7fe72804e97e5063a3e27e50a",
-    "gf101-deficient": "5cccf86d0cd237cb7b910c1bac6879b324d6e0ab6d213e69dfa2b9e8d4e7c4f0",
-    "gf101-full": "42fdc1f4d8e70d4e220461f9a39d8d04b55c953de31b662e82965606d2c857cd",
-    "gf101-tail": "eb894ed46e51f9226ed6bfe5b9f4bc6263a42c0a65ba05fdc49c698e3bb9b342",
+    "gf101-deficient": "8281f42aab694f023bacadbff66160923aa0e84694b04f50b99c573633d93216",
+    "gf101-full": "7dc784dd6bb567531dc0ddb91a3bceda687565d691e947860a8da1a70622c699",
+    "gf101-tail": "f8d6eb256fefce61db2ba3e9b8c0858ba2e288d3ffd7e740cac5a0a6416dc9d8",
     "gf2-deficient": "6c839cabfdf300efa46ae9d09949fdb49f9a6e1ddafbc4cd309554e03952e0b4",
-    "gf2-full": "c5af9e02f6a0e1752a13d4535a0b70e12b5759ff23978a985e9e0aaa126b410b",
-    "gf3-corner": "ab1fd77deadb5712dd775d8a49a048a04b0b2824b1390ab8badb81b71b09a409",
-    "gf9+deficient": "6c7ce04c7e0d5d3f95e5b0935cd948141d9470359a63d98bf2bd191358a239ff",
-    "gf9+full": "e498ca940189e9e3a88db7caf56a6527d75060e4fac4dd9453694b1e34853557",
-    "gf9-full": "7f836bbd6190b4442aec1a691bb24de5ce677f4c3c13901cbdbe4acf50f47ae0",
+    "gf2-full": "9accc1e9c064a5a7f561bbaa458e081d07d6505209d46c72f9d6d65c22a20f3d",
+    "gf3-corner": "614c73c27ade5c673217396b7de2e4da458a9a726ee121da36d512b1413c7451",
+    "gf9+deficient": "4b31221c146609149e7f9ba676ab688f3bac764cdcbfd83a377d17bc52c2d222",
+    "gf9+full": "0405744fd1da1569dfac7f582edf55c7b42a8eb51672ae1df7bf9e21b0b78023",
+    "gf9-full": "8e73a5dfa5f6bc02b4e26a27cfaa4ab855b47dd162fc8796c24c222b68a31ae5",
     "h+deficient": "b3ffb2a6d62bd5002c39b593656271be389d50ebbfe31f5f4cfffe769cc26d55",
     "h+full": "515bbb7685ae240a7f631d6034b4ce0b4b8ff164b15763d26f9f3ad7ea869a9c",
     "h-deficient": "572aab2f3dff38e113fdfa7966aec0ac01ba246fe0a59eec75b8705f740fe251",
@@ -577,7 +577,7 @@ TRANSFORM_CASES = {
 TRANSFORM_DIGESTS = {
     "gf1009+": "73be185e967cf08b1b94fb0f164327d3bf6ba29fb76b68388cadd56940a80f94",
     "gf1009-": "c971f3c9bd3a7ff0777dacd8222ba31f810259023666e0c468f4058a33c9d2de",
-    "gf9+": "84e8bbfeec4a8eaeb2bdfecff75a6d3c9d93f2fa788cc4f4f02de478d53b55f7",
+    "gf9+": "76918577ac5f3261087cac0ced1fb9bbb8975eca501777f4d62c2ed4ab135aa2",
     "gf9-": "1849b8f5f71ed20ff51a3546e40b7eea663cf6cab4b3a1e7f688a7dcbd95ef9a",
 }
 

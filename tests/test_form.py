@@ -297,6 +297,20 @@ def test_moves_reject_rows_outside_their_window(move, args):
     assert form.counters == counters
 
 
+@pytest.mark.parametrize("lam", [10, -1, "2"], ids=repr)
+@pytest.mark.parametrize("move, rows", [("transvect", (0, 1)), ("scale_row_column", (2,))])
+def test_moves_reject_a_multiplier_outside_the_ring(move, rows, lam):
+    # an unreduced residue or a string would be applied mod 7, or not at all,
+    # but logged as given, and the log would then not materialize
+    form = random_form(GF7, 1, 3, random.Random(42))
+    before, log, counters = snapshot(form.m), list(form.log.ops), form.counters.copy()
+    with pytest.raises(ValueError):
+        getattr(form, move)(*rows, lam)
+    assert form.m == before
+    assert form.log.ops == log
+    assert form.counters == counters
+
+
 def test_materialize_splits_multiplicatively():
     rng = random.Random(38)
     for ring, s in [(GF7, 1), (GF9, 1), (HH, 1)]:

@@ -103,6 +103,15 @@ def test_standardize_builds_and_splits():
         standardize(GF9, 1, (1, 1))  # alpha must satisfy the symmetry law
 
 
+@pytest.mark.parametrize("alpha", [10, -3, "x"], ids=repr)
+def test_standardize_rejects_a_corner_outside_the_ring(alpha):
+    # as normalize_scalar_block, pair_rescale and char2_triple do, it
+    # validates alpha before building the corner, rather than emitting
+    # ScalarBlock(10) or failing with a TypeError
+    with pytest.raises(ValueError):
+        standardize(GF7, 1, alpha)
+
+
 def test_standardize_at_respects_the_window():
     # surrounding entries outside [1, 3) must not move
     form = HermitianForm.from_rows(GF7, [[4, 0, 0, 0], [0, 0, 1, 0], [0, 1, 3, 0], [0, 0, 0, 6]], 1)

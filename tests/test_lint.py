@@ -1,16 +1,20 @@
 """A small AST lint of the package: no orphaned imports, no dead module
-names, no function body written twice, no process-wide state.
+names, no function body written twice, no process-wide state, no prose
+pointing at a name the code no longer has.
 
 Deleting code tends to leave behind an import that nothing uses any more, a
 private helper that nothing calls, or a public function that nothing calls
 and the package does not export.  Copying code leaves two functions that have
 to be changed together.  The checks read the source of ``src/orthoform``
-with ``ast`` alone.
+with ``ast`` and ``tokenize`` alone.
 """
 
 from __future__ import annotations
 
 import ast
+import io
+import re
+import tokenize
 from collections import Counter, defaultdict
 from pathlib import Path
 
@@ -148,3 +152,65 @@ def test_the_package_keeps_no_process_wide_state():
                 names = _PROCESS_STATE.get(node.module, ())
                 found += [f"{module}.py:{node.lineno} {node.module}.{a.name}" for a in node.names if a.name in names]
     assert found == []
+
+
+def _docstrings(tree: ast.Module) -> list[ast.Constant]:
+    """The docstring nodes of the module, its classes and its functions."""
+    nodes = [tree] + [n for n in ast.walk(tree) if isinstance(n, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))]
+    return [
+        n.body[0].value
+        for n in nodes
+        if n.body and isinstance(n.body[0], ast.Expr) and isinstance(n.body[0].value, ast.Constant)
+        and isinstance(n.body[0].value.value, str)
+    ]
+
+
+def _known_names(trees: dict[str, ast.Module]) -> set[str]:
+    """Every name the package defines, imports, reads or uses as a string
+    constant, and its module names; a docstring is not a definition."""
+    known = set(trees)
+    for tree in trees.values():
+        docs = set(map(id, _docstrings(tree)))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                known.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                known.add(node.attr)
+            elif isinstance(node, ast.arg):
+                known.add(node.arg)
+            elif isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                known.add(node.name)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                known.update((getattr(node, "module", None) or "").split("."))
+                for alias in node.names:
+                    known.update(alias.name.split("."))
+                    known.add(alias.asname or alias.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docs:
+                known.add(node.value)
+    return known
+
+
+# ``name`` or ``a.b`` in double backticks: prose that points at the code
+_CODE_NAME = re.compile(r"``([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)``")
+
+
+def test_every_name_the_prose_points_at_exists():
+    # a docstring or comment that names ``something`` in double backticks
+    # points a reader at the code; after a deletion or rename the name must
+    # still be there to find
+    trees = _trees()
+    known = _known_names(trees)
+    stale = []
+    for module, tree in trees.items():
+        source = (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
+        texts = [(doc.lineno, doc.value) for doc in _docstrings(tree)]
+        texts += [
+            (tok.start[0], tok.string)
+            for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+            if tok.type == tokenize.COMMENT
+        ]
+        for line, text in texts:
+            for match in _CODE_NAME.finditer(text):
+                if not set(match[1].split(".")) <= known:
+                    stale.append(f"{module}.py:{line + text.count(chr(10), 0, match.start())} {match[1]}")
+    assert stale == []

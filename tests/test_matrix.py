@@ -27,7 +27,6 @@ from orthoform import (
     SingularMatrixError,
     Swap,
     TransformLog,
-    column_reduce,
     invert,
     matmul,
     matmul_classical,
@@ -333,35 +332,20 @@ def test_row_reduce_contract(monkeypatch):
                 assert row_reduce(top)[1] == rank
 
 
-def test_column_reduce_contract(monkeypatch):
+def test_row_reduce_of_the_negation(monkeypatch):
+    # row_reduce(-m) picks the pivots and multipliers of row_reduce(m): each
+    # multiplier -f * pivot^-1 is unchanged when f and the pivot both change
+    # sign.  So A and the rank agree and the reduced half is -(A*m), which
+    # lets blocks.iso row-reduce s*sigma(X)^t for either sign s
     rng = random.Random(7)
     for ring in _on_each_store(monkeypatch):
-        for _ in range(25):
-            n, m = rng.randrange(1, 6), rng.randrange(1, 6)
-            mtx = random_matrix(ring, n, m, rng)
-            a, rank, reduced = column_reduce(mtx)
-            invert(a)
-            assert reduced == matmul(mtx, a)
-            for i in range(n):
-                for j in range(rank, m):
-                    assert reduced.rows[i][j] == ring.zero
-
-
-def test_column_reduce_full_row_rank_gives_invertible_lead():
-    # for X with independent rows, X*A = [C | 0] with C square invertible
-    rng = random.Random(8)
-    for _ in range(20):
-        f = rng.randrange(1, 4)
-        m = f + rng.randrange(0, 4)
-        mtx = random_matrix(GF7, f, m, rng)
-        a, rank, xa = column_reduce(mtx)
-        if rank < f:
-            continue
-        lead = Matrix(GF7, [row[:f] for row in xa.rows], validate=False)
-        invert(lead)
-        for i in range(f):
-            for j in range(f, m):
-                assert xa.rows[i][j] == GF7.zero
+        cases = [random_matrix(ring, rng.randrange(1, 6), rng.randrange(1, 6), rng) for _ in range(20)]
+        cases += [_low_rank_matrix(ring, n, m, r, rng) for n, m, r in [(5, 4, 2), (4, 5, 1), (5, 5, 3)]]
+        for mtx in cases:
+            neg = Matrix(ring, [[ring.neg(v) for v in row] for row in mtx.rows], validate=False)
+            a, rank, reduced = row_reduce(mtx)
+            assert row_reduce(neg) == (a, rank, Matrix(ring, [[ring.neg(v) for v in row] for row in reduced.rows]))
+        assert any(row_reduce(mtx)[1] < min(mtx.shape) for mtx in cases)
 
 
 def test_invert_round_trip_and_singular():
@@ -424,15 +408,15 @@ def _low_rank_matrix(ring, n, m, r, rng):
     return matmul(random_matrix(ring, n, r, rng), random_matrix(ring, r, m, rng))
 
 
-# Digests of the transforms, ranks and counters that the three eliminations
+# Digests of the transforms, ranks and counters that row_reduce and invert
 # return on fixed random inputs (full rank, rank deficient, both aspect
 # ratios), so a rewrite of their inner loops must reproduce them exactly.
 ELIMINATION_DIGESTS = {
-    "GF(7)": "0984883e966152191acd5e718a3341f9959d61a67a249c76becc70198fbb6b1f",
-    "GF(2)": "1be61e76c8598afd8b8e78820df823f8a9666da55bbced351c33e08dd6e65af2",
-    "GF(3^2)": "f9c2d993960ea9d0d2429eabfd6c03a2cfff83c18f09e4c182b586a369f22c0a",
-    "Rational": "4fe433e943c569e2144cc92ebc502841946f3deb49ef67b79c306814c1bc4677",
-    "Quaternion": "166726cc15399e13b68218ac0a57f571c1a3dac14379e709d616cb1a049f6505",
+    "GF(7)": "37a7d12d5de386620faa69873243edd62d3a6e728258d076fbf6dc4d014d446e",
+    "GF(2)": "9e66b5f5f089deb1910138b93de7f130075f1d47bd18e888677412bdc39a3b54",
+    "GF(3^2)": "54bf91cc5a61cbe736a4138285c213c126e5e5ba2d8e2dffc8b70d0504f7907d",
+    "Rational": "d0d2a3550ab33e584bcef66d2d6847a7a541a249e29348a8f860701d88bdd07e",
+    "Quaternion": "3564f5f9635c370c2a51a0c21602d6f0f0bb687a012b972520e3e064fbbc3d9a",
 }
 
 
@@ -444,10 +428,9 @@ def _elimination_digest(ring):
             mtx = random_matrix(ring, n, m, rng)
         else:
             mtx = _low_rank_matrix(ring, n, m, r, rng)
-        for reduce in (row_reduce, column_reduce):
-            counters = OpCounters()
-            a, rank, _ = reduce(mtx, counters)
-            out.append((a.rows, rank, counters.as_dict()))
+        counters = OpCounters()
+        a, rank, _ = row_reduce(mtx, counters)
+        out.append((a.rows, rank, counters.as_dict()))
         if n == m:
             counters = OpCounters()
             try:
@@ -466,10 +449,10 @@ def test_elimination_results_are_pinned(ring):
 # for the int64 kernel, so the kernel must reproduce transforms, ranks and
 # every counter of the loop it replaces.
 KERNEL_DIGESTS = {
-    "GF(2)": "c9029b2cb94ac8b3dfd89ee964d473be0b59e92c4c8f8786b13c2fed4b1a8b5d",
-    "GF(101)": "ff0e103aee9c6f2affd7a1b7842f3283f88ee49e90d62c15ea6398e1dd43abb2",
-    "GF(1009)": "cc1af8737622abeef31b202a2984506d479d1b6e4e39beaecf93c5498184fd08",
-    "GF(3^2)": "1313b2ec6d89f184f64b2e77c8f1c1ecaec4f280535a1abc7abcd3d4094de94f",
+    "GF(2)": "ea1da665d2deedd8eb80fa7bce0b083750c3f7c144a134aa8e72d61813f4797f",
+    "GF(101)": "4be4cf7c955a8eb617bfbec3f31ccda064ad09f3a28e5c1e53ad6407dec0c646",
+    "GF(1009)": "e3280a4fba14320e6aa38b760c465bff6b30d0088ce9256993015102e7fe9647",
+    "GF(3^2)": "c62862e6d8564b907a2fae194dc815015a6ff07e59068d0a9cd2f97190fbd924",
 }
 
 
@@ -492,10 +475,9 @@ def _kernel_inputs(ring, rng):
 def test_kernel_sized_eliminations_are_pinned(ring):
     out = []
     for mtx in _kernel_inputs(ring, random.Random(701)):
-        for reduce in (row_reduce, column_reduce):
-            counters = OpCounters()
-            a, rank, _ = reduce(mtx, counters)
-            out.append((a.rows, rank, counters.as_dict()))
+        counters = OpCounters()
+        a, rank, _ = row_reduce(mtx, counters)
+        out.append((a.rows, rank, counters.as_dict()))
         if mtx.nrows == mtx.ncols:
             counters = OpCounters()
             try:
@@ -624,13 +606,12 @@ def test_kernel_matches_the_generic_loop(ring, monkeypatch):
     def run():
         out = []
         for mtx in cases:
-            for reduce in (row_reduce, column_reduce):
-                counters = OpCounters()
-                a, r, _ = reduce(mtx, counters)
-                out.append((a.rows, r, counters.as_dict()))
+            counters = OpCounters()
+            a, r, _ = row_reduce(mtx, counters)
+            out.append((a.rows, r, counters.as_dict()))
             counters = OpCounters()
             out.append((matrix.rank(mtx, counters), counters.as_dict()))
-            assert out[-1][0] == out[-3][1]
+            assert out[-1][0] == out[-2][1]
             if mtx.nrows == mtx.ncols:
                 counters = OpCounters()
                 try:
@@ -759,10 +740,9 @@ def test_integer_rows_match_the_generic_loop(ring, monkeypatch):
     def run():
         out = []
         for mtx in cases:
-            for reduce in (row_reduce, column_reduce):
-                counters = OpCounters()
-                a, r, _ = reduce(mtx, counters)
-                out.append((a.rows, r, counters.as_dict()))
+            counters = OpCounters()
+            a, r, _ = row_reduce(mtx, counters)
+            out.append((a.rows, r, counters.as_dict()))
             counters = OpCounters()
             out.append((matrix.rank(mtx, counters), counters.as_dict()))
             if mtx.nrows == mtx.ncols:

@@ -25,7 +25,6 @@ from orthoform import (
     TransformLog,
     brute_force_congruence,
     check_decomposition,
-    counter_report,
     decompose_blocks,
     decompose_gs,
     invariants_of,
@@ -456,35 +455,6 @@ def test_brute_force_guards():
         brute_force_congruence(Matrix.identity(GF9, 2), Matrix.identity(GF9, 2), 1)
     with pytest.raises(ValueError):
         brute_force_congruence(Matrix.identity(GF3, 2), Matrix.identity(GF3, 1), 1)
-
-
-def test_counter_report_ratios_and_flags():
-    counters = OpCounters(
-        additions=1000, multiplications=1100, inversions=9, equality_tests=45, sigma_applications=0
-    )
-    report = counter_report(counters, 10, 1)
-    e = 9
-    assert report.ratios["additions"] == pytest.approx(1000 / (e**3 / 3))
-    assert report.ratios["inversions"] == pytest.approx(1.0)
-    assert report.ratios["equality_tests"] == pytest.approx(1.0)
-    assert report.ratios["sigma_applications"] == 0.0
-    # 4.1x the cubic model is far outside the default band
-    assert any("additions" in flag for flag in report.flags)
-
-
-def test_counter_report_handles_degenerate_denominators():
-    report = counter_report(OpCounters(), 1, 1)
-    assert report.ratios["additions"] is None
-    assert report.ratios["inversions"] is None
-    assert report.ratios["equality_tests"] is None
-    assert report.ratios["sigma_applications"] is None
-    assert report.flags == []
-
-
-def test_counter_report_custom_bands():
-    counters = OpCounters(additions=10, multiplications=10, inversions=2, equality_tests=3, sigma_applications=0)
-    report = counter_report(counters, 3, 0, bands={"inversions": (0.0, 0.5)})
-    assert report.flags and "inversions" in report.flags[0]
 
 
 class _UnknownOp:
