@@ -1,4 +1,4 @@
-"""The int64 numpy kernel over GF(p) and GF(p^2).
+"""The numpy kernel over GF(p) and GF(p^2).
 
 ``matrix`` imports this module only once its guard has chosen the kernel:
 ``_int64_ok`` and at least ``_KERNEL_MIN_ENTRIES`` entries for eliminations,
@@ -10,22 +10,34 @@ GF(p), the a and the b of a + b*x over GF(p^2).  Products are summed in int64
 and reduced mod p afterwards; the caller's guard keeps every sum below 2**62.
 ``verify.brute_force_congruence`` runs its enumeration here as well.
 
+The products of a replayed log and of the certificate (``PlaneRows``:
+``congruates``, ``left_multiply`` and the product branch of
+``add_multiples``) go through ``_exact_product`` instead.  It runs a product
+in float64 BLAS whenever ``_sum_bound`` of its inner size is below 2**53, so
+that every sum is an integer float64 holds exactly (the technique of
+FFLAS-FFPACK), and in int64 otherwise.  numpy's int64 product does not use
+BLAS and is about 20x slower at d=96.  The float product is cut into tiles of
+the output small enough that OpenBLAS runs each on the calling thread
+(``_BLAS_SOLO``).  ``matmul``, ``eliminate`` and the decomposers stay in
+int64.
+
 The certificate asks the ``PlaneRows`` store that replayed a log for the
 transform t it holds.  ``congruates`` forms t * B * sigma(t)^t on the planes:
-two products reduced mod p, sigma(t)^t a transpose of the planes (the b plane
-negated under the Frobenius involution).  The product is unpacked once and
-compared with D as Python values by ``Matrix.__eq__``, as on lists.
+two exact products reduced mod p, sigma(t)^t a transpose of the planes (the
+b plane negated under the Frobenius involution).  The product is unpacked
+once and compared with D as Python values by ``Matrix.__eq__``, as on lists.
 ``rows_at`` (shared with the stores on Python rows) unpacks only the rows of t
 it picks, through ``transform`` of an index.
 """
 
 from __future__ import annotations
 
+from math import isqrt
 from typing import Optional
 
 import numpy as np
 
-from .matrix import Matrix, RingMismatchError, ShapeError, _RowStore
+from .matrix import Matrix, RingMismatchError, ShapeError, _RowStore, _sum_bound
 from .rings import PrimeField, QuadraticField, Ring
 
 
@@ -52,6 +64,37 @@ def _plane_product(ring: Ring, x: np.ndarray, y: np.ndarray, op=np.multiply) -> 
         return op(x, y)
     c = ring.nonresidue
     return np.stack((op(x[0], y[0]) + c * op(x[1], y[1]), op(x[0], y[1]) + op(x[1], y[0])))
+
+
+# OpenBLAS runs a dgemm of at most this many multiply-adds on the calling
+# thread alone (SMP_THRESHOLD_MIN * GEMM_MULTITHREAD_THRESHOLD in its
+# interface/gemm.c).  A larger one is split across its helper threads, which
+# exist when numpy loaded in a process free to use more than one CPU; a
+# helper that took part spins on after the call, and on a 2-CPU host the
+# Python that runs next is then about twofold slower.
+_BLAS_SOLO = 1 << 18
+
+
+def _exact_product(ring: Ring, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The ring product of plane arrays x (planes, n, k) and y (planes, k, m)
+    as int64 planes reduced mod p, exactly.  When ``_sum_bound(ring, k)`` is
+    below 2**53 it runs in float64 BLAS, which is exact while every sum stays
+    below 2**53 (the technique of FFLAS-FFPACK), in tiles of the output small
+    enough that no call does more than ``_BLAS_SOLO`` multiply-adds.  Only n
+    and m are tiled, never k, so each entry is still one float sum.  Otherwise
+    it is the int64 product, under the caller's ``_int64_ok``."""
+    p, (n, k), m = ring.p, x.shape[1:], y.shape[2]
+    if _sum_bound(ring, k) >= 2**53:
+        return _plane_product(ring, x, y, np.matmul) % p
+    x, y = x.astype(np.float64), y.astype(np.float64)
+    out = np.empty((len(x), n, m), dtype=np.int64)
+    room = _BLAS_SOLO // max(k, 1)  # output entries per call
+    tm = max(1, min(m, isqrt(room)))
+    tn = max(1, min(n, room // tm))
+    for i in range(0, n, tn):
+        for j in range(0, m, tm):
+            out[:, i : i + tn, j : j + tm] = _plane_product(ring, x[:, i : i + tn], y[:, :, j : j + tm], np.matmul) % p
+    return out
 
 
 def matmul(ring: Ring, left: list, right: list) -> list:
@@ -135,13 +178,16 @@ class PlaneRows(_RowStore):
     def add_multiples(self, sources, targets, lams: list) -> None:
         ring, w = self.ring, self.w
         lam = _pack(ring, lams).transpose(0, 2, 1)  # (planes, targets, sources)
-        op = np.multiply if lam.shape[2] == 1 else np.matmul  # one source: a broadcast outer product
-        w[:, targets] = (w[:, targets] + _plane_product(ring, lam, w[:, sources], op)) % self.p
+        if lam.shape[2] == 1:  # one source: a broadcast outer product
+            prod = _plane_product(ring, lam, w[:, sources])
+        else:
+            prod = _exact_product(ring, lam, w[:, sources])
+        w[:, targets] = (w[:, targets] + prod) % self.p
 
     def left_multiply(self, offset: int, block: Matrix) -> None:
         q = block.nrows
         span = self.w[:, offset : offset + q]
-        self.w[:, offset : offset + q] = _plane_product(self.ring, _pack(self.ring, block.rows), span, np.matmul) % self.p
+        self.w[:, offset : offset + q] = _exact_product(self.ring, _pack(self.ring, block.rows), span)
 
     def reduced(self, c0: int = 0) -> list:
         """Columns [c0, cols) of the work half as ring values: A*m once the
@@ -161,19 +207,19 @@ class PlaneRows(_RowStore):
 
     def congruates(self, source: Matrix, target: Matrix) -> bool:
         """``matrix.congruates`` of the transform t on its planes: t * source
-        and then that times sigma(t)^t, each one int64 product reduced mod p,
-        unpacked once and compared with the target as Python values, the way
-        the list path compares them.  Valid for a store that
-        ``TransformLog._replay`` built under ``_int64_ok(ring, d)``, which
-        bounds both products' sums."""
-        ring, p, n = self.ring, self.p, self.n
+        and then that times sigma(t)^t, each one ``_exact_product`` reduced
+        mod p (float64 while d terms stay below 2**53, else int64), unpacked
+        once and compared with the target as Python values, the way the list
+        path compares them.  Valid for a store that ``TransformLog._replay``
+        built under ``_int64_ok(ring, d)``, which bounds both products' sums."""
+        ring, n = self.ring, self.n
         if source.ring != ring:
             raise RingMismatchError(f"{ring!r} vs {source.ring!r}")
         if source.shape != (n, n):
             raise ShapeError(f"cannot take a {source.shape} form by a {n} x {n} transform")
         t = self._planes()
-        prod = _plane_product(ring, t, _pack(ring, source.rows), np.matmul) % p
-        prod = _plane_product(ring, prod, _sigma_transpose(ring, t), np.matmul) % p
+        prod = _exact_product(ring, t, _pack(ring, source.rows))
+        prod = _exact_product(ring, prod, _sigma_transpose(ring, t))
         return Matrix(ring, _unpack(prod), validate=False, ncols=n) == target
 
 

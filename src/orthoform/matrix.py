@@ -34,9 +34,10 @@ off the elimination instead of issuing them.
 - The int64 numpy kernel (``kernel.PlaneRows``) does each pivot as one rank-1
   update reduced mod p.  It runs over GF(p) and GF(p^2) (two planes, a and b
   of a + b*x) when the job has at least ``_KERNEL_MIN_ENTRIES`` entries and
-  passes the overflow guard ``_int64_ok``: terms * (1 + c) * (p - 1)**2 + p
-  < 2**62, with c the non-residue of GF(p^2) and 0 over GF(p).  ``kernel``
-  (and with it numpy) is imported only once a guard has chosen it.
+  passes the overflow guard ``_int64_ok``: ``_sum_bound``, terms * (1 + c) *
+  (p - 1)**2 + p with c the non-residue of GF(p^2) and 0 over GF(p), below
+  2**62.  ``kernel`` (and with it numpy) is imported only once a guard has
+  chosen it.
 
 ``congruates`` checks t * B * sigma(t)^t = D with two ``matmul`` products
 and a comparison of the rows, for every post-pass identity.  The certificate
@@ -47,7 +48,10 @@ reads, converting only those through the store's ``transform(index)``.  The
 stores on Python rows check ``congruates`` on their transform;
 ``kernel.PlaneRows`` forms the two products on its int64 planes, under the
 guard that chose the kernel for the replay, and unpacks the product once to
-compare it with D as Python values by ``Matrix.__eq__``, as on lists.
+compare it with D as Python values by ``Matrix.__eq__``, as on lists.  Each
+of those products, and each product of the replay, runs in float64 BLAS when
+the same ``_sum_bound`` is below 2**53, where every sum is exact in float64,
+and in int64 otherwise (``kernel._exact_product``).
 
 The classical product takes one of three paths:
 
@@ -84,7 +88,7 @@ import operator
 import sys
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from typing import Optional
 
 from .rings import PrimeField, QuadraticField, RationalField, RationalQuaternions, Ring
@@ -154,18 +158,24 @@ def eliminate(ring: Ring, rows: list, src: int, col: int, targets, lo: int, hi: 
 _KERNEL_MIN_ENTRIES = 576
 
 
-def _int64_ok(ring: Ring, terms: int) -> bool:
-    """True when ``ring`` is GF(p) or GF(p^2) and a sum of ``terms`` products of
-    residues plus one residue stays below 2**62 in int64 planes, that is
-    terms * (1 + c) * (p - 1)**2 + p < 2**62 with c the non-residue of GF(p^2)
-    (0 over GF(p))."""
+def _sum_bound(ring: Ring, terms: int):
+    """The bound on a sum of ``terms`` products of residues plus one residue
+    in the planes of ``ring``: terms * (1 + c) * (p - 1)**2 + p, with c the
+    non-residue of GF(p^2) and 0 over GF(p).  Infinite over Q and the
+    quaternions, which have no planes."""
     if isinstance(ring, PrimeField):
         c = 0
     elif isinstance(ring, QuadraticField):
         c = ring.nonresidue
     else:
-        return False
-    return terms * (1 + c) * (ring.p - 1) ** 2 + ring.p < 2**62
+        return inf
+    return terms * (1 + c) * (ring.p - 1) ** 2 + ring.p
+
+
+def _int64_ok(ring: Ring, terms: int) -> bool:
+    """True when ``ring`` is GF(p) or GF(p^2) and its ``_sum_bound`` for
+    ``terms`` stays below 2**62, so that int64 planes hold every sum."""
+    return _sum_bound(ring, terms) < 2**62
 
 
 def _count_product(counters, n: int, k: int, m: int) -> None:

@@ -9,6 +9,7 @@ import inspect
 import random
 import sys
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -622,6 +623,37 @@ def test_kernel_matches_the_generic_loop(ring, monkeypatch):
 
     generic, kernel = _both_paths(monkeypatch, run)
     assert kernel == generic
+
+
+def _near_float_bound(make, k):
+    """The ring ``make(p)`` of a prime p whose sums of k terms come within 1%
+    of 2**53 from below.  The non-residue of GF(p^2) is at least 2."""
+    from sympy import prevprime
+
+    p = isqrt(2**53 // (k * (1 if make is PrimeField else 3))) + 1
+    while True:
+        p = prevprime(p)
+        if 0.99 * 2**53 < matrix._sum_bound(make(p), k) < 2**53:
+            return make(p)
+
+
+@pytest.mark.parametrize("n, k, m", [(1, 1, 1), (97, 96, 53), (200, 200, 200)])
+@pytest.mark.parametrize("make", [PrimeField, QuadraticField], ids=["gfp", "gfp2"])
+def test_the_tiled_float_product_equals_the_int64_product(make, n, k, m):
+    # residues near p - 1 for a p whose k-term sums come within 1% of 2**53,
+    # the most the float product takes: each sum must still be exact
+    import numpy as np
+
+    from orthoform import kernel
+
+    ring = _near_float_bound(make, k)
+    rng = np.random.default_rng(712)
+    planes = 1 if make is PrimeField else 2
+    x = rng.integers(ring.p - 1000, ring.p, size=(planes, n, k), dtype=np.int64)
+    y = rng.integers(ring.p - 1000, ring.p, size=(planes, k, m), dtype=np.int64)
+    assert matrix._int64_ok(ring, k)
+    int64 = kernel._plane_product(ring, x, y, np.matmul) % ring.p
+    assert np.array_equal(kernel._exact_product(ring, x, y), int64)
 
 
 @pytest.mark.parametrize("ring", [PrimeField(101), GF9], ids=repr)

@@ -321,6 +321,73 @@ def test_the_overflow_guard_picks_the_replay_and_both_certify(p, planes):
     assert check_decomposition(original, 1, dec).passed
 
 
+def _spy_on_matmul(monkeypatch) -> list:
+    """Record (dtype, n, k, m) of each np.matmul call, in order."""
+    import numpy as np
+
+    calls = []
+    real = np.matmul
+
+    def matmul(x, y, *args, **kwargs):
+        calls.append((x.dtype, x.shape[-2], x.shape[-1], y.shape[-1]))
+        return real(x, y, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", matmul)
+    return calls
+
+
+# 24 terms of (p - 1)**2 plus p stay below 2**53 and 30 terms do not, for
+# p = 18,000,041; over GF(9,020,023^2), whose non-residue c is 3, the same
+# holds only with the factor 1 + c: 30 * (p - 1)**2 alone is below 2**53
+_FLOAT_EDGE = [PrimeField(18_000_041), QuadraticField(9_020_023, "frobenius")]
+
+
+@pytest.mark.parametrize("d", [24, 30])
+@pytest.mark.parametrize("ring", _FLOAT_EDGE, ids=repr)
+def test_the_float_guard_picks_the_certificate_products_and_both_certify(ring, d, monkeypatch):
+    # the replay runs on planes at both sizes; the congruence's two products
+    # (inner size d) run in float64 while their sums stay below 2**53 and in
+    # int64 past it, and both reports read as the list check's
+    import numpy as np
+
+    assert (matrix._sum_bound(ring, d) < 2**53) == (d == 24)
+    if isinstance(ring, QuadraticField):  # without its factor 1 + c, d=30 would pass
+        assert 30 * (ring.p - 1) ** 2 + ring.p < 2**53
+    assert matrix._int64_ok(ring, d)
+    original, dec = fresh_decomposition(ring=ring, d=d)
+    assert isinstance(dec.log._replay(ring), kernel.PlaneRows)
+    with monkeypatch.context() as spied:
+        calls = _spy_on_matmul(spied)
+        assert check_decomposition(original, 1, dec).passed
+    assert {dtype for dtype, _, k, _ in calls if k == d} == {np.dtype(np.float64 if d == 24 else np.int64)}
+    assert _check_on_planes_as_on_lists(original, dec, d, monkeypatch).passed
+
+
+GF1009 = PrimeField(1009)
+
+
+@pytest.mark.parametrize("decompose", [decompose_gs, decompose_blocks], ids=["gs", "blocks"])
+@pytest.mark.parametrize(
+    "ring, s, d",
+    [
+        pytest.param(ring, s, d, id=f"{ring!r}{s:+d}-d{d}")
+        for ring, s, d in [(GF1009, 1, 96), (GF1009, -1, 96), (GF1009, 1, 200), (GF1009, -1, 200), (GF9, 1, 64)]
+    ],
+)
+def test_no_float_product_of_the_check_exceeds_the_blas_solo_size(ring, s, d, decompose, monkeypatch):
+    # OpenBLAS splits a dgemm of more than 2**18 multiply-adds across its
+    # threads; every float64 product of the check is tiled below that
+    import numpy as np
+
+    form = random_form(ring, s, d, random.Random(79))
+    original = snapshot(form.m)
+    dec = decompose(form)
+    calls = _spy_on_matmul(monkeypatch)
+    assert check_decomposition(original, s, dec).passed
+    sizes = [n * k * m for dtype, n, k, m in calls if dtype == np.float64]
+    assert sizes and max(sizes) <= 2**18
+
+
 def _spy_on_the_checker(monkeypatch):
     """Record each congruence check a row store answers (True when it held)
     and each ranked matrix, in order."""
