@@ -273,10 +273,10 @@ def test_zero_leading_half_of_an_odd_window_raises():
 
 GF101 = PrimeField(101)
 
-# (ring, s, dim, rank or None, seed).  The digests pin the blocks, the SLP
-# rendering of the log and every operation counter of both decomposers, so a
-# refactor of the elimination kernels must reproduce them byte for byte.
-# GOLDEN_DIGESTS and GOLDEN_SHAPES are taken with the leaf size at 1, so they
+# (ring, s, dim, rank or None, seed).  The digests pin the blocks, the
+# materialized transform, the SLP rendering of the log and every operation
+# counter of both decomposers, so a refactor of the elimination kernels must
+# reproduce them byte for byte.  GOLDEN_DIGESTS and GOLDEN_SHAPES are taken with the leaf size at 1, so they
 # pin the recursion down to 1 x 1 windows; at the module's leaf size every
 # golden form is one split and one leaf, which the field digests pin.
 GOLDEN_CASES = {
@@ -301,41 +301,148 @@ GOLDEN_CASES = {
     "gf3-corner": (PrimeField(3), -1, 13, 12, 2),
 }
 
-GOLDEN_DIGESTS = {
-    "gf101+deficient": "032beba980097d4eb1fc27828b2ca417c8d83a83bd07e0061c7bf7e36c10619f",
-    "gf101+full": "eca7bd57ac6c2b3f4a94d8d603c78300b45753d7fe72804e97e5063a3e27e50a",
-    "gf101-deficient": "8281f42aab694f023bacadbff66160923aa0e84694b04f50b99c573633d93216",
-    "gf101-full": "7dc784dd6bb567531dc0ddb91a3bceda687565d691e947860a8da1a70622c699",
-    "gf101-tail": "f8d6eb256fefce61db2ba3e9b8c0858ba2e288d3ffd7e740cac5a0a6416dc9d8",
-    "gf2-deficient": "6c839cabfdf300efa46ae9d09949fdb49f9a6e1ddafbc4cd309554e03952e0b4",
-    "gf2-full": "9accc1e9c064a5a7f561bbaa458e081d07d6505209d46c72f9d6d65c22a20f3d",
-    "gf3-corner": "614c73c27ade5c673217396b7de2e4da458a9a726ee121da36d512b1413c7451",
-    "gf9+deficient": "4b31221c146609149e7f9ba676ab688f3bac764cdcbfd83a377d17bc52c2d222",
-    "gf9+full": "0405744fd1da1569dfac7f582edf55c7b42a8eb51672ae1df7bf9e21b0b78023",
-    "gf9-full": "8e73a5dfa5f6bc02b4e26a27cfaa4ab855b47dd162fc8796c24c222b68a31ae5",
-    "h+deficient": "b3ffb2a6d62bd5002c39b593656271be389d50ebbfe31f5f4cfffe769cc26d55",
-    "h+full": "515bbb7685ae240a7f631d6034b4ce0b4b8ff164b15763d26f9f3ad7ea869a9c",
-    "h-deficient": "572aab2f3dff38e113fdfa7966aec0ac01ba246fe0a59eec75b8705f740fe251",
-    "q+deficient": "9682676f43bd38ba62badd9f7e6274ec7d5bd549a1eaee398ddb8b583336f114",
-    "q+full": "ad023806240d48145e8eb5585843c0b696e162b2015cbffa8f7e6fa82dac21d1",
-    "q-deficient": "3872f88729e95b385587fd1edb3c6bb848b72ec74febb326cf7524a0c18e2861",
-    "q-full": "e85d683ba94d8dac190c8e0f20c7f6ee8c5d94871212ff39a3450a45498b1772",
-}
+GOLDEN_FIELDS = ("blocks", "transform", "slp", "counters")
 
 
-def _golden_digest(ring, s, d, rank, seed):
+def _golden_field_digests(ring, s, d, rank, seed):
     form = random_form(ring, s, d, random.Random(seed), rank=rank)
     twin = HermitianForm(ring, snapshot(form.m), s, validate=False)
-    parts = []
-    for dec in (decompose_gs(form), decompose_blocks(twin)):
-        parts.append((repr(dec.blocks), dec.log.slp_lines(ring), dec.counters.as_dict()))
-    return hashlib.sha256(repr(parts).encode()).hexdigest()
+    out = {}
+    for name, dec in (("gs", decompose_gs(form)), ("blocks", decompose_blocks(twin))):
+        fields = (
+            repr(dec.blocks),
+            dec.log.materialize(ring).rows,
+            dec.log.slp_lines(ring),
+            dec.counters.as_dict(),
+        )
+        out[name] = {
+            field: hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+            for field, value in zip(GOLDEN_FIELDS, fields)
+        }
+    return out
+
+
+def _pinned(table, case):
+    return {name: dict(zip(GOLDEN_FIELDS, table[case, name])) for name in ("gs", "blocks")}
+
+
+# As GOLDEN_FIELD_DIGESTS, with the leaf size at 1.
+GOLDEN_DIGESTS = {
+    ("gf101+deficient", "gs"): (
+        "9014928b774e5c47", "a2c9e8b90dec9d45", "c0a135eac70cd183", "9404bc29593b4612",
+    ),
+    ("gf101+deficient", "blocks"): (
+        "79b340f41496794f", "45e897f38420714d", "5b01cfed4062473b", "592a85c422911db0",
+    ),
+    ("gf101+full", "gs"): (
+        "26849095620d1f58", "23fcbdba3751c115", "687f438fb5c37625", "5add6920e11c93f5",
+    ),
+    ("gf101+full", "blocks"): (
+        "26849095620d1f58", "23fcbdba3751c115", "48f8b4d9ac77fef6", "13f1f4eeea4a84e0",
+    ),
+    ("gf101-deficient", "gs"): (
+        "e4125d09d60b5f7f", "60b41f7fde97277a", "15b6248d94485c02", "cf04e0e1115192b7",
+    ),
+    ("gf101-deficient", "blocks"): (
+        "e4125d09d60b5f7f", "f22d85a67e2d2b95", "45bf431d42241ca1", "bdc6f66abd3dee1e",
+    ),
+    ("gf101-full", "gs"): (
+        "8f23abf5eb1a6e35", "a930547916936dab", "3e143815f5ad2631", "7ff4b582b41e5b62",
+    ),
+    ("gf101-full", "blocks"): (
+        "8f23abf5eb1a6e35", "cf5a4887ec9e947a", "6763f3dddf7493c6", "7c03e6c3302804e9",
+    ),
+    ("gf101-tail", "gs"): (
+        "3054029728d7a823", "f576c35e582d1c9b", "47acae8b82d49a6d", "c6bc5893c2134e09",
+    ),
+    ("gf101-tail", "blocks"): (
+        "3054029728d7a823", "07fa73c85149ecf7", "10471ea123a9437c", "35315b6b46bcda53",
+    ),
+    ("gf2-deficient", "gs"): (
+        "2bfbff0d76722ec4", "93ee6a4547e5c611", "53930b6ade3cc97e", "1ddd0da4eb08fcb8",
+    ),
+    ("gf2-deficient", "blocks"): (
+        "2bfbff0d76722ec4", "eb8b939796ff6087", "b4c85433250f087e", "28aa283d4bf34b6a",
+    ),
+    ("gf2-full", "gs"): (
+        "53e1cf0776d6c71d", "2c3b97e200887bf3", "746682c2fcc7b9e7", "48f94a70b267b6f6",
+    ),
+    ("gf2-full", "blocks"): (
+        "53e1cf0776d6c71d", "0b9123899f3ce921", "50a8b6f512319262", "93539fac1d334370",
+    ),
+    ("gf3-corner", "gs"): (
+        "71756ca2e634179d", "d543163b1e9f7125", "4a301c2155b46189", "3ac57b60f5c35718",
+    ),
+    ("gf3-corner", "blocks"): (
+        "71756ca2e634179d", "079f9fb5c3521858", "b1bc33bf39e1872f", "10bf9d1497cbba63",
+    ),
+    ("gf9+deficient", "gs"): (
+        "afc9dbe15078faf5", "49312ede0b453e0b", "cc2acd2522ed6cc4", "f1af44db88ce02e8",
+    ),
+    ("gf9+deficient", "blocks"): (
+        "d8e7f63f99dcd4e3", "5778f15b4c2b1983", "dd79e2ca087db1b3", "7f7327451c9960e7",
+    ),
+    ("gf9+full", "gs"): (
+        "31bda5f8ac055f41", "2967e386e6ff96ed", "5400fcb655bd7388", "0dac27b0f6ac8ec0",
+    ),
+    ("gf9+full", "blocks"): (
+        "ed5a6873f6f6357e", "09f389e39f71431f", "9106d2fc53a951a2", "78e655adad0c584d",
+    ),
+    ("gf9-full", "gs"): (
+        "a1325ed6c6f3a97d", "cd2373a50e19c690", "61bea0e7374d44cf", "87d27ca8321d9033",
+    ),
+    ("gf9-full", "blocks"): (
+        "a8eb4a9ae736b826", "6bebb24cb1e3ceae", "c7c5595a2820d654", "9ed4ec8de062c191",
+    ),
+    ("h+deficient", "gs"): (
+        "fa4efd8a12b15b1d", "cada9683740cdee2", "b7c1d68d30efc286", "8618ab181dc639a8",
+    ),
+    ("h+deficient", "blocks"): (
+        "fa4efd8a12b15b1d", "3fa3c2276a3de59f", "f79ce1c67e5fb50e", "33625ed170d4c4b8",
+    ),
+    ("h+full", "gs"): (
+        "c3f0e3e4ff5a3854", "9ecb421e917ec920", "46b52d1ee9f3cd2b", "8c88972b9cc0c4d4",
+    ),
+    ("h+full", "blocks"): (
+        "7680cca503e5b986", "ae6c11929c716b9f", "bcd569003cb5f5ec", "a3346a279902fa89",
+    ),
+    ("h-deficient", "gs"): (
+        "453306cf1d4ee0b7", "6327a008b740f72f", "b959b32bbcbfb70b", "3e9f82cc6d044ba1",
+    ),
+    ("h-deficient", "blocks"): (
+        "453306cf1d4ee0b7", "563e230907b7aa18", "5c828ec56f0c1bb9", "a7d0f7ecb5fa3b2f",
+    ),
+    ("q+deficient", "gs"): (
+        "5b0ba4f713f80b49", "aaad8374d89361a0", "8a456083b68175c1", "f70ae99a468849a9",
+    ),
+    ("q+deficient", "blocks"): (
+        "5b0ba4f713f80b49", "39a776fe9e2d3389", "5f223b46fceb3c92", "d389cd193e4d432f",
+    ),
+    ("q+full", "gs"): (
+        "307ef5333463e12d", "ee0f49b55b1b0921", "4b85b13347b2b92a", "520e5e10917191ab",
+    ),
+    ("q+full", "blocks"): (
+        "307ef5333463e12d", "ee0f49b55b1b0921", "7e5dff241165b74b", "cf5ff89512ffa2c4",
+    ),
+    ("q-deficient", "gs"): (
+        "45e47a46df6d9c0c", "58209b98561dda61", "10e9ea94da0c5358", "23bc0b216bd71299",
+    ),
+    ("q-deficient", "blocks"): (
+        "45e47a46df6d9c0c", "8e5a83d1fac6a652", "3f272b02d4fe6edc", "8ff4734032731c8e",
+    ),
+    ("q-full", "gs"): (
+        "eaf76d04d224374a", "63cae35c87027c08", "06b4719c12ebb283", "74f146ac92b3b4e3",
+    ),
+    ("q-full", "blocks"): (
+        "eaf76d04d224374a", "446dab9d7875f71c", "6593f32aa8b0d18c", "0a615e3be4f960eb",
+    ),
+}
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
 def test_golden_logs_and_counters(case, monkeypatch):
     monkeypatch.setattr(blocks_module, "LEAF_ROWS", 1)
-    assert _golden_digest(*GOLDEN_CASES[case]) == GOLDEN_DIGESTS[case]
+    assert _golden_field_digests(*GOLDEN_CASES[case]) == _pinned(GOLDEN_DIGESTS, case)
 
 
 def _iso_branch_spy(monkeypatch) -> list:
@@ -389,11 +496,11 @@ def test_blocks_edits_the_form_only_through_its_methods(monkeypatch):
     assert writes == []
 
 
-GOLDEN_FIELDS = ("blocks", "transform", "slp", "counters")
 
 # Per decomposer and per field of GOLDEN_FIELDS, the first 16 hex digits of
-# the sha256 of each golden form's output: a change to one field (say the SLP
-# rendering) shows which field moved and leaves the other pins standing.
+# the sha256 of each golden form's output at the module's leaf size: a change
+# to one field (say the SLP rendering) shows which field moved and leaves the
+# other pins standing.
 GOLDEN_FIELD_DIGESTS = {
     ("gf101+deficient", "gs"): (
         "9014928b774e5c47", "a2c9e8b90dec9d45", "c0a135eac70cd183", "9404bc29593b4612",
@@ -506,31 +613,9 @@ GOLDEN_FIELD_DIGESTS = {
 }
 
 
-def _golden_field_digests(ring, s, d, rank, seed):
-    form = random_form(ring, s, d, random.Random(seed), rank=rank)
-    twin = HermitianForm(ring, snapshot(form.m), s, validate=False)
-    out = {}
-    for name, dec in (("gs", decompose_gs(form)), ("blocks", decompose_blocks(twin))):
-        fields = (
-            repr(dec.blocks),
-            dec.log.materialize(ring).rows,
-            dec.log.slp_lines(ring),
-            dec.counters.as_dict(),
-        )
-        out[name] = {
-            field: hashlib.sha256(repr(value).encode()).hexdigest()[:16]
-            for field, value in zip(GOLDEN_FIELDS, fields)
-        }
-    return out
-
-
 @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
 def test_golden_fields_per_decomposer(case):
-    pinned = {
-        name: dict(zip(GOLDEN_FIELDS, GOLDEN_FIELD_DIGESTS[case, name]))
-        for name in ("gs", "blocks")
-    }
-    assert _golden_field_digests(*GOLDEN_CASES[case]) == pinned
+    assert _golden_field_digests(*GOLDEN_CASES[case]) == _pinned(GOLDEN_FIELD_DIGESTS, case)
 
 
 # (recursion_depth, isotropic_steps) of decompose_blocks on each golden form
