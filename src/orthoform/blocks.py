@@ -8,18 +8,18 @@ top rows, and the form installs those rows and mirrors the rest of their
 columns with s-sigma.  The split of the whole matrix sends the radical to the
 tail; on the nonsingular window the split of the leading half gives a core
 handled recursively and a complement, carrying a full-row-rank off-diagonal
-block X, that becomes hyperbolic pairs (row-reduce the s-sigma mirror of X
-stored below it, which also yields the lead block, normalize the cross block
-to an identity, sweep the rest of the coupling away with block
-transvections).  The form is s-Hermitian, so the mirror of every
-off-diagonal block a step clears is read off the rows below that block and
-never sigma-transposed.  Besides the splits the heavy lifting is
-matrix products, exact for every Strassen threshold.  The recursion stops at
-nonsingular windows of at most ``LEAF_ROWS`` rows, which the pivot sweep of
-``gs`` (``gs.sweep``) decomposes: there a sweep costs less than further
-splits, as Strassen's scheme hands small products to the classical one.  The
-split of the whole matrix still runs on every form, so the radical is found
-by this module's own elimination.
+block X, that becomes hyperbolic pairs in three block moves: the congruence
+that row-reduces the s-sigma mirror of X stored below it, leaving X as
+[C | 0]; the congruence by C^-1; and one block transvection clearing the pair
+corner and the coupling to the tail.  The form is s-Hermitian, so the mirror
+of every off-diagonal block a step clears is read off the rows below that
+block, and this module sigma-transposes nothing.  Besides the splits the
+heavy lifting is matrix products, exact for every Strassen threshold.  The
+recursion stops at nonsingular windows of at most ``LEAF_ROWS`` rows, which
+the pivot sweep of ``gs`` (``gs.sweep``) decomposes: there a sweep costs less
+than further splits, as Strassen's scheme hands small products to the
+classical one.  The split of the whole matrix still runs on every form, so
+the radical is found by this module's own elimination.
 
 Each step changes the form through one ``HermitianForm`` method, which logs
 its op and writes the rows it changes; this module does neither by hand.
@@ -130,42 +130,40 @@ class _BlockRun:
         B[lo:lo+f, lo:lo+f] = 0 and the block X right of it has full row rank f.
 
         The rows below X hold its mirror s*sigma(X)^t.  Row-reducing them gives
-        A with A*s*sigma(X)^t = [R; 0], so X*sigma(A)^t = [C | 0] with the
-        f x f lead C = s*sigma(R)^t.  The congruences by C^-1 on rows
-        [lo, lo+f) and by A on rows [lo+f, hi) make the cross block the
-        identity and the rest of X zero."""
+        A with A*s*sigma(X)^t = [R; 0], and the congruence by A on rows
+        [lo+f, hi) turns X into [C | 0], with C invertible.  The congruence by
+        C^-1 on rows [lo, lo+f) makes them [0 | I | 0], and one block
+        transvection from them clears the pair block's strict upper triangle
+        and the coupling of rows [lo+f, lo+2f) to the tail."""
         self.max_depth = max(self.max_depth, depth)
         form = self.form
         ring = self.ring
-        m = hi - lo
-        if f < 1 or m < 2 * f:
+        if f < 1 or hi - lo < 2 * f:
             raise InvariantViolation(f"hyperbolic window [{lo},{hi}) cannot hold {f} pairs")
-        a, xrank, ax = row_reduce(form.m.submatrix(lo + f, hi, lo, lo + f), form.counters)
+        a, xrank, _ = row_reduce(form.m.submatrix(lo + f, hi, lo, lo + f), form.counters)
         if xrank != f:
             raise InvariantViolation("coupling block X lost full row rank")
-        if not ax.submatrix(f, m - f, 0, f).is_zero():
-            raise InvariantViolation("row reduction left residue below the lead block")
-        lead = ax.submatrix(0, f, 0, f).sigma_transpose(form.counters)
-        lead_inv = invert(lead if self.s == 1 else _negated(lead), form.counters)
-        form.block_congruence(lo, lead_inv, lo, hi, self.cutoff)
         form.block_congruence(lo + f, a, lo, hi, self.cutoff)
+        _require_zero(form, lo, lo + f, lo + 2 * f, hi, "coupling reduction")
+        lead_inv = invert(form.m.submatrix(lo, lo + f, lo + f, lo + 2 * f), form.counters)
+        form.block_congruence(lo, lead_inv, lo, hi, self.cutoff)
         _require_zero(form, lo, lo + f, lo, lo + f, "hyperbolic normalization")
         if form.m.submatrix(lo, lo + f, lo + f, lo + 2 * f) != Matrix.identity(ring, f):
             raise InvariantViolation(f"hyperbolic normalization: block at ({lo},{lo + f}) size {f} is not the identity")
-        _require_zero(form, lo, lo + f, lo + 2 * f, hi, "hyperbolic normalization")
-        tail = form.m.submatrix(lo + 2 * f, hi, lo + f, lo + 2 * f)  # s-sigma of the tail right of the pairs
-        if not tail.is_zero():
-            # rows [lo, lo+f) are [0 | I | 0], so rows [lo+2f, hi) += coeff *
-            # rows [lo, lo+f) only zeroes their columns [lo+f, lo+2f)
-            coeff = _negated(tail)
-            new = [row[lo : lo + f] + [ring.zero] * f + row[lo + 2 * f : hi] for row in form.m.rows[lo + 2 * f : hi]]
-            form.install_rows(BlockTransvect(lo + 2 * f, lo, coeff), lo + 2 * f, new, lo, hi)
-        # rows [lo+f, lo+2f) += N * rows [lo, lo+f), N the pair block's negated strict upper triangle
+        # rows [lo+f, lo+2f) += N * rows [lo, lo+f), N the pair block's negated
+        # strict upper triangle, and, when the tail (the s-sigma of the
+        # coupling right of the pairs) is nonzero, rows [lo+2f, hi) += -tail *
+        # rows [lo, lo+f) in the same transvection; rows [lo, lo+f) are
+        # [0 | I | 0], so the tail rows change only in columns [lo+f, lo+2f)
         pair = form.m.submatrix(lo + f, lo + 2 * f, lo + f, lo + 2 * f).rows
-        strict = [[ring.zero] * (i + 1) + list(map(ring.neg, row[i + 1 :])) for i, row in enumerate(pair)]
-        upper = Matrix(ring, strict, validate=False)
-        if not upper.is_zero():
-            form.block_transvect(BlockTransvect(lo + f, lo, upper), lo, lo + 2 * f, self.cutoff)
+        rows = [[ring.zero] * (i + 1) + list(map(ring.neg, row[i + 1 :])) for i, row in enumerate(pair)]
+        tail = form.m.submatrix(lo + 2 * f, hi, lo + f, lo + 2 * f)
+        if not tail.is_zero():
+            rows += _negated(tail).rows
+        coeff = Matrix(ring, rows, validate=False)
+        if not coeff.is_zero():
+            form.block_transvect(BlockTransvect(lo + f, lo, coeff), lo, lo + f + coeff.nrows, self.cutoff)
+        _require_zero(form, lo + 2 * f, hi, lo + f, lo + 2 * f, "tail decoupling")
         for i, row in enumerate(form.m.submatrix(lo + f, lo + 2 * f, lo + f, lo + 2 * f).rows):
             if any(v != ring.zero for j, v in enumerate(row) if j != i):
                 raise InvariantViolation("pair diagonalization left off-diagonal residue")

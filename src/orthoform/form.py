@@ -49,9 +49,6 @@ class OpCounters:
             "sigma_applications": self.sigma_applications,
         }
 
-    def copy(self) -> "OpCounters":
-        return OpCounters(**self.as_dict())
-
 
 @dataclass(frozen=True)
 class Scale:

@@ -344,19 +344,19 @@ GOLDEN_DIGESTS = {
         "e4125d09d60b5f7f", "60b41f7fde97277a", "15b6248d94485c02", "cf04e0e1115192b7",
     ),
     ("gf101-deficient", "blocks"): (
-        "e4125d09d60b5f7f", "f22d85a67e2d2b95", "45bf431d42241ca1", "bdc6f66abd3dee1e",
+        "e4125d09d60b5f7f", "f22d85a67e2d2b95", "7a54022cb4ed4ae6", "34b39b62b94cd7ad",
     ),
     ("gf101-full", "gs"): (
         "8f23abf5eb1a6e35", "a930547916936dab", "3e143815f5ad2631", "7ff4b582b41e5b62",
     ),
     ("gf101-full", "blocks"): (
-        "8f23abf5eb1a6e35", "cf5a4887ec9e947a", "6763f3dddf7493c6", "7c03e6c3302804e9",
+        "8f23abf5eb1a6e35", "cf5a4887ec9e947a", "a7d5850848439816", "d4b1286c685457ed",
     ),
     ("gf101-tail", "gs"): (
         "3054029728d7a823", "f576c35e582d1c9b", "47acae8b82d49a6d", "c6bc5893c2134e09",
     ),
     ("gf101-tail", "blocks"): (
-        "3054029728d7a823", "07fa73c85149ecf7", "10471ea123a9437c", "35315b6b46bcda53",
+        "3054029728d7a823", "07fa73c85149ecf7", "286a632a8e223a77", "913a71dca39d1180",
     ),
     ("gf2-deficient", "gs"): (
         "2bfbff0d76722ec4", "93ee6a4547e5c611", "53930b6ade3cc97e", "1ddd0da4eb08fcb8",
@@ -374,7 +374,7 @@ GOLDEN_DIGESTS = {
         "71756ca2e634179d", "d543163b1e9f7125", "4a301c2155b46189", "3ac57b60f5c35718",
     ),
     ("gf3-corner", "blocks"): (
-        "71756ca2e634179d", "079f9fb5c3521858", "b1bc33bf39e1872f", "10bf9d1497cbba63",
+        "71756ca2e634179d", "079f9fb5c3521858", "caee97843261d224", "56f2a8c7afe686cc",
     ),
     ("gf9+deficient", "gs"): (
         "afc9dbe15078faf5", "49312ede0b453e0b", "cc2acd2522ed6cc4", "f1af44db88ce02e8",
@@ -386,7 +386,7 @@ GOLDEN_DIGESTS = {
         "31bda5f8ac055f41", "2967e386e6ff96ed", "5400fcb655bd7388", "0dac27b0f6ac8ec0",
     ),
     ("gf9+full", "blocks"): (
-        "ed5a6873f6f6357e", "09f389e39f71431f", "9106d2fc53a951a2", "78e655adad0c584d",
+        "ed5a6873f6f6357e", "09f389e39f71431f", "b1aff78ac73794bc", "d868b57c57993ca7",
     ),
     ("gf9-full", "gs"): (
         "a1325ed6c6f3a97d", "cd2373a50e19c690", "61bea0e7374d44cf", "87d27ca8321d9033",
@@ -428,13 +428,13 @@ GOLDEN_DIGESTS = {
         "45e47a46df6d9c0c", "58209b98561dda61", "10e9ea94da0c5358", "23bc0b216bd71299",
     ),
     ("q-deficient", "blocks"): (
-        "45e47a46df6d9c0c", "8e5a83d1fac6a652", "3f272b02d4fe6edc", "8ff4734032731c8e",
+        "45e47a46df6d9c0c", "8e5a83d1fac6a652", "03f1566f69c04b46", "9a783cde747218c8",
     ),
     ("q-full", "gs"): (
         "eaf76d04d224374a", "63cae35c87027c08", "06b4719c12ebb283", "74f146ac92b3b4e3",
     ),
     ("q-full", "blocks"): (
-        "eaf76d04d224374a", "446dab9d7875f71c", "6593f32aa8b0d18c", "0a615e3be4f960eb",
+        "eaf76d04d224374a", "446dab9d7875f71c", "f0fdeb189fd76070", "a6616317e021588a",
     ),
 }
 
@@ -445,29 +445,37 @@ def test_golden_logs_and_counters(case, monkeypatch):
     assert _golden_field_digests(*GOLDEN_CASES[case]) == _pinned(GOLDEN_DIGESTS, case)
 
 
-def _iso_branch_spy(monkeypatch) -> list:
-    """Records "tail" when ``iso`` decouples a nonzero tail (its one
-    ``install_rows`` call) and "corner" when it applies its pair corner (its
-    one ``block_transvect``)."""
-    ran = []
-    for name, branch in (("install_rows", "tail"), ("block_transvect", "corner")):
+def _iso_transvections(monkeypatch) -> list:
+    """Records the BlockTransvect op of each ``block_transvect`` that ``iso`` applies."""
+    ops = []
+    method = HermitianForm.block_transvect
 
-        def spy(self, *args, method=getattr(HermitianForm, name), branch=branch):
-            if sys._getframe(1).f_code.co_name == "iso":
-                ran.append(branch)
-            method(self, *args)
+    def spy(self, op, *args):
+        if sys._getframe(1).f_code.co_name == "iso":
+            ops.append(op)
+        method(self, op, *args)
 
-        monkeypatch.setattr(HermitianForm, name, spy)
-    return ran
+    monkeypatch.setattr(HermitianForm, "block_transvect", spy)
+    return ops
 
 
 @pytest.mark.parametrize("case,branch", [("gf101-tail", "tail"), ("gf3-corner", "corner")])
 def test_recursion_pins_reach_the_isotropic_branches(case, branch, monkeypatch):
+    # iso's one transvection adds coeff * rows [lo, lo+f) to rows [lo+f, ...):
+    # it decouples the tail when coeff has rows below its leading f, and
+    # clears the pair corner when that leading f x f block is nonzero
     monkeypatch.setattr(blocks_module, "LEAF_ROWS", 1)
-    ran = _iso_branch_spy(monkeypatch)
+    ops = _iso_transvections(monkeypatch)
     ring, s, d, rank, seed = GOLDEN_CASES[case]
     decompose_blocks(random_form(ring, s, d, random.Random(seed), rank=rank))
-    assert branch in ran
+    reached = set()
+    for op in ops:
+        f = op.target - op.source
+        if op.coeff.nrows > f:
+            reached.add("tail")
+        if not op.coeff.submatrix(0, f, 0, f).is_zero():
+            reached.add("corner")
+    assert branch in reached
 
 
 def test_blocks_edits_the_form_only_through_its_methods(monkeypatch):
@@ -494,6 +502,20 @@ def test_blocks_edits_the_form_only_through_its_methods(monkeypatch):
         and any(isinstance(t, ast.Subscript) for t in getattr(node, "targets", [getattr(node, "target", None)]))
     ]
     assert writes == []
+
+
+def test_blocks_sigma_transposes_nothing_and_installs_rows_only_in_the_split():
+    # every block a step clears has its mirror read off the form, and every
+    # step but the split computes its rows through a HermitianForm move
+    tree = ast.parse(Path(blocks_module.__file__).read_text(encoding="utf-8"))
+    callers = {}
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                    callers.setdefault(node.func.attr, set()).add(fn.name)
+    assert "sigma_transpose" not in callers
+    assert callers["install_rows"] == {"_split"}
 
 
 

@@ -98,6 +98,21 @@ def test_slp_transform_lines(tmp_path, capsys):
         assert op in ("scale", "swap", "transvect", "blockleft")
 
 
+@pytest.mark.parametrize("kind", ["matrix", "slp"])
+def test_text_transform_is_the_json_transform_indented(tmp_path, capsys, kind):
+    path = tmp_path / "form.txt"
+    path.write_text(SAMPLE)
+    argv = ["decompose", "--input", str(path), "--algo", "blocks", "--emit-transform", kind]
+    code, out, err = run(argv, capsys)
+    assert code == 0
+    code, doc, err = run([*argv, "--json"], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    emitted = lines[lines.index("transform:") + 1 :]
+    transform = json.loads(doc)["transform"]
+    assert emitted == ["  " + (" ".join(row) if kind == "matrix" else row) for row in transform]
+
+
 def test_auto_sign_detection(tmp_path, capsys):
     path = tmp_path / "alt.txt"
     path.write_text("ring rational\ndim 2\n0 5\n-5 0\n")

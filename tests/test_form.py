@@ -8,6 +8,7 @@ the package leans on.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -221,7 +222,7 @@ def test_pair_clear_and_windowed_transvect_are_their_logged_congruences(ring):
             form.m.rows[j][i] = ring.apply_sign(s, ring.one)
         # a pair pivot whose row-column i is anisotropic is refused
         form.m.rows[i][i] = ring.one
-        before, log, counters = snapshot(form.m), list(form.log.ops), form.counters.copy()
+        before, log, counters = snapshot(form.m), list(form.log.ops), dataclasses.replace(form.counters)
         with pytest.raises(ValueError):
             form.clear_row_column(i, j, lo, hi)
         assert form.m == before and form.log.ops == log and form.counters == counters
@@ -289,12 +290,46 @@ def test_moves_reject_rows_outside_their_window(move, args):
     # a row index outside the window, or not an int, is rejected before the
     # move logs, writes or counts anything
     form = random_form(GF7, 1, 4, random.Random(41))
-    before, log, counters = snapshot(form.m), list(form.log.ops), form.counters.copy()
+    before, log, counters = snapshot(form.m), list(form.log.ops), dataclasses.replace(form.counters)
     with pytest.raises(ValueError):
         getattr(form, move)(*args)
     assert form.m == before
     assert form.log.ops == log
     assert form.counters == counters
+
+
+@pytest.mark.parametrize(
+    "move, args, match",
+    [
+        pytest.param("clear_row_column", (0, 0), "is zero", id="clear(0,0)-zero-pivot"),
+        pytest.param("clear_row_column", (0, 2), "is zero", id="clear(0,2)-zero-pivot-entry"),
+        pytest.param("block_congruence", (0, Matrix(GF7, [[1, 2]]), 0, 4), "square", id="block_congruence-1x2"),
+        pytest.param(
+            "block_transvect", (BlockTransvect(3, 0, Matrix(GF7, [[1], [1]])), 0, 4), "does not fit",
+            id="block_transvect-past-[0,4)",
+        ),
+    ],
+)
+def test_moves_reject_an_operand_that_does_not_fit(move, args, match):
+    # B[0][0] = B[0][2] = 0; each refusal comes before the move logs, writes
+    # or counts anything
+    form = HermitianForm.from_rows(GF7, [[0, 1, 0, 2], [1, 4, 0, 0], [0, 0, 3, 5], [2, 0, 5, 6]], 1)
+    before, log, counters = snapshot(form.m), list(form.log.ops), dataclasses.replace(form.counters)
+    with pytest.raises(ValueError, match=match):
+        getattr(form, move)(*args)
+    assert form.m == before
+    assert form.log.ops == log
+    assert form.counters == counters
+
+
+@pytest.mark.parametrize(
+    "matrix, match",
+    [(Matrix(GF7, [[1, 2]]), "square"), (Matrix(GF2, [[1]]), "ring")],
+    ids=["1x2", "over-GF(2)"],
+)
+def test_a_form_needs_a_square_matrix_over_its_ring(matrix, match):
+    with pytest.raises(ValueError, match=match):
+        HermitianForm(GF7, matrix, 1)
 
 
 @pytest.mark.parametrize("lam", [10, -1, "2"], ids=repr)
@@ -303,7 +338,7 @@ def test_moves_reject_a_multiplier_outside_the_ring(move, rows, lam):
     # an unreduced residue or a string would be applied mod 7, or not at all,
     # but logged as given, and the log would then not materialize
     form = random_form(GF7, 1, 3, random.Random(42))
-    before, log, counters = snapshot(form.m), list(form.log.ops), form.counters.copy()
+    before, log, counters = snapshot(form.m), list(form.log.ops), dataclasses.replace(form.counters)
     with pytest.raises(ValueError):
         getattr(form, move)(*rows, lam)
     assert form.m == before

@@ -470,6 +470,19 @@ def test_dim_zero_is_vacuously_fine():
     assert check_decomposition(original, 1, dec).passed
 
 
+def test_dim_zero_with_blocks_fails_only_the_standard_blocks_clause():
+    original, dec = fresh_decomposition(d=0)
+    dec.blocks.append(ScalarBlock(GF7.one))
+    report = check_decomposition(original, 1, dec)
+    assert report.as_dict() == {
+        "transform_invertible": True,
+        "congruence_matches": True,
+        "blocks_standard": False,
+        "radical_matches": True,
+    }
+    assert report.details == ["0-dimensional form with nonempty blocks"]
+
+
 def test_invariants_square_class_parity():
     form = HermitianForm.from_rows(GF7, [[3, 0], [0, 5]], 1)
     inv = invariants_of(decompose_gs(form))
