@@ -276,9 +276,10 @@ GF101 = PrimeField(101)
 # (ring, s, dim, rank or None, seed).  The digests pin the blocks, the
 # materialized transform, the SLP rendering of the log and every operation
 # counter of both decomposers, so a refactor of the elimination kernels must
-# reproduce them byte for byte.  GOLDEN_DIGESTS and GOLDEN_SHAPES are taken with the leaf size at 1, so they
-# pin the recursion down to 1 x 1 windows; at the module's leaf size every
-# golden form is one split and one leaf, which the field digests pin.
+# reproduce them byte for byte.  GOLDEN_DIGESTS and GOLDEN_SHAPES are taken
+# with the leaf size at 1, so they pin the recursion down to 1 x 1 windows; at
+# the module's leaf size every golden form is one split and one leaf, which
+# GOLDEN_FIELD_DIGESTS pins.
 GOLDEN_CASES = {
     "gf101+full": (GF101, 1, 14, None, 601),
     "gf101+deficient": (GF101, 1, 14, 9, 602),
