@@ -165,6 +165,15 @@ class TransformLog:
         ``PlaneRows``, else a store on Python rows.  The certificate asks it
         ``congruates`` and ``rows_at``.
 
+        Each op is checked as it arrives, in log order.  A run of consecutive
+        Scale and Eliminate ops is applied by one ``add_run`` call once it
+        ends: at an op of another kind, at the end of the log, or at d ops,
+        which keeps every inner size of its products within the
+        ``_int64_ok(ring, d)`` bound.  ``PlaneRows`` applies a run of at least
+        ``_RUN_LEAF`` ops as one delayed update, a unit-triangular inverse and
+        two exact products; a shorter run, and every run on Python rows, is
+        applied op by op.
+
         Raises:
             ValueError: an op that does not fit, naming its index: a row not
                 an int in [0, dim), a Scale value, coefficient or block entry
@@ -175,14 +184,20 @@ class TransformLog:
         d = self.dim
         acc = _augmented(Matrix.zeros(ring, d, 0), d * d, terms=d)  # [ | I]: the identity
         rows = frozenset(range(d))
+        run = []  # the checked Scale and Eliminate ops not yet applied, as add_run items
         for idx, op in enumerate(self.ops):
+            if run and (len(run) == d or not isinstance(op, (Scale, Eliminate))):
+                acc.add_run(run)
+                run = []
             try:
-                fits = _apply(acc, op, ring, rows)
+                fits = _apply(acc, op, ring, rows, run)
             except (ArithmeticError, AttributeError, IndexError, TypeError, ValueError):
                 fits = False
             if not fits:
                 kind = type(op).__name__
                 raise ValueError(f"log op {idx} ({kind}) does not fit a {d}-dimensional log over {ring!r}")
+        if run:
+            acc.add_run(run)
         return acc
 
     def slp_lines(self, ring: Ring) -> list[str]:
@@ -203,15 +218,16 @@ class TransformLog:
         return lines
 
 
-def _apply(acc, op: LogOp, ring: Ring, rows: frozenset) -> bool:
-    """Apply one log op to the row store `acc`; False if its fields do not fit
+def _apply(acc, op: LogOp, ring: Ring, rows: frozenset, run: list) -> bool:
+    """Apply one log op to the row store `acc`, or append a Scale or an
+    Eliminate to `run` as an ``add_run`` item; False if its fields do not fit
     a log over `ring` whose row indices are `rows`."""
     if isinstance(op, Scale) and _ints_in(rows, (op.index,)):
-        acc.scale(op.index, ring.validate_scalar(op.value))
+        run.append((op.index, None, ring.validate_scalar(op.value)))
     elif isinstance(op, Swap) and _ints_in(rows, (op.i, op.j)):
         acc.swap(op.i, op.j)
     elif isinstance(op, Eliminate) and _ints_in(rows, (op.source, *op.targets)) and _typed(ring, [op.coeffs]):
-        acc.add_multiples([op.source], list(op.targets), [op.coeffs])
+        run.append((op.source, list(op.targets), op.coeffs))
     elif isinstance(op, BlockTransvect) and _inside(op.coeff, ring, rows, op.target, op.source):
         n, k = op.coeff.shape
         acc.add_multiples(slice(op.source, op.source + k), slice(op.target, op.target + n), list(zip(*op.coeff.rows)))

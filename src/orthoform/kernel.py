@@ -10,16 +10,26 @@ GF(p), the a and the b of a + b*x over GF(p^2).  Products are summed in int64
 and reduced mod p afterwards; the caller's guard keeps every sum below 2**62.
 ``verify.brute_force_congruence`` runs its enumeration here as well.
 
+A replayed log reaches ``PlaneRows`` in runs: each maximal run of
+consecutive Scale and Eliminate ops, at most n long, is one ``add_run``
+call.  A run of at least ``_RUN_LEAF`` ops is one delayed update, as in
+blocked LU: the rows its ops read, as they stand at each op's turn, are
+(I - G)^-1 times their rows before the run, for a strictly lower triangular
+G read off the run's coefficients, and the run adds its coefficients times
+those rows.  ``_unit_lower_inverse`` builds (I - G)^-1 by block inversion
+down to leaves of at most ``_RUN_LEAF`` rows; a shorter run goes op by op,
+each Eliminate one ``add_multiples`` call, as on the stores of Python rows.
+
 The products of a replayed log and of the certificate (``PlaneRows``:
-``congruates``, ``left_multiply`` and the product branch of
+``congruates``, ``left_multiply``, ``add_run`` and the product branch of
 ``add_multiples``) go through ``_exact_product`` instead.  It runs a product
 in float64 BLAS whenever ``_sum_bound`` of its inner size is below 2**53, so
 that every sum is an integer float64 holds exactly (the technique of
 FFLAS-FFPACK), and in int64 otherwise.  numpy's int64 product does not use
 BLAS and is about 20x slower at d=96.  The float product is cut into tiles of
 the output small enough that OpenBLAS runs each on the calling thread
-(``_BLAS_SOLO``).  ``matmul``, ``eliminate`` and the decomposers stay in
-int64.
+(``_BLAS_SOLO``).  ``matmul``, ``eliminate``, the leaves of
+``_unit_lower_inverse`` and the decomposers stay in int64.
 
 The certificate asks the ``PlaneRows`` store that replayed a log for the
 transform t it holds.  ``congruates`` forms t * B * sigma(t)^t on the planes:
@@ -81,8 +91,9 @@ def _exact_product(ring: Ring, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     below 2**53 it runs in float64 BLAS, which is exact while every sum stays
     below 2**53 (the technique of FFLAS-FFPACK), in tiles of the output small
     enough that no call does more than ``_BLAS_SOLO`` multiply-adds.  Only n
-    and m are tiled, never k, so each entry is still one float sum.  Otherwise
-    it is the int64 product, under the caller's ``_int64_ok``."""
+    and m are tiled, never k, so each entry is still one float sum, and the
+    tiles are copied into the int64 output, which is reduced mod p once.
+    Otherwise it is the int64 product, under the caller's ``_int64_ok``."""
     p, (n, k), m = ring.p, x.shape[1:], y.shape[2]
     if _sum_bound(ring, k) >= 2**53:
         return _plane_product(ring, x, y, np.matmul) % p
@@ -93,8 +104,46 @@ def _exact_product(ring: Ring, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     tn = max(1, min(n, room // tm))
     for i in range(0, n, tn):
         for j in range(0, m, tm):
-            out[:, i : i + tn, j : j + tm] = _plane_product(ring, x[:, i : i + tn], y[:, :, j : j + tm], np.matmul) % p
+            out[:, i : i + tn, j : j + tm] = _plane_product(ring, x[:, i : i + tn], y[:, :, j : j + tm], np.matmul)
+    out %= p  # the float sums are integers below 2**53, so the int64 copy is exact
     return out
+
+
+# A run of fewer ops than this is replayed op by op, and the inverse of a
+# longer run's triangle is built of leaves of at most this many rows.  On
+# the forms of the benchmark's gfp-dense workload, the gs checks read about
+# the same from 8 to 16 and slower from 24 on, and the blocks checks read
+# slower below 13, where the Scale runs of a blocks log (at most 12 ops
+# long there) would leave the op-by-op path.
+_RUN_LEAF = 16
+
+
+def _unit_lower_inverse(ring: Ring, g: np.ndarray) -> np.ndarray:
+    """(I - g)^-1 reduced mod p, for the planes g (planes, k, k) of a
+    strictly lower triangular matrix.  For g = [[g1, 0], [b, g2]] it is
+    [[a, 0], [c * b * a, c]] with a = (I - g1)^-1 and c = (I - g2)^-1, the
+    two products exact (block inversion by products, after Bunch and
+    Hopcroft, 1974).  A leaf of at most ``_RUN_LEAF`` rows doubles:
+    (I + g)(I + g^2)(I + g^4)..., which ends because g is nilpotent, in small
+    int64 products."""
+    p, k = ring.p, g.shape[1]
+    if k <= _RUN_LEAF:
+        inv = g.copy()
+        inv[0] += np.eye(k, dtype=np.int64)
+        power, span = g, 2  # inv = I + g + ... + g^(span - 1)
+        while span < k:
+            power = _plane_product(ring, power, power, np.matmul) % p
+            inv = (inv + _plane_product(ring, inv, power, np.matmul)) % p
+            span *= 2
+        return inv
+    h = k // 2
+    a = _unit_lower_inverse(ring, g[:, :h, :h])
+    c = _unit_lower_inverse(ring, g[:, h:, h:])
+    inv = np.zeros_like(g)
+    inv[:, :h, :h] = a
+    inv[:, h:, h:] = c
+    inv[:, h:, :h] = _exact_product(ring, _exact_product(ring, c, g[:, h:, :h]), a)
+    return inv
 
 
 def matmul(ring: Ring, left: list, right: list) -> list:
@@ -183,6 +232,35 @@ class PlaneRows(_RowStore):
         else:
             prod = _exact_product(ring, lam, w[:, sources])
         w[:, targets] = (w[:, targets] + prod) % self.p
+
+    def add_run(self, run: list) -> None:
+        """Apply a run of k row ops (``_RowStore.add_run``) as one delayed
+        update, as blocked LU does (LAPACK's getrf); a run of fewer than
+        ``_RUN_LEAF`` ops goes op by op.  Op j adds C[t][j] times row src[j],
+        as it stands at op j's turn, to each row t: an Eliminate its
+        coefficients, a Scale by v the coefficient v - 1 on its own row.
+        Those rows are S' = (I - G)^-1 * W[src] for the strictly lower G with
+        G[i][j] = C[src[i]][j], and the update is W += C * S', each product
+        exact.  Row ops commute with the column permutation ``perm``.  The
+        replay ends a run at n ops, so no inner size exceeds n."""
+        k = len(run)
+        if k < _RUN_LEAF:
+            super().add_run(run)
+            return
+        ring, w = self.ring, self.w
+        src, cols, targets, coeffs = [], [], [], []
+        for j, (s, ts, cs) in enumerate(run):
+            if ts is None:
+                ts, cs = (s,), (ring.sub(cs, ring.one),)
+            src.append(s)
+            cols += [j] * len(ts)
+            targets += ts
+            coeffs += cs
+        c = np.zeros((len(w), self.n, k), dtype=np.int64)
+        c[:, targets, cols] = _pack(ring, [coeffs])[:, 0]
+        rows = _exact_product(ring, _unit_lower_inverse(ring, np.tril(c[:, src], -1)), w[:, src])
+        w += _exact_product(ring, c, rows)
+        w %= self.p
 
     def left_multiply(self, offset: int, block: Matrix) -> None:
         q = block.nrows

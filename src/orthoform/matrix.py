@@ -417,6 +417,16 @@ class _RowStore:
 
     _t = None  # the whole transform, once a store on Python rows has converted it
 
+    def add_run(self, run: list) -> None:
+        """Apply a run of row ops in order, one at a time: an item (src,
+        targets, coeffs) adds coeffs[a] times row src to row targets[a], and
+        an item (r, None, value) scales row r by value."""
+        for src, targets, coeffs in run:
+            if targets is None:
+                self.scale(src, coeffs)
+            else:
+                self.add_multiples([src], targets, [coeffs])
+
     def rows_at(self, index) -> Matrix:
         """The transform's rows at ``index``, in that order: picked from the
         transform ``congruates`` converted, else converted alone."""

@@ -8,6 +8,7 @@ import hashlib
 import inspect
 import random
 import sys
+import textwrap
 from fractions import Fraction
 from math import isqrt
 
@@ -522,7 +523,8 @@ def test_invert_inverts_each_pivot_once(ring, d, inversions):
 
 
 # The methods that the pivot loop (``_row_echelon``), ``row_reduce``,
-# ``split_congruence``, the log replay (``form._apply``) and the certificate
+# ``split_congruence``, the log replay (``TransformLog._replay``, ``_apply``
+# and the op-by-op loop of ``add_run``) and the certificate
 # (``check_decomposition`` and its ``_invertible``) call on a row store.  The
 # integer corner of ``split_congruence`` (``corner``) is asked of the integer
 # rows alone, behind an isinstance test.
@@ -535,6 +537,7 @@ ROW_STORE_METHODS = (
     "reduced",
     "transform",
     "add_multiples",
+    "add_run",
     "left_multiply",
     "congruates",
     "rows_at",
@@ -548,14 +551,16 @@ def test_the_row_store_contract_lists_what_its_callers_call():
         (matrix._row_echelon, "rows"),
         (matrix.row_reduce, "rows"),
         (matrix.split_congruence, "rows"),
+        (form.TransformLog._replay, "acc"),
         (form._apply, "acc"),
+        (matrix._RowStore.add_run, "self"),
         (verify.check_decomposition, "store"),
         (verify._invertible, "store"),
     ]
     called = {
         node.func.attr
         for fn, store in callers
-        for node in ast.walk(ast.parse(inspect.getsource(fn)))
+        for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(fn))))
         if isinstance(node, ast.Call)
         and isinstance(node.func, ast.Attribute)
         and isinstance(node.func.value, ast.Name)
@@ -687,6 +692,47 @@ def test_kernel_materialize_matches_the_generic_loop(ring, monkeypatch):
 
     generic, kernel = _both_paths(monkeypatch, lambda: log.materialize(ring).rows)
     assert kernel == generic
+
+
+def _run_ops(ring, d, k, rng):
+    """k Scale and Eliminate ops: sources drawn from five rows, so they repeat
+    and later ops target earlier sources; every fifth op a Scale, by zero
+    every tenth, and each op after a Scale an Eliminate from the scaled row."""
+    pool = rng.sample(range(d), 5)
+    ops = []
+    for j in range(k):
+        if j % 5 == 4:
+            ops.append(Scale(rng.choice(pool), ring.zero if j % 10 == 4 else ring.random(rng)))
+            continue
+        src = ops[-1].index if ops and isinstance(ops[-1], Scale) else rng.choice(pool)
+        targets = rng.sample([t for t in range(d) if t != src], rng.randrange(1, d))
+        ops.append(Eliminate(src, tuple(targets), tuple(ring.random(rng) for _ in targets)))
+    return ops
+
+
+@pytest.mark.parametrize(
+    "ring, d", [(PrimeField(1009), 24), (GF9, 24), (PrimeField(18_000_041), 40)], ids=lambda v: repr(v)
+)
+def test_the_run_replay_matches_the_op_by_op_replay(ring, d, monkeypatch):
+    # runs one op short of the leaf, of the leaf, and longer than d (replayed
+    # in chunks of d), broken by a Swap and a BlockLeft; over GF(18,000,041)
+    # a chunk of 40 ops takes the int64 product and a leaf the float one
+    from orthoform import kernel
+
+    leaf = kernel._RUN_LEAF
+    if ring.p == 18_000_041:
+        assert matrix._sum_bound(ring, leaf) < 2**53 <= matrix._sum_bound(ring, d)
+    rng = random.Random(705)
+    log = TransformLog(d)
+    log.ops += _run_ops(ring, d, leaf - 1, rng)
+    log.append(Swap(*rng.sample(range(d), 2)))
+    log.ops += _run_ops(ring, d, leaf, rng)
+    log.append(BlockLeft(random_matrix(ring, 3, 3, rng), rng.randrange(d - 2)))
+    log.ops += _run_ops(ring, d, 2 * d + 7, rng)
+    runs = log._replay(ring)
+    assert isinstance(runs, kernel.PlaneRows)
+    monkeypatch.setattr(kernel, "_RUN_LEAF", 10**9)  # every run op by op
+    assert runs.transform() == log._replay(ring).transform()
 
 
 @pytest.mark.parametrize("p", [2147483647, 1000000000000000003])

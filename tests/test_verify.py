@@ -388,6 +388,81 @@ def test_no_float_product_of_the_check_exceeds_the_blas_solo_size(ring, s, d, de
     assert sizes and max(sizes) <= 2**18
 
 
+def _gs_log_of_d96(rank=None):
+    """(original, decomposition) of gs on a GF(1009) form of d=96, s=+1."""
+    form = random_form(GF1009, 1, 96, random.Random(79), rank=rank)
+    original = snapshot(form.m)
+    return original, decompose_gs(form)
+
+
+def _spy_on_the_run_replay(monkeypatch) -> tuple:
+    """The add_multiples calls and the lengths of the add_run calls a plane replay makes."""
+    multiples, runs = [], []
+    real_multiples, real_run = kernel.PlaneRows.add_multiples, kernel.PlaneRows.add_run
+    monkeypatch.setattr(
+        kernel.PlaneRows, "add_multiples", lambda self, *args: multiples.append(args) or real_multiples(self, *args)
+    )
+    monkeypatch.setattr(
+        kernel.PlaneRows, "add_run", lambda self, run: runs.append(len(run)) or real_run(self, run)
+    )
+    return multiples, runs
+
+
+def test_a_gs_log_replays_as_one_run(monkeypatch):
+    # the 95 Eliminate ops of the log are one run, applied as one delayed
+    # update: no op reaches add_multiples
+    original, dec = _gs_log_of_d96()
+    assert len(dec.log) == 95 and {type(op) for op in dec.log} == {Eliminate}
+    multiples, runs = _spy_on_the_run_replay(monkeypatch)
+    assert check_decomposition(original, 1, dec).passed
+    assert multiples == [] and runs == [95]
+
+
+@pytest.mark.parametrize("corrupt", ["coefficient p", "target d"])
+def test_a_bad_op_inside_a_long_run_keeps_its_error(corrupt):
+    # the run is applied after its last op is checked, but a bad op still
+    # stops the replay at its own index
+    original, dec = _gs_log_of_d96()
+    op = dec.log.ops[40]
+    if corrupt == "coefficient p":
+        dec.log.ops[40] = Eliminate(op.source, op.targets, (GF1009.p,) + op.coeffs[1:])
+    else:
+        dec.log.ops[40] = Eliminate(op.source, op.targets[:-1] + (96,), op.coeffs)
+    error = "log op 40 (Eliminate) does not fit a 96-dimensional log over GF(1009)"
+    with pytest.raises(ValueError) as raised:
+        dec.log._replay(GF1009)
+    assert str(raised.value) == error
+    report = check_decomposition(original, 1, dec)
+    assert report.as_dict() == {
+        "transform_invertible": False,
+        "congruence_matches": False,
+        "blocks_standard": True,
+        "radical_matches": True,
+    }
+    assert report.details == [f"log does not materialize: {error}"]
+
+
+def test_a_scale_by_zero_that_ends_a_long_run_fails_only_invertibility(monkeypatch):
+    # as the scale-zero tamper after a run of eliminate-zeros tampers: every
+    # op touches only rows at zero blocks, so the congruence still holds and
+    # only the transform turns singular
+    original, dec = _gs_log_of_d96(rank=90)
+    zeros = verify._zero_positions(dec)
+    for k in range(kernel._RUN_LEAF):
+        dec.log.append(Eliminate(zeros[k % 2], (zeros[1 - k % 2], zeros[2]), (GF1009.from_int(k), 2)))
+    dec.log.append(Scale(zeros[0], GF1009.zero))
+    _, runs = _spy_on_the_run_replay(monkeypatch)
+    report = check_decomposition(original, 1, dec)
+    assert runs[-1] > kernel._RUN_LEAF
+    assert report.as_dict() == {
+        "transform_invertible": False,
+        "congruence_matches": True,
+        "blocks_standard": True,
+        "radical_matches": True,
+    }
+    assert report.details == ["materialized transform is singular"]
+
+
 def _spy_on_the_checker(monkeypatch):
     """Record each congruence check a row store answers (True when it held)
     and each ranked matrix, in order."""
