@@ -23,8 +23,15 @@ rows of a congruence with one product, so their callers read those products
 off the elimination instead of issuing them.
 
 - The generic loop (``_ListRows``) clears rows through ``eliminate``, one
-  pivot's row pass on ``row_axpy``.  It is valid over every ring and is the
-  reference; it runs the GF(p) and GF(p^2) jobs the kernel does not take.
+  pivot's row pass on ``row_axpy`` per target, the pass the decomposers'
+  ``clear_row_column`` and ``transvect`` also run on the form.  It is valid
+  over every ring and runs the GF(p) and GF(p^2) jobs the kernel does not
+  take.  ``row_axpy`` works each entry on Python integers: reduced mod p
+  over GF(p) and GF(p^2), and summed over one denominator into one Fraction
+  per part over Q and the quaternions (``_add_over``), one gcd each where the
+  ring's own ``add(d, mul(lam, s))`` takes several per Fraction operation.
+  Over the quaternions ``eliminate`` also clears the pivot row and the
+  pivot's inverse of denominators once per pivot, not once per target.
 - The integer rows (``_RationalRows`` over Q, ``_QuaternionRows`` over the
   quaternions) hold each row as a positive integer denominator and integer
   part vectors in lowest terms, and do each pivot as a fraction-free row
@@ -107,7 +114,17 @@ class SingularMatrixError(ArithmeticError):
 
 
 def row_axpy(ring: Ring, dst: list, src: list, lam, lo: int, hi: int) -> None:
-    """In place: dst[c] += lam * src[c] for c in [lo, hi).  lam multiplies from the left."""
+    """In place: dst[c] += lam * src[c] for c in [lo, hi).  lam multiplies from the left.
+
+    Each entry is worked on Python integers.  Over GF(p) and GF(p^2) it is
+    one integer expression reduced mod p.  Over Q, lam * src[c] is the
+    integer fraction (n*x)/(m*y) of lam = n/m and src[c] = x/y, and
+    ``_add_over`` adds it to dst[c] as one Fraction; over the quaternions
+    ``_quaternion_axpy`` does the same per part, with the integer Hamilton
+    product of lam and src[c] cleared of denominators.  That is one gcd per
+    part where the ring's own ``add(dst[c], mul(lam, src[c]))`` takes
+    several per Fraction operation, and the Fractions are canonical, so the
+    values are that loop's."""
     if isinstance(ring, PrimeField):
         p = ring.p
         dst[lo:hi] = [(d + lam * s) % p for d, s in zip(dst[lo:hi], src[lo:hi])]
@@ -119,12 +136,42 @@ def row_axpy(ring: Ring, dst: list, src: list, lam, lo: int, hi: int) -> None:
             ((da + la * sa + c * lb * sb) % p, (db + la * sb + lb * sa) % p)
             for (da, db), (sa, sb) in zip(dst[lo:hi], src[lo:hi])
         ]
-    else:
-        add, mul, zero = ring.add, ring.mul, ring.zero
+    elif isinstance(ring, RationalField):
+        n, m = lam.numerator, lam.denominator
         for idx in range(lo, hi):
             s = src[idx]
-            if s != zero:
-                dst[idx] = add(dst[idx], mul(lam, s))
+            if s:
+                dst[idx] = _add_over(dst[idx], n * s.numerator, m * s.denominator)
+    else:
+        _quaternion_axpy(dst, _quaternion_parts(src, lo, hi), _clear(lam), lo)
+
+
+def _add_over(v: Fraction, num: int, den: int) -> Fraction:
+    """v + num/den for den > 0, as one Fraction: one gcd."""
+    b = v.denominator
+    return Fraction(v.numerator * den + num * b, b * den)
+
+
+def _quaternion_parts(row: list, lo: int, hi: int) -> list:
+    """Entries [lo, hi) of a quaternion row as ``_clear`` pairs (e, [w, x, y,
+    z]), e the lcm of the entry's four denominators and w, x, y, z the
+    integer parts of e * entry; None for a zero entry."""
+    return [(e, ints) if any(ints) else None for e, ints in map(_clear, row[lo:hi])]
+
+
+def _quaternion_axpy(dst: list, parts: list, lam: tuple, lo: int) -> None:
+    """In place: dst[lo + t] += lam * the entry ``parts[t]`` (``_quaternion_parts``
+    of the source row), for lam given as its ``_clear`` pair (g, a): the
+    integer Hamilton product a * s, lam first, is lam times the entry over
+    g * e, and ``_add_over`` adds it to each part of dst's entry."""
+    g, a = lam
+    for idx, entry in enumerate(parts, lo):
+        if entry is not None:
+            e, s = entry
+            den = g * e
+            w, x, y, z = dst[idx]
+            hw, hx, hy, hz = _hamilton(a, s)
+            dst[idx] = (_add_over(w, hw, den), _add_over(x, hx, den), _add_over(y, hy, den), _add_over(z, hz, den))
 
 
 def eliminate(ring: Ring, rows: list, src: int, col: int, targets, lo: int, hi: int, inverse=None) -> list:
@@ -133,8 +180,13 @@ def eliminate(ring: Ring, rows: list, src: int, col: int, targets, lo: int, hi: 
     lam = -rows[k][col] * pivinv, pivinv being the inverse of rows[src][col],
     which ``inverse`` (``ring.inv`` by default) takes at the first such target,
     so a pivot with nothing to clear is never inverted.  Returns the (k, lam)
-    pairs in target order, for callers to replay and count.
+    pairs in target order, for callers to replay and count.  Over the
+    quaternions ``_quaternion_eliminate`` does this on integer parts; the
+    other rings take ``row_axpy`` per target.
     """
+    inverse = inverse or ring.inv
+    if isinstance(ring, RationalQuaternions):
+        return _quaternion_eliminate(rows, src, col, targets, lo, hi, inverse)
     zero = ring.zero
     pairs = []
     pivinv = None
@@ -142,9 +194,30 @@ def eliminate(ring: Ring, rows: list, src: int, col: int, targets, lo: int, hi: 
         f = rows[k][col]
         if f != zero:
             if pivinv is None:
-                pivinv = (inverse or ring.inv)(rows[src][col])
+                pivinv = inverse(rows[src][col])
             lam = ring.neg(ring.mul(f, pivinv))
             row_axpy(ring, rows[k], rows[src], lam, lo, hi)
+            pairs.append((k, lam))
+    return pairs
+
+
+def _quaternion_eliminate(rows: list, src: int, col: int, targets, lo: int, hi: int, inverse) -> list:
+    """``eliminate`` over the quaternions.  At the first target the pivot's
+    inverse and row src are cleared of denominators, once for every target,
+    so each target's multiplier is one integer Hamilton product over one
+    denominator, -f * pivinv with f first, and its row pass one
+    ``_quaternion_axpy``."""
+    pairs = []
+    parts = None
+    for k in targets:
+        e, f = _clear(rows[k][col])
+        if any(f):
+            if parts is None:
+                g, pivinv = _clear(inverse(rows[src][col]))
+                parts = _quaternion_parts(rows[src], lo, hi)
+            den = e * g
+            lam = tuple([Fraction(-v, den) for v in _hamilton(f, pivinv)])
+            _quaternion_axpy(rows[k], parts, _clear(lam), lo)
             pairs.append((k, lam))
     return pairs
 
@@ -311,6 +384,9 @@ def _clear_parts(vec) -> tuple[int, tuple]:
 
 def _dot(u: list, v: list) -> int:
     return sum(map(operator.mul, u, v))
+
+
+_hamilton = RationalQuaternions().mul  # the Hamilton product, left factor first; on integer parts too
 
 
 def _hamilton_dot(left: tuple, right: tuple) -> tuple:
@@ -688,7 +764,7 @@ class _QuaternionRows(_IntRows):
     def _join(parts: list) -> tuple:
         return tuple(parts)
 
-    _mul = staticmethod(RationalQuaternions().mul)  # the Hamilton product, here on integer parts
+    _mul = staticmethod(_hamilton)
 
     @staticmethod
     def _axpy(m: int, x: tuple, q: tuple, y: tuple) -> tuple:

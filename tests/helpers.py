@@ -25,3 +25,27 @@ SPLIT_RINGS = {
 def snapshot(matrix: Matrix) -> Matrix:
     """Deep copy of a matrix, safe to keep across an in-place decomposition."""
     return Matrix(matrix.ring, [row[:] for row in matrix.rows], validate=False)
+
+
+def ring_loop_axpy(ring, dst: list, src: list, lam, lo: int, hi: int) -> None:
+    """dst[c] += lam * src[c] for c in [lo, hi) through the ring's own add and
+    mul, lam on the left: the reference for ``matrix.row_axpy``."""
+    for c in range(lo, hi):
+        if src[c] != ring.zero:
+            dst[c] = ring.add(dst[c], ring.mul(lam, src[c]))
+
+
+def ring_loop_eliminate(ring, rows: list, src: int, col: int, targets, lo: int, hi: int, inverse=None) -> list:
+    """``matrix.eliminate`` with every multiplier -f * pivinv from the ring's
+    own mul and neg and every row pass on ``ring_loop_axpy``."""
+    pairs = []
+    pivinv = None
+    for k in targets:
+        f = rows[k][col]
+        if f != ring.zero:
+            if pivinv is None:
+                pivinv = (inverse or ring.inv)(rows[src][col])
+            lam = ring.neg(ring.mul(f, pivinv))
+            ring_loop_axpy(ring, rows[k], rows[src], lam, lo, hi)
+            pairs.append((k, lam))
+    return pairs

@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orthoform import (
     BlockLeft,
@@ -32,8 +33,8 @@ from orthoform import (
     random_form,
     row_reduce,
 )
-from orthoform import blocks as blocks_module, matrix
-from helpers import SPLIT_RINGS, snapshot
+from orthoform import blocks as blocks_module, form as form_module, matrix
+from helpers import SPLIT_RINGS, ring_loop_axpy, ring_loop_eliminate, snapshot
 
 GF7 = PrimeField(7)
 GF2 = PrimeField(2)
@@ -847,3 +848,35 @@ def test_small_windows_are_leaves(monkeypatch):
     assert windows[0] == d and len(windows) > 1
     assert min(windows[1:]) > blocks_module.LEAF_ROWS
     assert check_decomposition(original, -1, dec).passed
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["q", "h"]), st.integers(1, 12), st.sampled_from([1, -1]),
+    st.one_of(st.none(), st.integers(0, 12)), st.integers(0, 2**32),
+)
+def test_integer_row_pass_matches_the_ring_loop(kind, d, s, rank, seed):
+    # the row passes of clear_row_column and transvect run on integers over Q
+    # and the quaternions; both decomposers must give the blocks, log,
+    # counters and final form of the same passes on the ring's own add and mul
+    ring = QQ if kind == "q" else HH
+    if rank is not None:
+        rank = min(rank, d)
+        if kind == "q" and s == -1:
+            rank -= rank % 2  # alternating
+    base = random_form(ring, s, d, random.Random(seed), rank=rank)
+
+    def run():
+        out = []
+        for decompose in (decompose_gs, decompose_blocks):
+            form = HermitianForm(ring, snapshot(base.m), s, validate=False)
+            dec = decompose(form)
+            out.append(repr((dec.blocks, list(dec.log), dec.counters.as_dict(), form.m.rows)))
+        return out
+
+    integer = run()
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (form_module, matrix):
+            patch.setattr(module, "row_axpy", ring_loop_axpy)
+            patch.setattr(module, "eliminate", ring_loop_eliminate)
+        assert run() == integer

@@ -36,6 +36,7 @@ from orthoform import (
     row_reduce,
 )
 from orthoform import matrix
+from helpers import ring_loop_axpy, ring_loop_eliminate
 
 GF7 = PrimeField(7)
 GF9 = QuadraticField(3, "frobenius")
@@ -872,3 +873,91 @@ def test_integer_rows_materialize_matches_the_generic_loop(monkeypatch):
 
     generic, integer = _on_both_row_stores(monkeypatch, lambda: [log.materialize(ring).rows for ring, log in logs])
     assert repr(integer) == repr(generic)
+
+
+def _quaternion(w, x, y, z):
+    return tuple(Fraction(v) for v in (w, x, y, z))
+
+
+BIG = 2**64 + 13  # a denominator past 2^64
+
+
+def _axpy_cases(ring):
+    """(src, dst, lams) rows with zero source entries, negative and
+    integer-valued entries, lam with large denominators, a sum that cancels
+    to zero, and over the quaternions a lam and a source entry that do not
+    commute (i * j = k, j * i = -k)."""
+    if isinstance(ring, RationalField):
+        f = Fraction
+        src = [f(0), f(-7, 3), f(5), f(2**70 + 1, BIG), f(0), f(-4), f(1, 6), f(9, 10)]
+        dst = [f(1, 2), f(7, 3), f(0), f(-3), f(11, 2**71 - 1), f(8), f(-1, 6), f(0)]
+        lams = [f(1), f(-1), f(-6), f(3, BIG), f(-(2**70), 2**71 - 1)]
+    else:
+        i, j, q = _quaternion(0, 1, 0, 0), _quaternion(0, 0, 1, 0), _quaternion
+        src = [
+            ring.zero, j, q(Fraction(-1, 2), 3, Fraction(2**70 + 1, BIG), 0), q(5, 0, 0, -2),
+            ring.zero, q(0, Fraction(1, 3), Fraction(-1, 6), Fraction(1, 2)), q(-1, -1, -1, -1), i,
+        ]
+        dst = [
+            q(1, 2, 3, 4), _quaternion(0, 0, 0, -1), ring.zero, q(Fraction(7, BIG), 0, -1, 0),
+            q(0, 0, Fraction(1, 2), 0), q(-3, 0, 0, 0), ring.zero, q(0, 0, 0, Fraction(-1, 9)),
+        ]
+        lams = [i, q(-1, 0, 0, 0), q(2, -3, 4, -5), q(Fraction(1, BIG), -2, 0, Fraction(3, 7))]
+        assert ring.mul(lams[0], src[1]) != ring.mul(src[1], lams[0])
+        assert ring.add(dst[1], ring.mul(lams[0], src[1])) == ring.zero  # i * j cancels -k
+    return src, dst, lams
+
+
+@pytest.mark.parametrize("ring", [RationalField(), HH], ids=repr)
+def test_row_axpy_matches_the_ring_loop(ring):
+    """row_axpy over Q and the quaternions works on integers; entry for entry
+    it must equal the ring's own add(d, mul(lam, s)) loop, lam on the left,
+    with every entry outside the window untouched."""
+    src, dst, lams = _axpy_cases(ring)
+    rng = random.Random(709)
+    rows = [(src, dst, lams)]
+    for _ in range(6):
+        rows.append(([_exact_entry(ring, rng) for _ in src], [_exact_entry(ring, rng) for _ in src], [_exact_entry(ring, rng)]))
+    n = len(src)
+    for src, dst, lams in rows:
+        for lam in lams:
+            for lo, hi in [(0, n), (1, n), (0, n - 2), (2, 5), (3, 3), (n - 1, n)]:
+                expected, got = dst[:], dst[:]
+                ring_loop_axpy(ring, expected, src, lam, lo, hi)
+                matrix.row_axpy(ring, got, src, lam, lo, hi)
+                assert repr(got) == repr(expected), (lam, lo, hi)
+                assert got[:lo] == dst[:lo] and got[hi:] == dst[hi:]
+
+
+@pytest.mark.parametrize("ring", [RationalField(), HH], ids=repr)
+def test_eliminate_matches_the_ring_loop(ring):
+    """A pivot's row pass, with its multipliers, equals the ring loop's, and
+    the pivot is inverted once, at the first target it clears."""
+    rng = random.Random(710)
+    cases = [_exact_matrix(ring, 5, 7, rng).rows for _ in range(4)]
+    if isinstance(ring, RationalField):
+        cases.append(_units(ring, [[-3, 1, 2], [5, -7, 1], [Fraction(-1, 2), 4, -9]]).rows)
+    else:
+        cases.append(_units(ring, [["i", "j", "k"], ["j", "i", "-k"], ["k", "-j", "i"]]).rows)
+    cleared = 0
+    for rows in cases:
+        n, m = len(rows), len(rows[0])
+        for src in range(n):
+            for col in sorted({0, 2, m - 1}):
+                if rows[src][col] == ring.zero:
+                    continue
+                targets = [k for k in range(n) if k != src]
+                for lo, hi in [(0, m), (col, m), (min(col, 1), m - 1)]:
+                    calls = []
+
+                    def inverse(x):
+                        calls.append(x)
+                        return ring.inv(x)
+
+                    expected, got = [row[:] for row in rows], [row[:] for row in rows]
+                    pairs = ring_loop_eliminate(ring, expected, src, col, targets, lo, hi)
+                    assert repr(matrix.eliminate(ring, got, src, col, targets, lo, hi, inverse)) == repr(pairs)
+                    assert repr(got) == repr(expected)
+                    assert calls == ([rows[src][col]] if pairs else [])
+                    cleared += len(pairs)
+    assert cleared > 50
